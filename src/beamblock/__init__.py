@@ -7,11 +7,11 @@ from .errors import BlockageError, ConfigError, DataError
 from .grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet, WeightField,
                    fraction_of_sphere, make_grid, solid_angle_weights,
                    uniform_weights, with_invalid_band)
-from .lossstats import (GaussianFit, LossStats, StudySummary, gaussian_fit,
-                        loss_field, loss_stats, study_summary)
+from .lossstats import (GaussianFit, LossStats, Study, StudySummary,
+                        gaussian_fit, loss_field, loss_stats, study_summary)
 from .models import (BlockageModel, ComparisonReport, apply_model,
-                     compare_models, constant_loss, flat_region,
-                     measured_mask, model_preset)
+                     compare_models, comparison_dict, constant_loss,
+                     flat_region, measured_mask, model_preset)
 from .roi import (RoIImprovement, RoIMask, matched_r1_for_r5, roi_improvement,
                   roi_r1, roi_r2, roi_r3, roi_r4, roi_r5, write_roi_csv)
 from .scanio import (LinkBudget, ScanData, ScanRecord, eirp_from_prx,

@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .coverage import (coverage_above, overlay_best_beam, percentile_value,
-                       weighted_cdf)
+from .coverage import coverage_above, percentile_value
 from .errors import ConfigError, DataError
-from .grid import solid_angle_weights
-from .lossstats import gaussian_fit, loss_field, loss_stats
-from .models import compare_models, model_preset
+from .lossstats import Study, gaussian_fit, loss_field, loss_stats
+from .models import comparison_dict, compare_models, model_preset
 from .roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2, roi_r3,
                   roi_r4, roi_r5, write_roi_csv)
 from .report import CONVENTIONS, write_report
@@ -42,23 +41,29 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
     return items
 
 
-def _load_modes(args) -> dict:
+def _load_study(args) -> Study:
     """Per-mode pattern sets from --scan or --scenario."""
     if getattr(args, "scan", None):
-        return parse_scan_csv(args.scan).modes
+        return Study(parse_scan_csv(args.scan).modes)
     if getattr(args, "scenario", None):
-        return build_patterns(_resolve_scenario(args.scenario))
+        return Study(build_patterns(_resolve_scenario(args.scenario)))
     raise ConfigError("one of --scan or --scenario is required")
 
 
-def _free_blocked(modes: dict):
-    if "freespace" not in modes:
-        raise DataError("input provides no freespace mode")
-    if "true_hand" not in modes:
-        raise DataError("input provides no true_hand mode")
-    free = overlay_best_beam(modes["freespace"]).pattern
-    blocked = overlay_best_beam(modes["true_hand"]).pattern
-    return free, blocked
+# --roi-kind -> (region law, baseline law or None); laws take
+# (free overlay, blocked overlay, parsed args).
+def _r1(free, blocked, args):
+    return roi_r1(free, args.delta1)
+
+
+_ROI_KINDS = {
+    "r1": (_r1, None),
+    "r2": (lambda f, b, a: roi_r2(f, b, a.delta1, a.delta2), _r1),
+    "r3": (lambda f, b, a: roi_r3(f, b, a.delta1, a.delta3), _r1),
+    "r4": (lambda f, b, a: roi_r4(f, b, a.delta1, a.delta4), _r1),
+    "r5": (lambda f, b, a: roi_r5(f, b, a.delta5),
+           lambda f, b, a: matched_r1_for_r5(f, a.delta5)),
+}
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -81,11 +86,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_overlay(args) -> int:
-    modes = _load_modes(args)
-    if args.mode not in modes:
-        raise DataError(f"mode {args.mode!r} not present; have "
-                        f"{', '.join(sorted(modes))}")
-    overlay = overlay_best_beam(modes[args.mode])
+    overlay = _load_study(args).overlay(args.mode)
     svg = heatmap_svg(overlay.pattern,
                       f"{args.mode} best-beam EIRP (dBm)")
     Path(args.out).write_text(svg)
@@ -93,54 +94,38 @@ def _cmd_overlay(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    modes = _load_modes(args)
-    weights = solid_angle_weights(next(iter(modes.values())).grid)
-    curves = []
-    for mode in sorted(modes):
-        pattern = overlay_best_beam(modes[mode]).pattern
-        curves.append((mode, weighted_cdf(pattern, weights)))
+    study = _load_study(args)
+    modes = sorted(study.modes)
     if args.out:
         Path(args.out).write_text(
-            cdf_svg(curves, "sphere coverage CDF", "best-beam EIRP (dBm)"))
-    for mode, cdf in curves:
+            cdf_svg([(mode, study.cdf(mode)) for mode in modes],
+                    "sphere coverage CDF", "best-beam EIRP (dBm)"))
+    percentiles = (_parse_float_list(args.percentiles, "percentiles")
+                   if args.percentiles else ())
+    for mode in modes:
         if args.threshold is not None:
-            pattern = overlay_best_beam(modes[mode]).pattern
-            pct = coverage_above(pattern, weights, args.threshold)
+            pct = coverage_above(study.overlay(mode).pattern, study.weights,
+                                 args.threshold)
             print(f"{mode}: {pct:.2f}% of sphere >= "
                   f"{args.threshold:g} dBm")
-        if args.percentiles:
-            for p in _parse_float_list(args.percentiles, "percentiles"):
-                print(f"{mode}: p{p:g} = {percentile_value(cdf, p):.2f} dBm")
+        for p in percentiles:
+            print(f"{mode}: p{p:g} = "
+                  f"{percentile_value(study.cdf(mode), p):.2f} dBm")
     return 0
 
 
 def _cmd_roi(args) -> int:
-    modes = _load_modes(args)
-    free, blocked = _free_blocked(modes)
-    weights = solid_angle_weights(free.grid)
-    kind = args.roi_kind.lower()
-    if kind == "r1":
-        region = roi_r1(free, args.delta1)
-        base = None
-    elif kind == "r2":
-        region = roi_r2(free, blocked, args.delta1, args.delta2)
-        base = roi_r1(free, args.delta1)
-    elif kind == "r3":
-        region = roi_r3(free, blocked, args.delta1, args.delta3)
-        base = roi_r1(free, args.delta1)
-    elif kind == "r4":
-        region = roi_r4(free, blocked, args.delta1, args.delta4)
-        base = roi_r1(free, args.delta1)
-    elif kind == "r5":
-        region = roi_r5(free, blocked, args.delta5)
-        base = matched_r1_for_r5(free, args.delta5)
-    else:
-        raise ConfigError(f"unknown --roi-kind {args.roi_kind!r}")
+    study = _load_study(args)
+    free = study.overlay("freespace").pattern
+    blocked = study.overlay("true_hand").pattern
+    law, base_law = _ROI_KINDS[args.roi_kind]
+    region = law(free, blocked, args)
     payload = {"kind": region.kind, "params": region.params,
-               "coverage_pct": region.coverage(weights),
+               "coverage_pct": region.coverage(study.weights),
                "conventions": CONVENTIONS}
-    if base is not None:
-        imp = roi_improvement(base, region, weights)
+    if base_law is not None:
+        imp = roi_improvement(base_law(free, blocked, args), region,
+                              study.weights)
         payload["baseline_pct"] = imp.base_pct
         payload["improvement_abs_pct"] = imp.abs_pct
         payload["improvement_rel_pct"] = imp.rel_pct
@@ -155,21 +140,15 @@ def _cmd_roi(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    modes = _load_modes(args)
-    free, blocked = _free_blocked(modes)
-    weights = solid_angle_weights(free.grid)
+    study = _load_study(args)
+    free = study.overlay("freespace").pattern
+    blocked = study.overlay("true_hand").pattern
     loss = loss_field(free, blocked)
     base = matched_r1_for_r5(free, args.delta5)
     enhanced = roi_r5(free, blocked, args.delta5)
-    out = {}
-    for label, region in (("r1_matched", base), ("r5", enhanced)):
-        s = loss_stats(loss, region, weights)
-        out[label] = {"mean_db": s.mean_db, "median_db": s.median_db,
-                      "std_db": s.std_db, "sphere_pct": s.sphere_pct,
-                      "n_points": s.n_points}
-    fit = gaussian_fit(loss, enhanced, weights)
-    out["gaussian_fit"] = {"family": fit.family, "mu": fit.mu,
-                           "sigma": fit.sigma}
+    out = {label: asdict(loss_stats(loss, region, study.weights))
+           for label, region in (("r1_matched", base), ("r5", enhanced))}
+    out["gaussian_fit"] = asdict(gaussian_fit(loss, enhanced, study.weights))
     out["delta5_dbm"] = args.delta5
     out["conventions"] = CONVENTIONS
     _emit(out, args.out)
@@ -177,9 +156,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    modes = _load_modes(args)
-    free, blocked = _free_blocked(modes)
-    weights = solid_angle_weights(free.grid)
+    study = _load_study(args)
+    free = study.overlay("freespace").pattern
+    blocked = study.overlay("true_hand").pattern
     region = roi_r5(free, blocked, args.delta5)
     candidates = {"true_hand": blocked}
     if getattr(args, "scenario", None) and not args.models:
@@ -191,21 +170,9 @@ def _cmd_compare(args) -> int:
             name = name.strip()
             if name:
                 candidates[name] = model_preset(name)
-    report = compare_models(free, candidates, region, weights)
-    payload = {
-        "delta5_dbm": args.delta5,
-        "percentiles": list(report.percentiles),
-        "candidates": [
-            {"name": c.name,
-             "deltas_db": {f"{p:g}": c.deltas_db[p]
-                           for p in sorted(c.deltas_db, reverse=True)}}
-            for c in report.candidates],
-        "crossovers": [{"a": x.name_a, "b": x.name_b,
-                        "value_dbm": x.value_dbm}
-                       for x in report.crossovers],
-        "conventions": CONVENTIONS,
-    }
-    _emit(payload, args.out)
+    report = compare_models(free, candidates, region, study.weights)
+    _emit(dict(comparison_dict(report), delta5_dbm=args.delta5,
+               conventions=CONVENTIONS), args.out)
     return 0
 
 
@@ -258,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roi", help="region-of-interest coverage")
     _add_input_args(p)
-    p.add_argument("--roi-kind", default="r5",
-                   choices=["r1", "r2", "r3", "r4", "r5"])
+    p.add_argument("--roi-kind", default="r5", choices=sorted(_ROI_KINDS))
     p.add_argument("--delta1", type=float, default=5.0,
                    help="dB below the free-space peak (R1)")
     p.add_argument("--delta2", type=float, default=5.0,

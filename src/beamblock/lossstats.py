@@ -13,12 +13,44 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .coverage import (CoverageLost, coverage_lost, overlay_best_beam,
-                       percentile_value, weighted_cdf)
+from .coverage import (CoverageLost, OverlayPattern, WeightedCDF,
+                       coverage_lost, overlay_best_beam, percentile_value,
+                       weighted_cdf)
 from .errors import DataError
-from .grid import Pattern, PatternSet, WeightField, solid_angle_weights
+from .grid import Pattern, WeightField, solid_angle_weights
 from .roi import (RoIImprovement, RoIMask, matched_r1_for_r5, roi_improvement,
                   roi_r5)
+
+
+class Study:
+    """Per-mode pattern sets on one sphere, each derived field made once.
+
+    ``modes`` maps mode names (``freespace``, ``true_hand``, ...) to
+    PatternSets on one grid, as returned by ``build_patterns`` or
+    ``parse_scan_csv(...).modes``. The sin(theta) weights are computed on
+    construction; each mode's best-beam overlay and full-sphere CDF on first
+    use, then reused.
+    """
+
+    def __init__(self, modes: dict):
+        self.modes = dict(modes)
+        self.weights = solid_angle_weights(next(iter(modes.values())).grid)
+        self._overlays = {}
+        self._cdfs = {}
+
+    def overlay(self, mode: str) -> OverlayPattern:
+        if mode not in self._overlays:
+            if mode not in self.modes:
+                raise DataError(f"input provides no {mode} mode; have "
+                                f"{', '.join(sorted(self.modes))}")
+            self._overlays[mode] = overlay_best_beam(self.modes[mode])
+        return self._overlays[mode]
+
+    def cdf(self, mode: str) -> WeightedCDF:
+        if mode not in self._cdfs:
+            self._cdfs[mode] = weighted_cdf(self.overlay(mode).pattern,
+                                            self.weights)
+        return self._cdfs[mode]
 
 
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
@@ -145,9 +177,9 @@ class StudySummary:
     improvement_pct: tuple[float, float] | None
 
 
-def study_summary(free: PatternSet, blocked: PatternSet,
+def study_summary(study: Study, blocked_mode: str,
                   thresholds, percentiles) -> StudySummary:
-    """Roll a free/blocked pattern pair up to headline ranges.
+    """Roll the freespace and ``blocked_mode`` overlays up to headlines.
 
     At each threshold t: sphere coverage above t for both overlays with the
     absolute and relative loss, plus the R5-versus-matched-R1 improvement
@@ -155,18 +187,16 @@ def study_summary(free: PatternSet, blocked: PatternSet,
     drop. Threshold and percentile lists are deduplicated and sorted
     descending, so the summary is permutation-invariant in both.
     """
-    if free.grid != blocked.grid:
-        raise DataError("free and blocked sets must share one grid")
     thr = sorted({float(t) for t in thresholds}, reverse=True)
     pct = sorted({float(p) for p in percentiles}, reverse=True)
     if not thr or not pct:
         raise DataError("thresholds and percentiles must be non-empty")
 
-    weights = solid_angle_weights(free.grid)
-    f = overlay_best_beam(free).pattern
-    b = overlay_best_beam(blocked).pattern
-    f_cdf = weighted_cdf(f, weights)
-    b_cdf = weighted_cdf(b, weights)
+    weights = study.weights
+    f = study.overlay("freespace").pattern
+    b = study.overlay(blocked_mode).pattern
+    f_cdf = study.cdf("freespace")
+    b_cdf = study.cdf(blocked_mode)
 
     t_rows = []
     for t in thr:

@@ -13,7 +13,7 @@ mean body loss 8.5 dB, and a 30 dB flat in-region loss.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,7 +62,7 @@ def flat_region(region: MaskRegion, loss_db: float) -> BlockageModel:
     if region.edge_taper_deg != 0.0:
         raise ConfigError("flat_region models use sharp regions (taper 0)")
     return BlockageModel(kind="flat_region", loss_db=float(loss_db),
-                         region=region)
+                         region=replace(region, delta_db=float(loss_db)))
 
 
 def measured_mask(loss: Pattern) -> BlockageModel:
@@ -84,24 +84,20 @@ def model_preset(name: str, region: MaskRegion | None = None) -> BlockageModel:
 
 
 def apply_model(free: Pattern, model: BlockageModel) -> Pattern:
-    """Predicted blocked pattern from a free-space overlay."""
+    """Predicted blocked pattern: ``free`` minus the model's dB delta."""
+    grid = free.grid
     if model.kind == "constant_loss":
-        return free.shifted(model.loss_db)
-    if model.kind == "flat_region":
-        grid = free.grid
+        delta = model.loss_db
+    elif model.kind == "flat_region":
         r = model.region
         if not (grid.theta[0] <= r.theta_lo and r.theta_hi <= grid.theta[-1]):
             raise DataError("model region lies outside the grid")
-        delta = BlockageMask(regions=(MaskRegion(
-            phi_lo=r.phi_lo, phi_hi=r.phi_hi, theta_lo=r.theta_lo,
-            theta_hi=r.theta_hi, delta_db=model.loss_db,
-            edge_taper_deg=0.0),)).delta_field(grid)
-        return Pattern.from_values(grid, free.values - delta, kind=free.kind)
-    if model.loss_pattern.grid != free.grid:
-        raise DataError("measured mask and pattern must share one grid")
-    return Pattern.from_values(free.grid,
-                               free.values - model.loss_pattern.values,
-                               kind=free.kind)
+        delta = BlockageMask(regions=(r,)).delta_field(grid)
+    else:
+        if model.loss_pattern.grid != grid:
+            raise DataError("measured mask and pattern must share one grid")
+        delta = model.loss_pattern.values
+    return Pattern.from_values(grid, free.values - delta, kind=free.kind)
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,21 @@ class ComparisonReport:
     candidates: tuple[CandidateResult, ...]
     crossovers: tuple[CrossOver, ...]
     percentiles: tuple[float, ...] = DELTA_PERCENTILES
+
+
+def comparison_dict(report: ComparisonReport) -> dict:
+    """JSON form of a comparison; deltas keyed by percentile, descending."""
+    return {
+        "percentiles": list(report.percentiles),
+        "candidates": [
+            {"name": c.name,
+             "deltas_db": {f"{p:g}": c.deltas_db[p]
+                           for p in sorted(c.deltas_db, reverse=True)}}
+            for c in report.candidates],
+        "crossovers": [{"a": x.name_a, "b": x.name_b,
+                        "value_dbm": x.value_dbm}
+                       for x in report.crossovers],
+    }
 
 
 def _cdf_crossovers(a: WeightedCDF, b: WeightedCDF) -> list[float]:

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
-from .coverage import PERCENTILE_CONVENTION, overlay_best_beam, weighted_cdf
-from .grid import FLOOR_DB, solid_angle_weights, uniform_weights
-from .lossstats import gaussian_fit, loss_field, loss_stats, study_summary
-from .models import compare_models
+from .coverage import PERCENTILE_CONVENTION, weighted_cdf
+from .grid import FLOOR_DB, uniform_weights
+from .lossstats import (Study, gaussian_fit, loss_field, loss_stats,
+                        study_summary)
+from .models import compare_models, comparison_dict
 from .roi import matched_r1_for_r5, roi_r5
 from .scanio import write_scan_csv
 from .scenario import Scenario, build_patterns, scenario_models
@@ -30,23 +31,23 @@ CONVENTIONS = {
     "floor_db": FLOOR_DB,
 }
 
+# The phantom block reports coverage lost only, not the RoI columns.
+_PHANTOM_KEYS = ("threshold_dbm", "free_pct", "blocked_pct", "abs_lost_pct",
+                 "rel_lost_pct")
 
-@dataclass(frozen=True)
-class _Analysis:
-    modes: dict
-    weights: object
-    free: object
-    hand: object
-    enhanced: object
-    loss: object
-    fit: object
-    payload: dict
+# Heatmap title word per mode, in eirp_cdf.svg curve order.
+_MODE_LABELS = (("freespace", "free-space"), ("true_hand", "hand-blocked"),
+                ("phantom", "body-blocked"))
 
 
-def _stats_dict(stats) -> dict:
-    return {"mean_db": stats.mean_db, "median_db": stats.median_db,
-            "std_db": stats.std_db, "sphere_pct": stats.sphere_pct,
-            "n_points": stats.n_points}
+def _threshold_dict(row) -> dict:
+    """One summary threshold row; the key order is coverage.csv's columns."""
+    cov, imp = row.coverage, row.improvement
+    return {"threshold_dbm": row.threshold_dbm, "free_pct": cov.free_pct,
+            "blocked_pct": cov.blocked_pct, "abs_lost_pct": cov.abs_lost_pct,
+            "rel_lost_pct": cov.rel_lost_pct, "r1_pct": row.r1_pct,
+            "r5_pct": row.r5_pct, "improvement_abs_pct": imp.abs_pct,
+            "improvement_rel_pct": imp.rel_pct}
 
 
 def _range_str(pair) -> str:
@@ -55,27 +56,27 @@ def _range_str(pair) -> str:
     return f"{pair[0]:.1f} to {pair[1]:.1f}"
 
 
-def _analyze(scenario: Scenario) -> _Analysis:
-    modes = build_patterns(scenario)
-    free_set = modes["freespace"]
-    hand_set = modes["true_hand"]
-    weights = solid_angle_weights(scenario.grid)
-    uweights = uniform_weights(scenario.grid)
-
-    summary = study_summary(free_set, hand_set, scenario.thresholds_dbm,
+def write_report(scenario: Scenario, out_dir) -> dict:
+    """Write the full bundle into ``out_dir``; returns the JSON payload."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    study = Study(build_patterns(scenario))
+    weights = study.weights
+    summary = study_summary(study, "true_hand", scenario.thresholds_dbm,
                             scenario.percentiles)
-    free = overlay_best_beam(free_set).pattern
-    hand = overlay_best_beam(hand_set).pattern
+    free = study.overlay("freespace").pattern
+    hand = study.overlay("true_hand").pattern
 
     d5 = scenario.delta5_dbm
     base = matched_r1_for_r5(free, d5)
     enhanced = roi_r5(free, hand, d5)
     loss = loss_field(free, hand)
     fit = gaussian_fit(loss, enhanced, weights)
-
-    candidates = {"true_hand": hand}
-    candidates.update(scenario_models(scenario))
-    comparison = compare_models(free, candidates, enhanced, weights)
+    comparison = compare_models(free, {"true_hand": hand,
+                                       **scenario_models(scenario)},
+                                enhanced, weights)
+    uweights = uniform_weights(scenario.grid)
+    thresholds = [_threshold_dict(r) for r in summary.thresholds]
 
     payload = {
         "scenario": {
@@ -96,77 +97,24 @@ def _analyze(scenario: Scenario) -> _Analysis:
             "roi_improvement_pct": list(summary.improvement_pct)
             if summary.improvement_pct else None,
         },
-        "thresholds": [
-            {"threshold_dbm": r.threshold_dbm,
-             "free_pct": r.coverage.free_pct,
-             "blocked_pct": r.coverage.blocked_pct,
-             "abs_lost_pct": r.coverage.abs_lost_pct,
-             "rel_lost_pct": r.coverage.rel_lost_pct,
-             "r1_pct": r.r1_pct, "r5_pct": r.r5_pct,
-             "improvement_abs_pct": r.improvement.abs_pct,
-             "improvement_rel_pct": r.improvement.rel_pct}
-            for r in summary.thresholds],
-        "percentiles": [
-            {"percentile": r.percentile, "free_dbm": r.free_dbm,
-             "blocked_dbm": r.blocked_dbm, "loss_db": r.loss_db}
-            for r in summary.percentiles],
+        "thresholds": thresholds,
+        "percentiles": [asdict(r) for r in summary.percentiles],
         "roi_loss_stats": {
-            "r1_matched": {
-                "weighted": _stats_dict(loss_stats(loss, base, weights)),
-                "unweighted": _stats_dict(loss_stats(loss, base, uweights)),
-            },
-            "r5": {
-                "weighted": _stats_dict(loss_stats(loss, enhanced, weights)),
-                "unweighted": _stats_dict(loss_stats(loss, enhanced,
-                                                     uweights)),
-            },
-        },
-        "gaussian_fit": {"family": fit.family, "mu": fit.mu,
-                         "sigma": fit.sigma},
-        "models": {
-            "percentiles": list(comparison.percentiles),
-            "candidates": [
-                {"name": c.name,
-                 "deltas_db": {f"{p:g}": c.deltas_db[p]
-                               for p in sorted(c.deltas_db, reverse=True)}}
-                for c in comparison.candidates],
-            "crossovers": [
-                {"a": x.name_a, "b": x.name_b, "value_dbm": x.value_dbm}
-                for x in comparison.crossovers],
-        },
+            label: {"weighted": asdict(loss_stats(loss, region, weights)),
+                    "unweighted": asdict(loss_stats(loss, region, uweights))}
+            for label, region in (("r1_matched", base), ("r5", enhanced))},
+        "gaussian_fit": asdict(fit),
+        "models": comparison_dict(comparison),
     }
-
-    if "phantom" in modes:
-        body_summary = study_summary(free_set, modes["phantom"],
-                                     scenario.thresholds_dbm,
-                                     scenario.percentiles)
+    if "phantom" in study.modes:
+        body = study_summary(study, "phantom", scenario.thresholds_dbm,
+                             scenario.percentiles)
         payload["phantom"] = {
-            "thresholds": [
-                {"threshold_dbm": r.threshold_dbm,
-                 "free_pct": r.coverage.free_pct,
-                 "blocked_pct": r.coverage.blocked_pct,
-                 "abs_lost_pct": r.coverage.abs_lost_pct,
-                 "rel_lost_pct": r.coverage.rel_lost_pct}
-                for r in body_summary.thresholds],
-            "percentiles": [
-                {"percentile": r.percentile, "loss_db": r.loss_db}
-                for r in body_summary.percentiles],
+            "thresholds": [{k: d[k] for k in _PHANTOM_KEYS} for d in
+                           map(_threshold_dict, body.thresholds)],
+            "percentiles": [{"percentile": r.percentile, "loss_db": r.loss_db}
+                            for r in body.percentiles],
         }
-    return _Analysis(modes=modes, weights=weights, free=free, hand=hand,
-                     enhanced=enhanced, loss=loss, fit=fit, payload=payload)
-
-
-def build_report(scenario: Scenario) -> dict:
-    """Compute the full report payload for a scenario."""
-    return _analyze(scenario).payload
-
-
-def write_report(scenario: Scenario, out_dir) -> dict:
-    """Write the full bundle into ``out_dir``; returns the JSON payload."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    a = _analyze(scenario)
-    payload = a.payload
 
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -181,48 +129,39 @@ def write_report(scenario: Scenario, out_dir) -> dict:
 
     with open(out / "coverage.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["threshold_dbm", "free_pct", "blocked_pct",
-                    "abs_lost_pct", "rel_lost_pct", "r1_pct", "r5_pct",
-                    "improvement_abs_pct", "improvement_rel_pct"])
-        for r in payload["thresholds"]:
+        w.writerow(list(thresholds[0]))
+        for r in thresholds:
             w.writerow([f"{r['threshold_dbm']:g}"] +
-                       [("n/a" if r[k] is None else f"{r[k]:.4f}")
-                        for k in ("free_pct", "blocked_pct", "abs_lost_pct",
-                                  "rel_lost_pct", "r1_pct", "r5_pct",
-                                  "improvement_abs_pct",
-                                  "improvement_rel_pct")])
+                       [("n/a" if v is None else f"{v:.4f}")
+                        for v in list(r.values())[1:]])
 
     with open(out / "percentiles.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["percentile", "free_dbm", "blocked_dbm", "loss_db"])
-        for r in payload["percentiles"]:
-            w.writerow([f"{r['percentile']:g}", f"{r['free_dbm']:.4f}",
-                        f"{r['blocked_dbm']:.4f}", f"{r['loss_db']:.4f}"])
+        for r in summary.percentiles:
+            w.writerow([f"{r.percentile:g}", f"{r.free_dbm:.4f}",
+                        f"{r.blocked_dbm:.4f}", f"{r.loss_db:.4f}"])
 
     with open(out / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    write_scan_csv(out / "scan.csv", a.modes)
+    write_scan_csv(out / "scan.csv", study.modes)
 
     title = scenario.title
-    (out / "overlay_freespace.svg").write_text(
-        heatmap_svg(a.free, f"{title}: free-space best-beam EIRP (dBm)"))
-    (out / "overlay_true_hand.svg").write_text(
-        heatmap_svg(a.hand, f"{title}: hand-blocked best-beam EIRP (dBm)"))
-    curves = [("freespace", weighted_cdf(a.free, a.weights)),
-              ("true_hand", weighted_cdf(a.hand, a.weights))]
-    if "phantom" in a.modes:
-        body = overlay_best_beam(a.modes["phantom"]).pattern
-        (out / "overlay_phantom.svg").write_text(
-            heatmap_svg(body, f"{title}: body-blocked best-beam EIRP (dBm)"))
-        curves.append(("phantom", weighted_cdf(body, a.weights)))
+    curves = []
+    for mode, label in _MODE_LABELS:
+        if mode in study.modes:
+            (out / f"overlay_{mode}.svg").write_text(heatmap_svg(
+                study.overlay(mode).pattern,
+                f"{title}: {label} best-beam EIRP (dBm)"))
+            curves.append((mode, study.cdf(mode)))
     (out / "eirp_cdf.svg").write_text(
         cdf_svg(curves, f"{title}: sphere coverage CDF",
                 "best-beam EIRP (dBm)"))
-    loss_curve = [("loss over R5", weighted_cdf(a.loss, a.weights,
-                                                mask=a.enhanced))]
+    loss_curve = [("loss over R5", weighted_cdf(loss, weights,
+                                                mask=enhanced))]
     (out / "loss_cdf.svg").write_text(
         cdf_svg(loss_curve, f"{title}: blockage loss CDF",
-                "blockage loss (dB)", gaussian=a.fit))
+                "blockage loss (dB)", gaussian=fit))
     return payload

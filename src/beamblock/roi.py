@@ -71,37 +71,38 @@ def roi_r1(free: Pattern, delta1: float) -> RoIMask:
                    params={"delta1": delta1, "threshold_dbm": thr})
 
 
+def _r1_plus(kind: str, free: Pattern, blocked: Pattern, delta1: float,
+             blocked_thr: float, params: dict) -> RoIMask:
+    """R1, extended by blocked points at or above ``blocked_thr``."""
+    _check_pair(free, blocked)
+    extra = RoIMask(grid=free.grid, mask=blocked.values >= blocked_thr,
+                    kind=kind)
+    return roi_r1(free, delta1).union(extra, kind,
+                                      {"delta1": delta1, **params})
+
+
 def roi_r2(free: Pattern, blocked: Pattern, delta1: float,
            delta2: float) -> RoIMask:
     """R1, extended by points near the blocked overlay's own peak."""
-    _check_pair(free, blocked)
     _check_delta(delta2, "delta2")
     thr = blocked.max_value() - delta2
-    extra = RoIMask(grid=free.grid, mask=blocked.values >= thr, kind="R2")
-    return roi_r1(free, delta1).union(
-        extra, "R2", {"delta1": delta1, "delta2": delta2,
-                      "blocked_threshold_dbm": thr})
+    return _r1_plus("R2", free, blocked, delta1, thr,
+                    {"delta2": delta2, "blocked_threshold_dbm": thr})
 
 
 def roi_r3(free: Pattern, blocked: Pattern, delta1: float,
            delta3: float) -> RoIMask:
     """R1, extended by blocked points near the free-space peak."""
-    _check_pair(free, blocked)
     _check_delta(delta3, "delta3")
     thr = free.max_value() - delta3
-    extra = RoIMask(grid=free.grid, mask=blocked.values >= thr, kind="R3")
-    return roi_r1(free, delta1).union(
-        extra, "R3", {"delta1": delta1, "delta3": delta3,
-                      "blocked_threshold_dbm": thr})
+    return _r1_plus("R3", free, blocked, delta1, thr,
+                    {"delta3": delta3, "blocked_threshold_dbm": thr})
 
 
 def roi_r4(free: Pattern, blocked: Pattern, delta1: float,
            delta4: float) -> RoIMask:
     """R1, extended by blocked points above an absolute EIRP floor."""
-    _check_pair(free, blocked)
-    extra = RoIMask(grid=free.grid, mask=blocked.values >= delta4, kind="R4")
-    return roi_r1(free, delta1).union(
-        extra, "R4", {"delta1": delta1, "delta4": delta4})
+    return _r1_plus("R4", free, blocked, delta1, delta4, {"delta4": delta4})
 
 
 def roi_r5(free: Pattern, blocked: Pattern, delta5: float) -> RoIMask:

@@ -17,6 +17,7 @@ points absent from only some series are an error.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,8 @@ def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
                                  value_dbm=float(row[4]))
             except ValueError as exc:
                 raise DataError(f"line {line}: {exc}") from exc
+            if not (math.isfinite(rec.phi) and math.isfinite(rec.theta)):
+                raise DataError(f"line {line}: non-finite angle")
             if rec.mode not in MODES:
                 raise DataError(f"line {line}: unknown mode {rec.mode!r}")
             if rec.beam_id < 0:
@@ -181,7 +184,7 @@ def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
     return ScanData(grid=grid, modes=modes, beam_ids=beam_ids)
 
 
-def write_scan_csv(path, data, beam_ids: dict | None = None) -> None:
+def write_scan_csv(path, data) -> None:
     """Write a scan archive deterministically.
 
     ``data`` is a ScanData or a mapping mode -> PatternSet. Rows are ordered
@@ -191,13 +194,13 @@ def write_scan_csv(path, data, beam_ids: dict | None = None) -> None:
     if isinstance(data, ScanData):
         modes, beam_ids = data.modes, data.beam_ids
     else:
-        modes = data
+        modes, beam_ids = data, {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for mode in sorted(modes):
             pset = modes[mode]
-            ids = (beam_ids or {}).get(mode) or tuple(range(len(pset)))
+            ids = beam_ids.get(mode) or tuple(range(len(pset)))
             grid = pset.grid
             for beam, pattern in zip(ids, pset):
                 for it, theta in enumerate(grid.theta):

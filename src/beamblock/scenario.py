@@ -10,7 +10,7 @@ and are addressable by name from the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .errors import ConfigError
@@ -183,7 +183,6 @@ def scenario_models(scenario: Scenario) -> dict:
 def scenario_metadata(scenario: Scenario) -> dict:
     """JSON-serializable echo of the full scenario parameter set."""
     grid = scenario.grid
-    cfg = scenario.config
     return {
         "name": scenario.name,
         "title": scenario.title,
@@ -198,19 +197,8 @@ def scenario_metadata(scenario: Scenario) -> dict:
             "n_points": int(grid.valid.size),
             "n_valid": int(grid.valid.sum()),
         },
-        "array": {
-            "n_elements": cfg.n_elements,
-            "spacing": cfg.spacing,
-            "element_kind": cfg.element_kind,
-            "phase_bits": cfg.phase_bits,
-            "tx_power_dbm": cfg.tx_power_dbm,
-            "element_peak_gain_dbi": cfg.element_peak_gain_dbi,
-            "boresight_phi": cfg.boresight_phi,
-        },
-        "beams": [{"scan_deg": b.scan_deg,
-                   "amplitude_taper": (list(b.amplitude_taper)
-                                       if b.amplitude_taper else None)}
-                  for b in scenario.beams],
+        "array": asdict(scenario.config),
+        "beams": [asdict(b) for b in scenario.beams],
         "mask_modes": sorted(scenario.masks),
         "thresholds_dbm": list(scenario.thresholds_dbm),
         "percentiles": list(scenario.percentiles),

@@ -7,6 +7,8 @@ timestamps, random ids, or library version strings are emitted.
 
 from __future__ import annotations
 
+import html
+
 import numpy as np
 
 from .coverage import WeightedCDF
@@ -46,7 +48,7 @@ def _svg_open(width: float, height: float, title: str) -> list[str]:
         f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" '
         'fill="#ffffff"/>',
         f'<text x="{_f(width / 2)}" y="20" {_FONT} font-size="14" '
-        f'text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{html.escape(title, quote=False)}</text>',
     ]
 
 
@@ -192,7 +194,7 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
                    f'x2="{_f(ml + 34)}" y2="{_f(ly - 4)}" stroke="{color}" '
                    'stroke-width="1.5"/>')
         out.append(f'<text x="{_f(ml + 40)}" y="{_f(ly)}" {_FONT} '
-                   f'font-size="11">{label}</text>')
+                   f'font-size="11">{html.escape(label, quote=False)}</text>')
     if gaussian is not None:
         xs = np.linspace(xlo, xhi, 201)
         ys = gaussian.cdf(xs)
@@ -210,7 +212,8 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
     out.append(f'<rect x="{_f(ml)}" y="{_f(mt)}" width="{_f(plot_w)}" '
                f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>')
     out.append(f'<text x="{_f(ml + plot_w / 2)}" y="{_f(height - 12)}" '
-               f'{_FONT} font-size="12" text-anchor="middle">{xlabel}</text>')
+               f'{_FONT} font-size="12" text-anchor="middle">'
+               f'{html.escape(xlabel, quote=False)}</text>')
     out.append(f'<text x="14" y="{_f(mt + plot_h / 2)}" {_FONT} '
                f'font-size="12" text-anchor="middle" transform="rotate(-90 '
                f'14 {_f(mt + plot_h / 2)})">cumulative probability</text>')

@@ -7,10 +7,13 @@ from scipy.special import ndtr
 from beamblock.errors import DataError
 from beamblock.grid import (AngularGrid, Pattern, PatternSet, make_grid,
                             solid_angle_weights, uniform_weights)
-from beamblock.lossstats import (GaussianFit, LossStats, StudySummary,
-                                 gaussian_fit, loss_field, loss_stats,
-                                 study_summary)
+from beamblock.lossstats import (GaussianFit, LossStats, Study,
+                                 StudySummary, gaussian_fit, loss_field,
+                                 loss_stats, study_summary)
+from beamblock import lossstats
+from beamblock.report import write_report
 from beamblock.roi import roi_r1
+from beamblock.scenario import build_patterns, load_bundled
 
 GENERATOR_TOL_DB = 0.5
 GAUSS_TOL = 0.2
@@ -173,16 +176,16 @@ class TestGaussianFit:
 
 class TestStudySummary:
     def _sets(self, grid, free_vals, blocked_vals):
-        free = PatternSet(patterns=[_pattern(grid, free_vals)])
-        blocked = PatternSet(patterns=[_pattern(grid, blocked_vals)])
-        return free, blocked
+        return Study({
+            "freespace": PatternSet(patterns=[_pattern(grid, free_vals)]),
+            "true_hand": PatternSet(patterns=[_pattern(grid, blocked_vals)])})
 
     def test_unblocked_study_is_all_zero(self, full_grid):
         rng = np.random.default_rng(73)
         vals = rng.integers(-60 * 1024, 0, size=full_grid.valid.shape) \
             / 1024.0
-        free, blocked = self._sets(full_grid, vals, vals)
-        summary = study_summary(free, blocked, [-35.0, -45.0],
+        study = self._sets(full_grid, vals, vals)
+        summary = study_summary(study, "true_hand", [-35.0, -45.0],
                                 [50.0, 20.0])
         assert summary.gross_loss_db == (0.0, 0.0)
         assert summary.rel_lost_pct == (0.0, 0.0)
@@ -194,8 +197,8 @@ class TestStudySummary:
         rng = np.random.default_rng(79)
         vals = rng.integers(-50 * 1024, 0, size=full_grid.valid.shape) \
             / 1024.0
-        free, blocked = self._sets(full_grid, vals, vals - 10.0)
-        summary = study_summary(free, blocked, [-35.0], [50.0, 20.0])
+        study = self._sets(full_grid, vals, vals - 10.0)
+        summary = study_summary(study, "true_hand", [-35.0], [50.0, 20.0])
         assert summary.gross_loss_db == (10.0, 10.0)
         for row in summary.percentiles:
             assert row.loss_db == 10.0
@@ -203,10 +206,10 @@ class TestStudySummary:
     def test_lists_deduplicated_and_sorted(self, full_grid):
         rng = np.random.default_rng(83)
         vals = rng.uniform(-60, 0, size=full_grid.valid.shape)
-        free, blocked = self._sets(full_grid, vals, vals - 5.0)
-        a = study_summary(free, blocked, [-45.0, -35.0, -45.0],
+        study = self._sets(full_grid, vals, vals - 5.0)
+        a = study_summary(study, "true_hand", [-45.0, -35.0, -45.0],
                           [20.0, 50.0, 20.0])
-        b = study_summary(free, blocked, [-35.0, -45.0], [50.0, 20.0])
+        b = study_summary(study, "true_hand", [-35.0, -45.0], [50.0, 20.0])
         assert a == b
         assert [r.threshold_dbm for r in a.thresholds] == [-35.0, -45.0]
         assert [r.percentile for r in a.percentiles] == [50.0, 20.0]
@@ -220,10 +223,37 @@ class TestStudySummary:
                                     full_grid.valid.shape).copy()
         blocked_vals = free_vals - np.where(free_vals > -40.0, 20.0, 0.0)
         blocked_vals[5:10, 0:6] = -32.0  # reflection above the floor
-        free, blocked = self._sets(full_grid, free_vals, blocked_vals)
-        summary = study_summary(free, blocked, [-35.0], [50.0])
+        study = self._sets(full_grid, free_vals, blocked_vals)
+        summary = study_summary(study, "true_hand", [-35.0], [50.0])
         lo, hi = summary.rel_lost_pct
         assert 0.0 < lo <= hi < 100.0
         lo, hi = summary.improvement_pct
         assert 0.0 < lo <= hi
         assert isinstance(summary, StudySummary)
+
+
+class TestStudy:
+    def test_overlay_and_cdf_computed_once(self, patch_set):
+        study = Study({"freespace": patch_set})
+        assert study.overlay("freespace") is study.overlay("freespace")
+        assert study.cdf("freespace") is study.cdf("freespace")
+
+    def test_missing_mode_is_data_error(self, patch_set):
+        study = Study({"freespace": patch_set})
+        with pytest.raises(DataError) as err:
+            study.overlay("true_hand")
+        assert "true_hand" in str(err.value)
+
+    def test_report_overlays_each_mode_once(self, tmp_path, monkeypatch):
+        scenario = load_bundled("s5_patch_landscape_intermediate")
+        assert len(build_patterns(scenario)) == 3
+        calls = []
+        real = lossstats.overlay_best_beam
+
+        def counting(pset):
+            calls.append(pset)
+            return real(pset)
+
+        monkeypatch.setattr(lossstats, "overlay_best_beam", counting)
+        write_report(scenario, tmp_path)
+        assert len(calls) == 3

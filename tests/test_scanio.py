@@ -143,6 +143,14 @@ class TestParse:
             parse_scan_csv(_write(tmp_path, text))
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["phi", "theta"])
+    def test_non_finite_angle_cites_line(self, tmp_path, field):
+        bad = "nan,45.0," if field == "phi" else "0.0,nan,"
+        text = SMALL_CSV.replace("0.0,45.0,", bad, 1)
+        with pytest.raises(DataError) as err:
+            parse_scan_csv(_write(tmp_path, text))
+        assert "line 2" in str(err.value)
+
     def test_negative_beam_id(self, tmp_path):
         text = SMALL_CSV.replace("0.0,45.0,0,", "0.0,45.0,-1,")
         with pytest.raises(DataError):

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -16,6 +17,8 @@ from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
 BUNDLED = ("s1_patch_portrait_hard", "s2_patch_portrait_loose",
            "s3_dipole_portrait_hard", "s4_dipole_portrait_loose",
            "s5_patch_landscape_intermediate")
+
+SVG_NS = "http://www.w3.org/2000/svg"
 
 MINIMAL = {
     "name": "unit",
@@ -271,6 +274,29 @@ class TestCli:
         code = run_cli(["cdf", "--scan", str(bad)])
         assert code == 1
         assert "duplicate" in capsys.readouterr().err
+
+    def test_stats_scan_without_true_hand(self, tmp_path, capsys):
+        run_cli(["synth", "--scenario", "s1_patch_portrait_hard",
+                 "--out", str(tmp_path)])
+        scan = tmp_path / "scan.csv"
+        lines = scan.read_text().splitlines(keepends=True)
+        scan.write_text("".join(ln for ln in lines if ",true_hand," not in ln))
+        code = run_cli(["stats", "--scan", str(scan)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_report_svg_text_is_escaped(self, tmp_path):
+        path = tmp_path / "amp.json"
+        path.write_text(json.dumps(_variant(title="A & B <hand>")))
+        out = tmp_path / "report"
+        assert run_cli(["report", "--scenario", str(path),
+                        "--out", str(out)]) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 4
+        for svg in svgs:
+            root = ET.parse(svg).getroot()
+            texts = [t.text for t in root.iter(f"{{{SVG_NS}}}text")]
+            assert any(t.startswith("A & B <hand>") for t in texts)
 
     def test_exit_code_missing_scan_file(self, tmp_path):
         assert run_cli(["cdf", "--scan", str(tmp_path / "nope.csv")]) == 1
