@@ -20,8 +20,8 @@ from .roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2, roi_r3,
                   roi_r4, roi_r5, write_roi_csv)
 from .report import CONVENTIONS, write_report
 from .scanio import parse_scan_csv, write_scan_csv
-from .scenario import (build_patterns, list_bundled, load_bundled,
-                       load_scenario, scenario_metadata, scenario_models)
+from .scenario import (Scenario, build_patterns, list_bundled, load_bundled,
+                       load_scenario, scenario_metadata)
 from .svgplot import cdf_svg, heatmap_svg
 
 
@@ -31,22 +31,27 @@ def _resolve_scenario(ref: str):
     return load_bundled(ref)
 
 
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
+def _parse_percentiles(text: str) -> tuple[float, ...]:
     try:
         items = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad {what} list: {text!r}") from exc
-    if not items:
-        raise ConfigError(f"{what} list is empty")
+        raise ConfigError(f"bad percentiles list: {text!r}") from exc
+    if not items or not all(0.0 <= p <= 100.0 for p in items):
+        raise ConfigError(f"percentiles must be a non-empty list in "
+                          f"[0, 100]: {text!r}")
     return items
 
 
-def _load_study(args) -> Study:
-    """Per-mode pattern sets from --scan or --scenario."""
-    if getattr(args, "scan", None):
-        return Study(parse_scan_csv(args.scan).modes)
-    if getattr(args, "scenario", None):
-        return Study(build_patterns(_resolve_scenario(args.scenario)))
+def _load_study(args) -> tuple[Study, Scenario | None]:
+    """Pattern sets from --scan or --scenario, and that scenario or None."""
+    scan, ref = getattr(args, "scan", None), getattr(args, "scenario", None)
+    if scan and ref:
+        raise ConfigError("--scan and --scenario are exclusive")
+    if scan:
+        return Study(parse_scan_csv(scan).modes), None
+    if ref:
+        scenario = _resolve_scenario(ref)
+        return Study(build_patterns(scenario)), scenario
     raise ConfigError("one of --scan or --scenario is required")
 
 
@@ -86,7 +91,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_overlay(args) -> int:
-    overlay = _load_study(args).overlay(args.mode)
+    overlay = _load_study(args)[0].overlay(args.mode)
     svg = heatmap_svg(overlay.pattern,
                       f"{args.mode} best-beam EIRP (dBm)")
     Path(args.out).write_text(svg)
@@ -94,14 +99,14 @@ def _cmd_overlay(args) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    study = _load_study(args)
+    percentiles = (_parse_percentiles(args.percentiles)
+                   if args.percentiles else ())
+    study, _ = _load_study(args)
     modes = sorted(study.modes)
     if args.out:
         Path(args.out).write_text(
             cdf_svg([(mode, study.cdf(mode)) for mode in modes],
                     "sphere coverage CDF", "best-beam EIRP (dBm)"))
-    percentiles = (_parse_float_list(args.percentiles, "percentiles")
-                   if args.percentiles else ())
     for mode in modes:
         if args.threshold is not None:
             pct = coverage_above(study.overlay(mode).pattern, study.weights,
@@ -115,7 +120,7 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_roi(args) -> int:
-    study = _load_study(args)
+    study, _ = _load_study(args)
     free = study.overlay("freespace").pattern
     blocked = study.overlay("true_hand").pattern
     law, base_law = _ROI_KINDS[args.roi_kind]
@@ -140,13 +145,14 @@ def _cmd_roi(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    study = _load_study(args)
+    study, _ = _load_study(args)
     free = study.overlay("freespace").pattern
     blocked = study.overlay("true_hand").pattern
     loss = loss_field(free, blocked)
     base = matched_r1_for_r5(free, args.delta5)
     enhanced = roi_r5(free, blocked, args.delta5)
-    out = {label: asdict(loss_stats(loss, region, study.weights))
+    out = {label: None if region.params.get("empty") else
+           asdict(loss_stats(loss, region, study.weights))
            for label, region in (("r1_matched", base), ("r5", enhanced))}
     out["gaussian_fit"] = asdict(gaussian_fit(loss, enhanced, study.weights))
     out["delta5_dbm"] = args.delta5
@@ -156,20 +162,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    study = _load_study(args)
+    study, scenario = _load_study(args)
     free = study.overlay("freespace").pattern
     blocked = study.overlay("true_hand").pattern
     region = roi_r5(free, blocked, args.delta5)
     candidates = {"true_hand": blocked}
-    if getattr(args, "scenario", None) and not args.models:
-        candidates.update(scenario_models(_resolve_scenario(args.scenario)))
+    if scenario is not None and not args.models:
+        candidates.update(scenario.models)
     else:
-        names = (args.models.split(",") if args.models
-                 else ["prior-hand-15.3", "prior-body-8.5"])
-        for name in names:
-            name = name.strip()
-            if name:
-                candidates[name] = model_preset(name)
+        names = (args.models or "prior-hand-15.3,prior-body-8.5").split(",")
+        candidates.update((n, model_preset(n))
+                          for n in map(str.strip, names) if n)
     report = compare_models(free, candidates, region, study.weights)
     _emit(dict(comparison_dict(report), delta5_dbm=args.delta5,
                conventions=CONVENTIONS), args.out)
@@ -276,15 +279,9 @@ def run_cli(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main() -> None:

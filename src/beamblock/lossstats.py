@@ -144,9 +144,7 @@ class ThresholdRow:
 
     threshold_dbm: float
     coverage: CoverageLost
-    r1_pct: float
-    r5_pct: float
-    improvement: RoIImprovement
+    improvement: RoIImprovement  # base_pct: matched R1, enhanced_pct: R5
 
 
 @dataclass(frozen=True)
@@ -161,9 +159,7 @@ class PercentileRow:
 
 def _range(values: list) -> tuple[float, float] | None:
     vals = [v for v in values if v is not None]
-    if not vals:
-        return None
-    return (min(vals), max(vals))
+    return (min(vals), max(vals)) if vals else None
 
 
 @dataclass(frozen=True)
@@ -203,10 +199,9 @@ def study_summary(study: Study, blocked_mode: str,
         cov = coverage_lost(f, b, weights, t)
         base = matched_r1_for_r5(f, t)
         enhanced = roi_r5(f, b, t)
-        imp = roi_improvement(base, enhanced, weights)
-        t_rows.append(ThresholdRow(threshold_dbm=t, coverage=cov,
-                                   r1_pct=imp.base_pct, r5_pct=imp.enhanced_pct,
-                                   improvement=imp))
+        t_rows.append(ThresholdRow(
+            threshold_dbm=t, coverage=cov,
+            improvement=roi_improvement(base, enhanced, weights)))
     p_rows = []
     for p in pct:
         fv = percentile_value(f_cdf, p)

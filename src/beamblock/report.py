@@ -18,7 +18,7 @@ from .lossstats import (Study, gaussian_fit, loss_field, loss_stats,
 from .models import compare_models, comparison_dict
 from .roi import matched_r1_for_r5, roi_r5
 from .scanio import write_scan_csv
-from .scenario import Scenario, build_patterns, scenario_models
+from .scenario import Scenario, build_patterns, scenario_metadata
 from .svgplot import cdf_svg, heatmap_svg
 
 CONVENTIONS = {
@@ -30,6 +30,10 @@ CONVENTIONS = {
                             "/ coverage(matched R1)",
     "floor_db": FLOOR_DB,
 }
+
+# summary.json's scenario block: these scenario_metadata keys plus n_beams.
+_SCENARIO_KEYS = ("name", "title", "subarray", "orientation", "grip",
+                  "delta5_dbm", "thresholds_dbm", "percentiles", "models")
 
 # The phantom block reports coverage lost only, not the RoI columns.
 _PHANTOM_KEYS = ("threshold_dbm", "free_pct", "blocked_pct", "abs_lost_pct",
@@ -45,8 +49,8 @@ def _threshold_dict(row) -> dict:
     cov, imp = row.coverage, row.improvement
     return {"threshold_dbm": row.threshold_dbm, "free_pct": cov.free_pct,
             "blocked_pct": cov.blocked_pct, "abs_lost_pct": cov.abs_lost_pct,
-            "rel_lost_pct": cov.rel_lost_pct, "r1_pct": row.r1_pct,
-            "r5_pct": row.r5_pct, "improvement_abs_pct": imp.abs_pct,
+            "rel_lost_pct": cov.rel_lost_pct, "r1_pct": imp.base_pct,
+            "r5_pct": imp.enhanced_pct, "improvement_abs_pct": imp.abs_pct,
             "improvement_rel_pct": imp.rel_pct}
 
 
@@ -67,28 +71,20 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     free = study.overlay("freespace").pattern
     hand = study.overlay("true_hand").pattern
 
-    d5 = scenario.delta5_dbm
-    base = matched_r1_for_r5(free, d5)
-    enhanced = roi_r5(free, hand, d5)
+    base = matched_r1_for_r5(free, scenario.delta5_dbm)
+    enhanced = roi_r5(free, hand, scenario.delta5_dbm)
     loss = loss_field(free, hand)
     fit = gaussian_fit(loss, enhanced, weights)
     comparison = compare_models(free, {"true_hand": hand,
-                                       **scenario_models(scenario)},
+                                       **scenario.models},
                                 enhanced, weights)
     uweights = uniform_weights(scenario.grid)
     thresholds = [_threshold_dict(r) for r in summary.thresholds]
 
+    meta = scenario_metadata(scenario)
     payload = {
-        "scenario": {
-            "name": scenario.name, "title": scenario.title,
-            "subarray": scenario.subarray,
-            "orientation": scenario.orientation, "grip": scenario.grip,
-            "delta5_dbm": d5,
-            "thresholds_dbm": list(scenario.thresholds_dbm),
-            "percentiles": list(scenario.percentiles),
-            "models": list(scenario.model_names),
-            "n_beams": len(scenario.beams),
-        },
+        "scenario": dict({k: meta[k] for k in _SCENARIO_KEYS},
+                         n_beams=len(scenario.beams)),
         "conventions": CONVENTIONS,
         "headline": {
             "gross_loss_db": list(summary.gross_loss_db),
@@ -100,8 +96,9 @@ def write_report(scenario: Scenario, out_dir) -> dict:
         "thresholds": thresholds,
         "percentiles": [asdict(r) for r in summary.percentiles],
         "roi_loss_stats": {
-            label: {"weighted": asdict(loss_stats(loss, region, weights)),
-                    "unweighted": asdict(loss_stats(loss, region, uweights))}
+            label: None if region.params.get("empty") else
+            {"weighted": asdict(loss_stats(loss, region, weights)),
+             "unweighted": asdict(loss_stats(loss, region, uweights))}
             for label, region in (("r1_matched", base), ("r5", enhanced))},
         "gaussian_fit": asdict(fit),
         "models": comparison_dict(comparison),

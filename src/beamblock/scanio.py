@@ -105,6 +105,23 @@ def _angle_key(x: float) -> float:
     return round(x, 9)
 
 
+def _lattice_axis(keys: list, name: str, n_rows: int):
+    """Axis over the sorted ``keys`` stepped by their smallest gap, with
+    unnamed lattice values filling the gaps, and each key's index on it."""
+    if len(keys) < 2:
+        return np.array(keys), {k: 0 for k in keys}
+    lo, hi = keys[0], keys[-1]
+    n = round((hi - lo) / float(np.diff(keys).min()))
+    pos = (np.array(keys) - lo) * (n / (hi - lo))
+    idx = np.rint(pos).astype(int)
+    if n >= n_rows or np.any(np.abs(pos - idx) > 1e-6):
+        raise DataError(f"inferred grid is invalid: {name} values fit no "
+                        f"uniform lattice of at most {n_rows} points")
+    axis = lo + (hi - lo) / n * np.arange(n + 1)
+    axis[idx] = keys
+    return axis, dict(zip(keys, idx.tolist()))
+
+
 def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
     """Read a scan archive, inferring the grid and validity mask."""
     records = []
@@ -142,10 +159,10 @@ def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
     if not records:
         raise DataError("scan file contains no data rows")
 
-    phis = sorted({_angle_key(r.phi) for r in records})
-    thetas = sorted({_angle_key(r.theta) for r in records})
-    phi_idx = {p: i for i, p in enumerate(phis)}
-    theta_idx = {t: i for i, t in enumerate(thetas)}
+    phis, phi_idx = _lattice_axis(
+        sorted({_angle_key(r.phi) for r in records}), "phi", len(records))
+    thetas, theta_idx = _lattice_axis(
+        sorted({_angle_key(r.theta) for r in records}), "theta", len(records))
     series = {}
     for r in records:
         key = (r.mode, r.beam_id)
@@ -164,8 +181,7 @@ def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
                         f"present in only {count[it, ip]} of {len(series)} "
                         "(mode, beam) series")
     try:
-        grid = AngularGrid(phi=np.array(phis), theta=np.array(thetas),
-                           valid=valid)
+        grid = AngularGrid(phi=phis, theta=thetas, valid=valid)
     except ConfigError as exc:
         raise DataError(f"inferred grid is invalid: {exc}") from exc
 
@@ -191,10 +207,8 @@ def write_scan_csv(path, data) -> None:
     by mode, beam, theta, phi ascending; only valid points are written;
     values carry six decimal places.
     """
-    if isinstance(data, ScanData):
-        modes, beam_ids = data.modes, data.beam_ids
-    else:
-        modes, beam_ids = data, {}
+    modes, beam_ids = ((data.modes, data.beam_ids)
+                       if isinstance(data, ScanData) else (data, {}))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)

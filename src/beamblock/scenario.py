@@ -15,7 +15,7 @@ from importlib import resources
 
 from .errors import ConfigError
 from .grid import AngularGrid, make_grid, with_invalid_band
-from .models import BlockageModel, model_preset
+from .models import model_preset
 from .synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
                     apply_blockage_mask, synth_pattern_set)
 
@@ -27,7 +27,8 @@ _OPTIONAL_KEYS = {"title", "invalid_theta_band"}
 
 @dataclass(frozen=True)
 class Scenario:
-    """One study's full configuration."""
+    """One study's full configuration; ``models`` maps each comparison
+    preset name, in file order, to its BlockageModel."""
 
     name: str
     title: str
@@ -41,26 +42,25 @@ class Scenario:
     thresholds_dbm: tuple[float, ...]
     percentiles: tuple[float, ...]
     delta5_dbm: float
-    model_names: tuple[str, ...]
-    model_region: MaskRegion | None
+    models: dict
 
 
-def _region_from_dict(d: dict, where: str, delta_required: bool) -> MaskRegion:
-    try:
-        phi = d["phi"]
-        theta = d["theta"]
-        delta = float(d["delta_db"]) if delta_required else float(
-            d.get("delta_db", 0.0))
-        taper = float(d.get("edge_taper_deg", 0.0))
-        return MaskRegion(phi_lo=float(phi[0]), phi_hi=float(phi[1]),
-                          theta_lo=float(theta[0]), theta_hi=float(theta[1]),
-                          delta_db=delta, edge_taper_deg=taper)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad region in {where}: {exc}") from exc
+def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
+    phi, theta = d["phi"], d["theta"]
+    delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
+    return MaskRegion(phi_lo=float(phi[0]), phi_hi=float(phi[1]),
+                      theta_lo=float(theta[0]), theta_hi=float(theta[1]),
+                      delta_db=float(delta),
+                      edge_taper_deg=float(d.get("edge_taper_deg", 0.0)))
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Validate and build a Scenario from parsed JSON."""
+    """Validate and build a Scenario from parsed JSON, in one pass.
+
+    A malformed value is a ConfigError ``bad <block>: <reason>``; the
+    ConfigErrors of the grid, array, beam, region and model constructors
+    pass through unchanged.
+    """
     if not isinstance(d, dict):
         raise ConfigError("scenario must be a JSON object")
     keys = set(d)
@@ -71,68 +71,73 @@ def scenario_from_dict(d: dict) -> Scenario:
     if unknown:
         raise ConfigError(f"scenario has unknown keys: {sorted(unknown)}")
 
-    g = d["grid"]
+    block = "grid"
     try:
+        g = d["grid"]
         grid = make_grid(float(g["phi_step"]), float(g["theta_min"]),
                          float(g["theta_max"]),
-                         theta_step=(float(g["theta_step"])
-                                     if "theta_step" in g else None))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid block: {exc}") from exc
-    band = d.get("invalid_theta_band")
-    if band is not None:
-        grid = with_invalid_band(grid, float(band[0]), float(band[1]))
+                         float(g.get("theta_step", g["phi_step"])))
+        block = "invalid_theta_band"
+        band = d.get("invalid_theta_band")
+        if band is not None:
+            grid = with_invalid_band(grid, float(band[0]), float(band[1]))
 
-    try:
+        block = "array"
         config = ArrayConfig(**{k: (str(v) if k == "element_kind" else
                                     int(v) if k in ("n_elements", "phase_bits")
                                     else float(v))
                                 for k, v in d["array"].items()})
-    except TypeError as exc:
-        raise ConfigError(f"bad array block: {exc}") from exc
 
-    beams = []
-    for i, b in enumerate(d["beams"]):
-        try:
-            taper = b.get("amplitude_taper")
-            beams.append(BeamSpec(scan_deg=float(b["scan_deg"]),
-                                  amplitude_taper=(tuple(taper) if taper
-                                                   else None)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad beam {i}: {exc}") from exc
-    if not beams:
-        raise ConfigError("scenario needs at least one beam")
+        block = "beams"
+        beams = tuple(BeamSpec(scan_deg=float(b["scan_deg"]),
+                               amplitude_taper=(tuple(b["amplitude_taper"])
+                                                if b.get("amplitude_taper")
+                                                else None))
+                      for b in d["beams"])
+        if not beams:
+            raise ValueError("need at least one beam")
 
-    masks = {}
-    if not isinstance(d["masks"], dict) or "true_hand" not in d["masks"]:
-        raise ConfigError("masks block must define at least 'true_hand'")
-    for mode, regions in d["masks"].items():
-        if mode not in ("true_hand", "phantom"):
-            raise ConfigError(f"unknown mask mode {mode!r}")
-        masks[mode] = BlockageMask(regions=tuple(
-            _region_from_dict(r, f"masks.{mode}", delta_required=True)
-            for r in regions))
+        block = "masks"
+        if not isinstance(d["masks"], dict) or "true_hand" not in d["masks"]:
+            raise ValueError("must define at least 'true_hand'")
+        masks = {}
+        for mode, regions in d["masks"].items():
+            if mode not in ("true_hand", "phantom"):
+                raise ValueError(f"unknown mask mode {mode!r}")
+            masks[mode] = BlockageMask(regions=tuple(
+                _region_from_dict(r, delta_required=True) for r in regions))
 
-    m = d["models"]
-    try:
-        names = tuple(str(n) for n in m["names"])
-        region = (_region_from_dict(m["region"], "models.region",
-                                    delta_required=False)
+        block = "models"
+        m = d["models"]
+        region = (_region_from_dict(m["region"], delta_required=False)
                   if m.get("region") else None)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad models block: {exc}") from exc
-    for n in names:
-        model_preset(n, region=region)  # validates name/region pairing
+        models = {}
+        for name in map(str, m["names"]):
+            if name in models:
+                raise ValueError(f"model {name!r} is listed twice")
+            models[name] = model_preset(name, region=region)
+
+        block = "thresholds_dbm"
+        thresholds = tuple(float(t) for t in d["thresholds_dbm"])
+        if not thresholds:
+            raise ValueError("need at least one threshold")
+        block = "percentiles"
+        percentiles = tuple(float(p) for p in d["percentiles"])
+        if not percentiles or not all(0.0 <= p <= 100.0 for p in percentiles):
+            raise ValueError("need at least one percentile, each in [0, 100]")
+        block = "delta5_dbm"
+        delta5 = float(d["delta5_dbm"])
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad {block}: {reason}") from exc
 
     return Scenario(
         name=str(d["name"]), title=str(d.get("title", d["name"])),
         subarray=str(d["subarray"]), orientation=str(d["orientation"]),
-        grip=str(d["grip"]), grid=grid, config=config, beams=tuple(beams),
-        masks=masks,
-        thresholds_dbm=tuple(float(t) for t in d["thresholds_dbm"]),
-        percentiles=tuple(float(p) for p in d["percentiles"]),
-        delta5_dbm=float(d["delta5_dbm"]), model_names=names,
-        model_region=region)
+        grip=str(d["grip"]), grid=grid, config=config, beams=beams,
+        masks=masks, thresholds_dbm=thresholds, percentiles=percentiles,
+        delta5_dbm=delta5, models=models)
 
 
 def load_scenario(path) -> Scenario:
@@ -174,12 +179,6 @@ def build_patterns(scenario: Scenario) -> dict:
     return out
 
 
-def scenario_models(scenario: Scenario) -> dict:
-    """Instantiate the scenario's comparison models by preset name."""
-    return {name: model_preset(name, region=scenario.model_region)
-            for name in scenario.model_names}
-
-
 def scenario_metadata(scenario: Scenario) -> dict:
     """JSON-serializable echo of the full scenario parameter set."""
     grid = scenario.grid
@@ -189,19 +188,16 @@ def scenario_metadata(scenario: Scenario) -> dict:
         "subarray": scenario.subarray,
         "orientation": scenario.orientation,
         "grip": scenario.grip,
-        "grid": {
-            "phi_step": grid.phi_step,
-            "theta_step": grid.theta_step,
-            "theta_min": float(grid.theta[0]),
-            "theta_max": float(grid.theta[-1]),
-            "n_points": int(grid.valid.size),
-            "n_valid": int(grid.valid.sum()),
-        },
+        "grid": {"phi_step": grid.phi_step, "theta_step": grid.theta_step,
+                 "theta_min": float(grid.theta[0]),
+                 "theta_max": float(grid.theta[-1]),
+                 "n_points": int(grid.valid.size),
+                 "n_valid": int(grid.valid.sum())},
         "array": asdict(scenario.config),
         "beams": [asdict(b) for b in scenario.beams],
         "mask_modes": sorted(scenario.masks),
         "thresholds_dbm": list(scenario.thresholds_dbm),
         "percentiles": list(scenario.percentiles),
         "delta5_dbm": scenario.delta5_dbm,
-        "models": list(scenario.model_names),
+        "models": list(scenario.models),
     }

@@ -1,13 +1,18 @@
 """Scan archive parsing, writing, and the receive link budget."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from beamblock.cli import run_cli
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import Pattern, PatternSet, make_grid
 from beamblock.scanio import (CSV_HEADER, MODES, LinkBudget, ScanData,
                               eirp_from_prx, friis_path_loss_db,
                               parse_scan_csv, prx_from_eirp, write_scan_csv)
+from beamblock.scenario import scenario_from_dict
 
 SMALL_CSV = """phi,theta,beam_id,mode,value_dbm
 0.0,45.0,0,freespace,-50.000000
@@ -168,6 +173,37 @@ class TestParse:
                  "90.0,135.0,1,freespace,-48.0\n")
         with pytest.raises(DataError) as err:
             parse_scan_csv(_write(tmp_path, text + extra))
+        assert "inferred grid" in str(err.value)
+
+    def test_interior_invalid_band_reads_back(self, tmp_path):
+        d = json.loads((resources.files("beamblock") / "scenarios"
+                        / "s5_patch_landscape_intermediate.json").read_text())
+        d["invalid_theta_band"] = [80.0, 100.0]
+        path = tmp_path / "banded.json"
+        path.write_text(json.dumps(d))
+        assert run_cli(["synth", "--scenario", str(path),
+                        "--out", str(tmp_path)]) == 0
+        data = parse_scan_csv(tmp_path / "scan.csv")
+        assert data.grid == scenario_from_dict(d).grid
+        assert not data.grid.valid[data.grid.theta == 90.0].any()
+
+    def test_off_lattice_axis_rejected(self, tmp_path):
+        # the smallest gap (10) makes a 15..55 lattice that 30 is off
+        rows = "".join(f"0.0,{theta},{beam},freespace,-48.0\n"
+                       for theta in (15.0, 30.0, 40.0, 55.0)
+                       for beam in (0, 1))
+        with pytest.raises(DataError) as err:
+            parse_scan_csv(_write(tmp_path, ",".join(CSV_HEADER) + "\n"
+                                  + rows))
+        assert "inferred grid" in str(err.value)
+
+    def test_lattice_larger_than_file_rejected(self, tmp_path):
+        # 45, 45.5 and 135 lie on one 0.5-degree lattice of 181 points, more
+        # than the file's 12 rows: refused rather than filled in
+        extra = "".join(f"{phi},45.5,{beam},freespace,-48.0\n"
+                        for phi in ("0.0", "180.0") for beam in (0, 1))
+        with pytest.raises(DataError) as err:
+            parse_scan_csv(_write(tmp_path, SMALL_CSV + extra))
         assert "inferred grid" in str(err.value)
 
 

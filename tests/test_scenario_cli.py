@@ -1,18 +1,28 @@
 """Scenario loading, bundled studies, and the command-line interface."""
 
+import contextlib
 import copy
 import csv
+import io
 import json
+import math
+import tempfile
 import xml.etree.ElementTree as ET
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from beamblock import cli, scenario as scenario_mod
 from beamblock.cli import run_cli
 from beamblock.errors import ConfigError
+from beamblock.models import BlockageModel
 from beamblock.scanio import parse_scan_csv
 from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
                                 load_scenario, scenario_from_dict,
-                                scenario_metadata, scenario_models)
+                                scenario_metadata)
 
 BUNDLED = ("s1_patch_portrait_hard", "s2_patch_portrait_loose",
            "s3_dipole_portrait_hard", "s4_dipole_portrait_loose",
@@ -45,13 +55,38 @@ def _variant(**updates):
     return d
 
 
+def _bundled_json(name):
+    return json.loads((resources.files("beamblock") / "scenarios"
+                       / f"{name}.json").read_text())
+
+
+def _replaced(doc, path, value):
+    """Deep copy of ``doc`` with the value at JSON ``path`` replaced."""
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _run(argv):
+    """run_cli with stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestScenarioValidation:
     def test_minimal_accepted(self):
         s = scenario_from_dict(MINIMAL)
         assert s.name == "unit"
         assert s.title == "unit"  # defaults to the name
         assert len(s.beams) == 1
-        assert s.model_region is None
+        assert s.models["prior-hand-15.3"].region is None
 
     def test_missing_key_rejected(self):
         d = copy.deepcopy(MINIMAL)
@@ -112,8 +147,10 @@ class TestBundled:
         assert "freespace" in modes and "true_hand" in modes
         for pset in modes.values():
             assert len(pset.patterns) == len(scenario.beams)
-        models = scenario_models(scenario)
-        assert set(models) == set(scenario.model_names)
+        names = _bundled_json(name)["models"]["names"]
+        assert list(scenario.models) == names
+        assert all(isinstance(m, BlockageModel)
+                   for m in scenario.models.values())
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
@@ -304,3 +341,173 @@ class TestCli:
     def test_missing_input_is_usage_error(self, capsys):
         code = run_cli(["cdf"])
         assert code == 2
+
+    def test_scan_and_scenario_are_exclusive(self, tmp_path):
+        run_cli(["synth", "--scenario", "s1_patch_portrait_hard",
+                 "--out", str(tmp_path)])
+        code, out, err = _run(["compare", "--scan", str(tmp_path / "scan.csv"),
+                               "--scenario",
+                               "s5_patch_landscape_intermediate"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exclusive" in err
+
+    def test_cdf_percentile_range_checked_before_output(self):
+        code, out, err = _run(["cdf", "--scenario", "s1_patch_portrait_hard",
+                               "--threshold", "-35",
+                               "--percentiles", "50,150"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_one_load_and_one_model_build_per_call(self, tmp_path,
+                                                   monkeypatch, command):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_bundled",
+                            counted("load", cli.load_bundled))
+        monkeypatch.setattr(scenario_mod, "model_preset",
+                            counted("model", scenario_mod.model_preset))
+        argv = [command, "--scenario", "s1_patch_portrait_hard",
+                "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 0
+        n_models = len(_bundled_json("s1_patch_portrait_hard")
+                       ["models"]["names"])
+        assert sorted(calls) == ["load"] + ["model"] * n_models
+
+
+# Each malformed value, applied to s1, is a one-line exit-2 error naming its
+# scenario block, raised at load (before any synthesis or output).
+S1_MALFORMED = [
+    (("array",), [1], "array"),
+    (("array", "n_elements"), "four", "array"),
+    (("array", "n_elements"), math.inf, "array"),
+    (("invalid_theta_band",), 5, "invalid_theta_band"),
+    (("thresholds_dbm",), ["x"], "thresholds_dbm"),
+    (("beams",), [0.0], "beams"),
+    (("masks",), {"true_hand": 3}, "masks"),
+    (("thresholds_dbm",), [], "thresholds_dbm"),
+    (("percentiles",), [150], "percentiles"),
+    (("models", "names"), ["prior-hand-15.3", "prior-hand-15.3"], "models"),
+]
+
+
+@pytest.mark.parametrize("command", ["report", "stats"])
+@pytest.mark.parametrize("path,value,block", S1_MALFORMED,
+                         ids=lambda x: ".".join(x) if isinstance(x, tuple)
+                         else None)
+def test_malformed_scenario_is_one_line_error(tmp_path, command, path, value,
+                                              block):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_replaced(
+        _bundled_json("s1_patch_portrait_hard"), path, value)))
+    out_dir = tmp_path / "out"
+    argv = [command, "--scenario", str(scenario)]
+    if command == "report":
+        argv += ["--out", str(out_dir)]
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad {block}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def _loose_grip(tmp_path):
+    """s2 with a hand reflection that lifts the blocked overlay above the
+    free-space peak, and an R5 floor only the reflection clears: the matched
+    R1 is empty, R5 is not."""
+    d = _bundled_json("s2_patch_portrait_loose")
+    d["masks"]["true_hand"].append({"phi": [170, 190], "theta": [80, 100],
+                                    "delta_db": -6.0})
+    d["delta5_dbm"] = -10.0
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+class TestEmptyMatchedR1:
+    def test_stats_writes_null(self, tmp_path):
+        out = tmp_path / "stats.json"
+        assert run_cli(["stats", "--scenario", str(_loose_grip(tmp_path)),
+                        "--delta5", "-10", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["r1_matched"] is None
+        assert payload["r5"]["n_points"] > 0
+
+    def test_report_writes_null(self, tmp_path):
+        out = tmp_path / "report"
+        assert run_cli(["report", "--scenario", str(_loose_grip(tmp_path)),
+                        "--out", str(out)]) == 0
+        stats = json.loads((out / "summary.json").read_text())[
+            "roi_loss_stats"]
+        assert stats["r1_matched"] is None
+        assert stats["r5"]["weighted"]["n_points"] > 0
+
+    def test_empty_r5_is_still_a_data_error(self):
+        code, _, err = _run(["stats", "--scenario", "s1_patch_portrait_hard",
+                             "--delta5", "40"])
+        assert code == 1 and err.startswith("error:")
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_paths(value, path + (i,))
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([-1, 0, 0.5, 7.5, math.nan, math.inf, -math.inf]),
+    st.text(max_size=3))
+_VALUES = st.one_of(_LEAVES, st.lists(_LEAVES, max_size=2),
+                    st.dictionaries(st.text(max_size=3), _LEAVES,
+                                    max_size=2))
+
+
+@st.composite
+def _mutated_minimal(draw):
+    """MINIMAL with one value replaced. No draw refines the lattice: only
+    phi_step sets its size, and a number below 15 is skipped."""
+    path = draw(st.sampled_from(list(_json_paths(MINIMAL))))
+    value = draw(_VALUES)
+    assume(not (path == ("grid", "phi_step")
+                and isinstance(value, (int, float)) and value < 15))
+    return _replaced(MINIMAL, path, value)
+
+
+def _check_exit(code, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_mutated_minimal())
+def test_fuzz_stats_on_mutated_scenario(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(["stats", "--scenario", str(path)])
+    _check_exit(code, err)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_mutated_minimal())
+def test_fuzz_report_on_mutated_scenario(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        out = Path(tmp) / "report"
+        code, _, err = _run(["report", "--scenario", str(path),
+                             "--out", str(out)])
+        _check_exit(code, err)
+        for svg in out.glob("*.svg"):
+            ET.parse(svg)
