@@ -44,15 +44,10 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
 
 def _load_study(args) -> tuple[Study, Scenario | None]:
     """Pattern sets from --scan or --scenario, and that scenario or None."""
-    scan, ref = getattr(args, "scan", None), getattr(args, "scenario", None)
-    if scan and ref:
-        raise ConfigError("--scan and --scenario are exclusive")
-    if scan:
-        return Study(parse_scan_csv(scan).modes), None
-    if ref:
-        scenario = _resolve_scenario(ref)
-        return Study(build_patterns(scenario)), scenario
-    raise ConfigError("one of --scan or --scenario is required")
+    if args.scan is not None:
+        return Study(parse_scan_csv(args.scan).modes), None
+    scenario = _resolve_scenario(args.scenario)
+    return Study(build_patterns(scenario)), scenario
 
 
 # --roi-kind -> (region law, baseline law or None); laws take
@@ -170,9 +165,12 @@ def _cmd_compare(args) -> int:
     if scenario is not None and not args.models:
         candidates.update(scenario.models)
     else:
-        names = (args.models or "prior-hand-15.3,prior-body-8.5").split(",")
-        candidates.update((n, model_preset(n))
-                          for n in map(str.strip, names) if n)
+        names = (args.models.split(",") if args.models
+                 else ["prior-hand-15.3", "prior-body-8.5"])
+        for name in names:
+            name = name.strip()
+            if name:
+                candidates[name] = model_preset(name)
     report = compare_models(free, candidates, region, study.weights)
     _emit(dict(comparison_dict(report), delta5_dbm=args.delta5,
                conventions=CONVENTIONS), args.out)
@@ -193,8 +191,9 @@ def _cmd_scenarios(args) -> int:
 
 
 def _add_input_args(p) -> None:
-    p.add_argument("--scan", help="scan archive CSV")
-    p.add_argument("--scenario",
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--scan", help="scan archive CSV")
+    g.add_argument("--scenario",
                    help="scenario JSON path or bundled scenario name")
 
 

@@ -159,7 +159,9 @@ class PercentileRow:
 
 def _range(values: list) -> tuple[float, float] | None:
     vals = [v for v in values if v is not None]
-    return (min(vals), max(vals)) if vals else None
+    if not vals:
+        return None
+    return (min(vals), max(vals))
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def _angle_key(x: float) -> float:
     return round(x, 9)
 
 
-def _lattice_axis(keys: list, name: str, n_rows: int):
+def _lattice_axis(keys: list, name: str, max_points: int):
     """Axis over the sorted ``keys`` stepped by their smallest gap, with
     unnamed lattice values filling the gaps, and each key's index on it."""
     if len(keys) < 2:
@@ -114,9 +114,9 @@ def _lattice_axis(keys: list, name: str, n_rows: int):
     n = round((hi - lo) / float(np.diff(keys).min()))
     pos = (np.array(keys) - lo) * (n / (hi - lo))
     idx = np.rint(pos).astype(int)
-    if n >= n_rows or np.any(np.abs(pos - idx) > 1e-6):
+    if n >= max_points or np.any(np.abs(pos - idx) > 1e-6):
         raise DataError(f"inferred grid is invalid: {name} values fit no "
-                        f"uniform lattice of at most {n_rows} points")
+                        f"uniform lattice of at most {max_points} points")
     axis = lo + (hi - lo) / n * np.arange(n + 1)
     axis[idx] = keys
     return axis, dict(zip(keys, idx.tolist()))
@@ -159,10 +159,14 @@ def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
     if not records:
         raise DataError("scan file contains no data rows")
 
+    # Each series must fill at least half of the lattice grid, so the
+    # arrays below hold at most two values per row of the file.
+    cells = 2 * len(records) // len({(r.mode, r.beam_id) for r in records})
     phis, phi_idx = _lattice_axis(
-        sorted({_angle_key(r.phi) for r in records}), "phi", len(records))
+        sorted({_angle_key(r.phi) for r in records}), "phi", cells)
     thetas, theta_idx = _lattice_axis(
-        sorted({_angle_key(r.theta) for r in records}), "theta", len(records))
+        sorted({_angle_key(r.theta) for r in records}), "theta",
+        cells // len(phis))
     series = {}
     for r in records:
         key = (r.mode, r.beam_id)
@@ -207,8 +211,10 @@ def write_scan_csv(path, data) -> None:
     by mode, beam, theta, phi ascending; only valid points are written;
     values carry six decimal places.
     """
-    modes, beam_ids = ((data.modes, data.beam_ids)
-                       if isinstance(data, ScanData) else (data, {}))
+    if isinstance(data, ScanData):
+        modes, beam_ids = data.modes, data.beam_ids
+    else:
+        modes, beam_ids = data, {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)

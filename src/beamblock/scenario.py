@@ -76,7 +76,8 @@ def scenario_from_dict(d: dict) -> Scenario:
         g = d["grid"]
         grid = make_grid(float(g["phi_step"]), float(g["theta_min"]),
                          float(g["theta_max"]),
-                         float(g.get("theta_step", g["phi_step"])))
+                         theta_step=(float(g["theta_step"])
+                                     if "theta_step" in g else None))
         block = "invalid_theta_band"
         band = d.get("invalid_theta_band")
         if band is not None:
@@ -89,11 +90,12 @@ def scenario_from_dict(d: dict) -> Scenario:
                                 for k, v in d["array"].items()})
 
         block = "beams"
-        beams = tuple(BeamSpec(scan_deg=float(b["scan_deg"]),
-                               amplitude_taper=(tuple(b["amplitude_taper"])
-                                                if b.get("amplitude_taper")
-                                                else None))
-                      for b in d["beams"])
+        beams = []
+        for b in d["beams"]:
+            taper = b.get("amplitude_taper")
+            beams.append(BeamSpec(scan_deg=float(b["scan_deg"]),
+                                  amplitude_taper=(tuple(taper) if taper
+                                                   else None)))
         if not beams:
             raise ValueError("need at least one beam")
 
@@ -135,7 +137,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     return Scenario(
         name=str(d["name"]), title=str(d.get("title", d["name"])),
         subarray=str(d["subarray"]), orientation=str(d["orientation"]),
-        grip=str(d["grip"]), grid=grid, config=config, beams=beams,
+        grip=str(d["grip"]), grid=grid, config=config, beams=tuple(beams),
         masks=masks, thresholds_dbm=thresholds, percentiles=percentiles,
         delta5_dbm=delta5, models=models)
 
@@ -188,11 +190,14 @@ def scenario_metadata(scenario: Scenario) -> dict:
         "subarray": scenario.subarray,
         "orientation": scenario.orientation,
         "grip": scenario.grip,
-        "grid": {"phi_step": grid.phi_step, "theta_step": grid.theta_step,
-                 "theta_min": float(grid.theta[0]),
-                 "theta_max": float(grid.theta[-1]),
-                 "n_points": int(grid.valid.size),
-                 "n_valid": int(grid.valid.sum())},
+        "grid": {
+            "phi_step": grid.phi_step,
+            "theta_step": grid.theta_step,
+            "theta_min": float(grid.theta[0]),
+            "theta_max": float(grid.theta[-1]),
+            "n_points": int(grid.valid.size),
+            "n_valid": int(grid.valid.sum()),
+        },
         "array": asdict(scenario.config),
         "beams": [asdict(b) for b in scenario.beams],
         "mask_modes": sorted(scenario.masks),

@@ -197,6 +197,31 @@ class TestParse:
                                   + rows))
         assert "inferred grid" in str(err.value)
 
+    def test_one_corrupted_digit_rejected_before_allocating(self, tmp_path):
+        # one theta of 2.0 read as 2.01 puts every value on a 0.01-degree
+        # lattice, 100 times the 2-degree grid the file fills
+        d = json.loads((resources.files("beamblock") / "scenarios"
+                        / "s5_patch_landscape_intermediate.json").read_text())
+        d["grid"] = {"phi_step": 2.0, "theta_min": 2.0, "theta_max": 178.0}
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(d))
+        assert run_cli(["synth", "--scenario", str(path),
+                        "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "scan.csv").read_text().splitlines(True)
+        row = next(i for i, line in enumerate(lines)
+                   if line.split(",")[1] == "2.0")
+        lines[row] = lines[row].replace(",2.0,", ",2.01,", 1)
+        with pytest.raises(DataError, match="inferred grid is invalid"):
+            parse_scan_csv(_write(tmp_path, "".join(lines), "bad.csv"))
+
+    def test_sparse_series_rejected_before_allocating(self, tmp_path):
+        # one row per beam: each series would need the whole 1 x 100 grid
+        rows = "".join(f"{phi}.0,90.0,{phi},freespace,-48.0\n"
+                       for phi in range(100))
+        with pytest.raises(DataError, match="inferred grid is invalid"):
+            parse_scan_csv(_write(tmp_path, ",".join(CSV_HEADER) + "\n"
+                                  + rows))
+
     def test_lattice_larger_than_file_rejected(self, tmp_path):
         # 45, 45.5 and 135 lie on one 0.5-degree lattice of 181 points, more
         # than the file's 12 rows: refused rather than filled in
