@@ -14,7 +14,7 @@ from .models import (BlockageModel, ComparisonReport, apply_model,
                      flat_region, measured_mask, model_preset)
 from .roi import (RoIImprovement, RoIMask, matched_r1_for_r5, roi_improvement,
                   roi_r1, roi_r2, roi_r3, roi_r4, roi_r5, write_roi_csv)
-from .scanio import (LinkBudget, ScanData, ScanRecord, eirp_from_prx,
+from .scanio import (LinkBudget, ScanData, eirp_from_prx,
                      friis_path_loss_db, parse_scan_csv, prx_from_eirp,
                      write_scan_csv)
 from .scenario import (Scenario, build_patterns, list_bundled, load_bundled,

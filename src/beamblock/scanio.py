@@ -16,7 +16,7 @@ points absent from only some series are an error.
 
 from __future__ import annotations
 
-import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -77,17 +77,6 @@ def prx_from_eirp(eirp_dbm: float, budget: LinkBudget):
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    """One CSV row."""
-
-    phi: float
-    theta: float
-    beam_id: int
-    mode: str
-    value_dbm: float
-
-
-@dataclass(frozen=True)
 class ScanData:
     """Parsed archive: per-mode pattern sets on one shared grid."""
 
@@ -101,82 +90,161 @@ class ScanData:
         return self.modes[mode]
 
 
-def _angle_key(x: float) -> float:
-    return round(x, 9)
+# A mode field longer than 15 characters, padding included, fills the
+# "U16" column and is refused, since it may have been cut short.
+_ROW = np.dtype([("phi", "f8"), ("theta", "f8"), ("beam_id", "i8"),
+                 ("mode", "U16"), ("value_dbm", "f8")])
+
+
+def _loadtxt(text: str) -> np.ndarray:
+    """Rows of the CSV ``text``; ValueError for a line loadtxt refuses or
+    would misread: non-ASCII (numpy 2.4 crashes on some of it in an integer
+    field), NUL (cut from the end of a mode) or \\x1c-\\x1f (white space
+    around a number to loadtxt, not to float())."""
+    if not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f"):
+        raise ValueError("unsupported character")
+    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                      dtype=_ROW, ndmin=1)
+
+
+def _data_lines(text: str):
+    """The non-blank lines of ``text`` and their physical line numbers."""
+    lines = text.split("\n")
+    keep = [i for i, line in enumerate(lines) if line.strip()]
+    return [lines[i] for i in keep], np.array(keep, dtype=int) + 2
+
+
+def _first_refused(lines: list) -> int:
+    """Index of the first line ``_loadtxt`` refuses, or len(lines)."""
+    lo, hi = 0, len(lines)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt("\n".join(lines[lo:mid + 1]))
+            lo = mid + 1
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _fault(line: str, kind: int) -> str:
+    """What is wrong with ``line``: a non-finite angle, an unknown mode or a
+    negative beam_id (kind 0, 1, 2), or why ``_loadtxt`` refused it (3)."""
+    fields = line.split(",")
+    if kind < 3:
+        mode = fields[3].strip()
+        return ("non-finite angle", f"unknown mode {mode!r}" if mode not in
+                MODES else "mode field is 16 characters or wider",
+                "beam_id must be >= 0")[kind]
+    if len(fields) != 5:
+        return "expected 5 fields"
+    try:
+        float(fields[0]), float(fields[1]), int(fields[2]), float(fields[4])
+    except ValueError as exc:
+        return str(exc)
+    return ("rows must be ASCII without NUL or \\x1c-\\x1f, numbers without "
+            "'_', and beam_id below 2**63")
+
+
+def _angle_keys(x: np.ndarray):
+    """Sorted distinct round(v, 9) of ``x`` and each value's index among
+    them; ``round`` runs on the distinct values only."""
+    u, inv = np.unique(x, return_inverse=True)
+    keys, at = np.unique([round(v, 9) for v in u.tolist()],
+                         return_inverse=True)
+    zero = np.flatnonzero(keys == 0)
+    if zero.size:  # 0.0 or -0.0: the key of the first row that rounds to 0
+        keys[zero] = round(float(x[np.argmax(at[inv] == zero[0])]), 9)
+    return keys.tolist(), at[inv]
 
 
 def _lattice_axis(keys: list, name: str, max_points: int):
     """Axis over the sorted ``keys`` stepped by their smallest gap, with
     unnamed lattice values filling the gaps, and each key's index on it."""
     if len(keys) < 2:
-        return np.array(keys), {k: 0 for k in keys}
+        return np.array(keys), np.zeros(len(keys), dtype=int)
     lo, hi = keys[0], keys[-1]
-    n = round((hi - lo) / float(np.diff(keys).min()))
-    pos = (np.array(keys) - lo) * (n / (hi - lo))
-    idx = np.rint(pos).astype(int)
-    if n >= max_points or np.any(np.abs(pos - idx) > 1e-6):
-        raise DataError(f"inferred grid is invalid: {name} values fit no "
-                        f"uniform lattice of at most {max_points} points")
-    axis = lo + (hi - lo) / n * np.arange(n + 1)
-    axis[idx] = keys
-    return axis, dict(zip(keys, idx.tolist()))
+    n = (hi - lo) / float(np.diff(keys).min())  # not finite if hi - lo is
+    if np.isfinite(n) and round(n) < max_points:
+        n = round(n)
+        pos = (np.array(keys) - lo) * (n / (hi - lo))
+        idx = np.rint(pos).astype(int)
+        if np.all(np.abs(pos - idx) <= 1e-6):
+            axis = lo + (hi - lo) / n * np.arange(n + 1)
+            axis[idx] = keys
+            return axis, idx
+    raise DataError(f"inferred grid is invalid: {name} values fit no "
+                    f"uniform lattice of at most {max_points} points")
 
 
 def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
-    """Read a scan archive, inferring the grid and validity mask."""
-    records = []
-    seen = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataError(f"expected header {','.join(CSV_HEADER)}")
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise DataError(f"line {line}: expected 5 fields")
-            try:
-                rec = ScanRecord(phi=float(row[0]), theta=float(row[1]),
-                                 beam_id=int(row[2]), mode=row[3].strip(),
-                                 value_dbm=float(row[4]))
-            except ValueError as exc:
-                raise DataError(f"line {line}: {exc}") from exc
-            if not (math.isfinite(rec.phi) and math.isfinite(rec.theta)):
-                raise DataError(f"line {line}: non-finite angle")
-            if rec.mode not in MODES:
-                raise DataError(f"line {line}: unknown mode {rec.mode!r}")
-            if rec.beam_id < 0:
-                raise DataError(f"line {line}: beam_id must be >= 0")
-            key = (rec.mode, rec.beam_id, _angle_key(rec.phi),
-                   _angle_key(rec.theta))
-            if key in seen:
-                raise DataError(f"line {line}: duplicate point, first at "
-                                f"line {seen[key]}")
-            seen[key] = line
-            records.append(rec)
-    if not records:
+    """Read a scan archive, inferring the grid and validity mask.
+
+    One ``np.loadtxt`` call reads the rows after the header. If it refuses
+    a line, bisection finds the first such line and the rows before it are
+    read and checked first: an error cites the physical line of the first
+    faulty row, blank lines counted.
+    """
+    try:
+        with open(path) as fh:
+            header, text = fh.readline(), fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"scan file is not text: {exc}") from exc
+    if tuple(h.strip() for h in header.split(",")) != CSV_HEADER:
+        raise DataError(f"expected header {','.join(CSV_HEADER)}")
+    if not text.strip():
         raise DataError("scan file contains no data rows")
+    try:
+        rows = _loadtxt(text)
+        n_lines = len(rows)
+    except ValueError:  # a refused line, or one of white space only
+        lines = _data_lines(text)[0]
+        n_lines, bad = len(lines), _first_refused(lines)
+        rows = _loadtxt("\n".join(lines[:bad])) if bad else np.zeros(0, _ROW)
+    phi, theta, beam, mode, value = (rows[f] for f in _ROW.names)
+    code = np.full(len(rows), -1)
+    for i, name in enumerate(MODES):
+        code[mode == name] = i
+    odd = np.flatnonzero(code < 0)  # padded or unknown: strip the distinct
+    names, name_of = np.unique(mode[odd], return_inverse=True)
+    code[odd] = np.array([MODES.index(n.strip()) if n.strip() in MODES
+                          and len(n) < 16 else -1
+                          for n in names.tolist()], dtype=int)[name_of]
+
+    # The first faulty row of each kind of _fault; a refused line comes
+    # after the rows read. Duplicates are sought before the first of them.
+    first = [int(np.argmin(ok)) if not ok.all() else n_lines for ok in
+             (np.isfinite(phi) & np.isfinite(theta), code >= 0, beam >= 0)]
+    first.append(len(rows))
+    end = min(first)
+    phi_keys, phi_of = _angle_keys(phi[:end])
+    theta_keys, theta_of = _angle_keys(theta[:end])
+    beams, beam_of = np.unique(beam[:end], return_inverse=True)
+    series, series_of = np.unique(code[:end] * len(beams) + beam_of,
+                                  return_inverse=True)
+    point = np.unique(theta_of * len(phi_keys) + phi_of,
+                      return_inverse=True)[1]
+    key = point * len(series) + series_of
+    order = np.argsort(key, kind="stable")
+    same = np.flatnonzero(np.diff(key[order]) == 0)
+    if same.size or end < n_lines:
+        lines, numbers = _data_lines(text)
+        if same.size:  # the earliest second row of a point, and its first
+            j = same[np.argmin(order[same + 1])]
+            raise DataError(f"line {numbers[order[j + 1]]}: duplicate point, "
+                            f"first at line {numbers[order[j]]}")
+        raise DataError(f"line {numbers[end]}: "
+                        f"{_fault(lines[end], first.index(end))}")
 
     # Each series must fill at least half of the lattice grid, so the
-    # arrays below hold at most two values per row of the file.
-    cells = 2 * len(records) // len({(r.mode, r.beam_id) for r in records})
-    phis, phi_idx = _lattice_axis(
-        sorted({_angle_key(r.phi) for r in records}), "phi", cells)
-    thetas, theta_idx = _lattice_axis(
-        sorted({_angle_key(r.theta) for r in records}), "theta",
-        cells // len(phis))
-    series = {}
-    for r in records:
-        key = (r.mode, r.beam_id)
-        if key not in series:
-            series[key] = np.full((len(thetas), len(phis)), np.nan)
-        series[key][theta_idx[_angle_key(r.theta)],
-                    phi_idx[_angle_key(r.phi)]] = r.value_dbm
-
-    present = np.stack([~np.isnan(m) for m in series.values()])
-    count = present.sum(axis=0)
+    # array below holds at most two values per row of the file.
+    cells = 2 * len(rows) // len(series)
+    phis, phi_idx = _lattice_axis(phi_keys, "phi", cells)
+    thetas, theta_idx = _lattice_axis(theta_keys, "theta",
+                                      cells // len(phis))
+    cube = np.full((len(series), len(thetas), len(phis)), np.nan)
+    cube[series_of, theta_idx[theta_of], phi_idx[phi_of]] = value
+    count = (~np.isnan(cube)).sum(axis=0)
     valid = count == len(series)
     partial = (count > 0) & ~valid
     if partial.any():
@@ -189,19 +257,16 @@ def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
     except ConfigError as exc:
         raise DataError(f"inferred grid is invalid: {exc}") from exc
 
-    modes = {}
-    beam_ids = {}
-    for mode in sorted({m for m, _ in series}):
-        ids = sorted(b for m, b in series if m == mode)
-        beam_ids[mode] = tuple(ids)
-        patterns = []
-        for b in ids:
-            values = series[(mode, b)]
-            if link_budget is not None:
-                values = eirp_from_prx(values, link_budget)
-            patterns.append(Pattern.from_values(grid, values, kind="eirp"))
-        modes[mode] = PatternSet(patterns=tuple(patterns))
-    return ScanData(grid=grid, modes=modes, beam_ids=beam_ids)
+    patterns, beam_ids = {}, {}
+    for s, values in zip(series.tolist(), cube):
+        name = MODES[s // len(beams)]
+        if link_budget is not None:
+            values = eirp_from_prx(values, link_budget)
+        patterns.setdefault(name, []).append(
+            Pattern.from_values(grid, values, kind="eirp"))
+        beam_ids[name] = beam_ids.get(name, ()) + (int(beams[s % len(beams)]),)
+    return ScanData(grid=grid, beam_ids=beam_ids, modes={
+        m: PatternSet(patterns=tuple(p)) for m, p in patterns.items()})
 
 
 def write_scan_csv(path, data) -> None:
@@ -209,24 +274,20 @@ def write_scan_csv(path, data) -> None:
 
     ``data`` is a ScanData or a mapping mode -> PatternSet. Rows are ordered
     by mode, beam, theta, phi ascending; only valid points are written;
-    values carry six decimal places.
+    angles carry ``repr(float)`` and values six decimal places.
     """
-    if isinstance(data, ScanData):
-        modes, beam_ids = data.modes, data.beam_ids
-    else:
-        modes, beam_ids = data, {}
+    modes, beam_ids = ((data.modes, data.beam_ids)
+                       if isinstance(data, ScanData) else (data, {}))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\n")
         for mode in sorted(modes):
-            pset = modes[mode]
-            ids = beam_ids.get(mode) or tuple(range(len(pset)))
-            grid = pset.grid
-            for beam, pattern in zip(ids, pset):
-                for it, theta in enumerate(grid.theta):
-                    for ip, phi in enumerate(grid.phi):
-                        if not grid.valid[it, ip]:
-                            continue
-                        writer.writerow([repr(float(phi)), repr(float(theta)),
-                                         beam, mode,
-                                         f"{pattern.values[it, ip]:.6f}"])
+            grid = modes[mode].grid
+            phis = [repr(float(x)) for x in grid.phi]
+            thetas = [repr(float(x)) for x in grid.theta]
+            points = [f"{phis[j]},{thetas[i]},"
+                      for i, j in np.argwhere(grid.valid).tolist()]
+            ids = beam_ids.get(mode) or range(len(modes[mode]))
+            for beam, pattern in zip(ids, modes[mode]):
+                fh.write("".join([f"{p}{beam},{mode},{v:.6f}\n" for p, v in
+                                  zip(points, pattern.values[grid.valid]
+                                      .tolist())]))

@@ -45,8 +45,15 @@ class Scenario:
     models: dict
 
 
+def _list(value):
+    """``value`` if it is a list: a JSON string is not read as one."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
-    phi, theta = d["phi"], d["theta"]
+    phi, theta = _list(d["phi"]), _list(d["theta"])
     delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
     return MaskRegion(phi_lo=float(phi[0]), phi_hi=float(phi[1]),
                       theta_lo=float(theta[0]), theta_hi=float(theta[1]),
@@ -81,6 +88,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         block = "invalid_theta_band"
         band = d.get("invalid_theta_band")
         if band is not None:
+            band = _list(band)
             grid = with_invalid_band(grid, float(band[0]), float(band[1]))
 
         block = "array"
@@ -91,11 +99,12 @@ def scenario_from_dict(d: dict) -> Scenario:
 
         block = "beams"
         beams = []
-        for b in d["beams"]:
+        for b in _list(d["beams"]):
             taper = b.get("amplitude_taper")
+            if taper is not None:
+                taper = tuple(_list(taper)) or None
             beams.append(BeamSpec(scan_deg=float(b["scan_deg"]),
-                                  amplitude_taper=(tuple(taper) if taper
-                                                   else None)))
+                                  amplitude_taper=taper))
         if not beams:
             raise ValueError("need at least one beam")
 
@@ -107,24 +116,25 @@ def scenario_from_dict(d: dict) -> Scenario:
             if mode not in ("true_hand", "phantom"):
                 raise ValueError(f"unknown mask mode {mode!r}")
             masks[mode] = BlockageMask(regions=tuple(
-                _region_from_dict(r, delta_required=True) for r in regions))
+                _region_from_dict(r, delta_required=True)
+                for r in _list(regions)))
 
         block = "models"
         m = d["models"]
         region = (_region_from_dict(m["region"], delta_required=False)
                   if m.get("region") else None)
         models = {}
-        for name in map(str, m["names"]):
+        for name in map(str, _list(m["names"])):
             if name in models:
                 raise ValueError(f"model {name!r} is listed twice")
             models[name] = model_preset(name, region=region)
 
         block = "thresholds_dbm"
-        thresholds = tuple(float(t) for t in d["thresholds_dbm"])
+        thresholds = tuple(float(t) for t in _list(d["thresholds_dbm"]))
         if not thresholds:
             raise ValueError("need at least one threshold")
         block = "percentiles"
-        percentiles = tuple(float(p) for p in d["percentiles"])
+        percentiles = tuple(float(p) for p in _list(d["percentiles"]))
         if not percentiles or not all(0.0 <= p <= 100.0 for p in percentiles):
             raise ValueError("need at least one percentile, each in [0, 100]")
         block = "delta5_dbm"
@@ -149,7 +159,7 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -1,14 +1,22 @@
 """Scan archive parsing, writing, and the receive link budget."""
 
+import contextlib
+import csv
+import io
 import json
+import math
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamblock.cli import run_cli
 from beamblock.errors import ConfigError, DataError
-from beamblock.grid import Pattern, PatternSet, make_grid
+from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
 from beamblock.scanio import (CSV_HEADER, MODES, LinkBudget, ScanData,
                               eirp_from_prx, friis_path_loss_db,
                               parse_scan_csv, prx_from_eirp, write_scan_csv)
@@ -157,9 +165,10 @@ class TestParse:
         assert "line 2" in str(err.value)
 
     def test_negative_beam_id(self, tmp_path):
-        text = SMALL_CSV.replace("0.0,45.0,0,", "0.0,45.0,-1,")
-        with pytest.raises(DataError):
+        text = SMALL_CSV.replace("180.0,45.0,1,", "180.0,45.0,-1,")
+        with pytest.raises(DataError) as err:
             parse_scan_csv(_write(tmp_path, text))
+        assert str(err.value) == "line 7: beam_id must be >= 0"
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -222,6 +231,133 @@ class TestParse:
             parse_scan_csv(_write(tmp_path, ",".join(CSV_HEADER) + "\n"
                                   + rows))
 
+    @pytest.mark.parametrize("blank", ["", "   \t"])
+    def test_bad_row_after_blank_line_cites_physical_line(self, tmp_path,
+                                                          blank):
+        lines = SMALL_CSV.splitlines()
+        lines.insert(3, blank)  # the fourth physical line
+        lines[4] = lines[4].replace("-52.000000", "n/a")
+        with pytest.raises(DataError, match=r"^line 5: "):
+            parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n"))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        lines = SMALL_CSV.splitlines()
+        lines[3:3] = ["", " ", "\t"]
+        data = parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n\n"))
+        np.testing.assert_array_equal(data["freespace"].patterns[1].values,
+                                      [[-40.0, -41.0], [-42.0, -43.0]])
+
+    def test_duplicate_in_shuffled_file_cites_physical_lines(self, tmp_path):
+        rows = SMALL_CSV.splitlines()[1:]
+        order = [5, 2, 7, 0, 3, 6, 1, 4]
+        lines = [",".join(CSV_HEADER)] + [rows[i] for i in order]
+        lines.insert(4, "")
+        lines.insert(7, rows[3])  # rows[3] is also on physical line 7
+        with pytest.raises(DataError) as err:
+            parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n"))
+        assert str(err.value) == "line 8: duplicate point, first at line 7"
+
+    def test_padded_mode_and_header_accepted(self, tmp_path):
+        text = SMALL_CSV.replace(",freespace,", ", freespace  ,")
+        text = text.replace("phi,theta,", " phi , theta,", 1)
+        data = parse_scan_csv(_write(tmp_path, text))
+        assert data.beam_ids == {"freespace": (0, 1)}
+
+    def test_non_contiguous_beam_ids_kept(self, tmp_path):
+        text = SMALL_CSV.replace(",1,freespace,", ",5,freespace,")
+        data = parse_scan_csv(_write(tmp_path, text))
+        assert data.beam_ids["freespace"] == (0, 5)
+        assert data["freespace"].patterns[1].values[0, 0] == -40.0
+
+    def test_infinite_values(self, tmp_path):
+        # -inf is floored like any value below the floor; +inf is refused
+        data = parse_scan_csv(_write(tmp_path, SMALL_CSV.replace(
+            "-51.000000", "-inf")))
+        assert data["freespace"].patterns[0].values[0, 1] == -200.0
+        with pytest.raises(DataError, match="non-finite value"):
+            parse_scan_csv(_write(tmp_path, SMALL_CSV.replace(
+                "-51.000000", "inf")))
+
+    @pytest.mark.parametrize("first,second,message", [
+        ((3, "0.0,45.0,0,absorber,-50.0"), (5, "0.0,45.0,0,freespace,x"),
+         "line 3: unknown mode 'absorber'"),
+        ((3, "0.0,45.0,0,freespace,x"), (5, "0.0,45.0,0,absorber,-50.0"),
+         "line 3: could not convert string to float: 'x'"),
+        ((4, "0.0,45.0,0,freespace,-1.0"), (6, "0.0,45.0,-2,freespace,0"),
+         "line 4: duplicate point, first at line 2"),
+        ((4, "0.0,45.0,-2,freespace,0"), (6, "0.0,45.0,0,freespace,-1.0"),
+         "line 4: beam_id must be >= 0"),
+        ((4, "nan,45.0,-2,absorber,0"), (6, "0.0,45.0,0,freespace"),
+         "line 4: non-finite angle"),
+        ((4, "0.0,45.0,-2,absorber,0"), (6, "0.0,45.0,0,freespace"),
+         "line 4: unknown mode 'absorber'"),
+        ((4, "0.0,45.0,0,freespace"), (6, "nan,45.0,0,freespace,0"),
+         "line 4: expected 5 fields"),
+        ((4, "0.0,45.0,x,freespace,y"), (6, "0.0,45.0,0,freespace"),
+         "line 4: invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_first_faulty_line_wins(self, tmp_path, first, second, message):
+        lines = SMALL_CSV.splitlines()
+        for number, text in (first, second):
+            lines[number - 1] = text
+        with pytest.raises(DataError) as err:
+            parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n"))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("old,new,reason", [
+        # forms float() and int() read but the columnar reader refuses
+        ("180.0,45.0,1,", "18_0.0,45.0,1,", "rows must be ASCII"),
+        ("180.0,45.0,1,", "180.0,45.0,\u0661,", "rows must be ASCII"),
+        ("180.0,45.0,1,", "180.0,45.0,1\U000b8050,", "invalid literal"),
+        ("180.0,45.0,1,", "180.0,45.0,99999999999999999999,",
+         "rows must be ASCII"),
+        ("-41.000000", "-41.000000\u3000", "rows must be ASCII"),
+        (",1,freespace,-41", ",1,\x1cfreespace,-41", "rows must be ASCII"),
+        ("180.0,45.0,1,", '"180.0",45.0,1,',
+         "could not convert string to float: '\"180.0\"'"),
+        (",1,freespace,-41", ",1,   freespace    ,-41",
+         "mode field is 16 characters or wider"),
+    ])
+    def test_refused_forms_cite_line(self, tmp_path, old, new, reason):
+        lines = SMALL_CSV.splitlines()
+        lines[6] = lines[6].replace(old, new)
+        assert lines[6] != SMALL_CSV.splitlines()[6]
+        with pytest.raises(DataError) as err:
+            parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n"))
+        assert str(err.value).startswith(f"line 7: {reason}")
+
+    def test_undecodable_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_bytes(SMALL_CSV.replace("freespace", "free\xffspace", 1)
+                         .encode("latin-1"))
+        with pytest.raises(DataError, match="not text"):
+            parse_scan_csv(path)
+
+    @pytest.mark.parametrize("phis", [("-1e308", "1e308"),
+                                      ("1e-9", "1e300")])
+    def test_overflowing_lattice_rejected(self, tmp_path, phis):
+        # the span or the step count of the phi lattice overflows a float
+        rows = "".join(f"{phi},90.0,{beam},freespace,-48.0\n"
+                       for phi in ("0.0",) + phis for beam in (0, 1))
+        with pytest.raises(DataError, match="inferred grid is invalid"):
+            parse_scan_csv(_write(tmp_path, ",".join(CSV_HEADER) + "\n"
+                                  + rows))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_zero_angle_takes_first_rows_sign(self, tmp_path, sign):
+        # 0.0 and -0.0 are one point; the axis keeps the sign of the first
+        # row, which a sort of hundreds of angles need not put first
+        rows = [f"{p:.1f},{t:.1f},{b},freespace,-48.0"
+                for p in range(0, 360, 5) for t in (45, 135) for b in (0, 1)]
+        rows = [rows[i] for i in np.random.default_rng(3).permutation(
+            len(rows))]
+        zeros = [i for i, r in enumerate(rows) if r.startswith("0.0,")]
+        for i in zeros[1:] if sign > 0 else zeros[:1]:
+            rows[i] = "-" + rows[i]
+        data = parse_scan_csv(_write(tmp_path, "\n".join(
+            [",".join(CSV_HEADER)] + rows) + "\n"))
+        assert math.copysign(1.0, data.grid.phi[0]) == sign
+
     def test_lattice_larger_than_file_rejected(self, tmp_path):
         # 45, 45.5 and 135 lie on one 0.5-degree lattice of 181 points, more
         # than the file's 12 rows: refused rather than filled in
@@ -273,7 +409,6 @@ class TestWrite:
         assert keys == sorted(keys)
 
     def test_only_valid_points_written(self, tmp_path):
-        from beamblock.grid import with_invalid_band
         grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
         pat = Pattern.from_values(grid, np.zeros((2, 4)), kind="eirp")
         path = tmp_path / "out.csv"
@@ -283,3 +418,104 @@ class TestWrite:
 
     def test_modes_tuple_is_closed(self):
         assert MODES == ("freespace", "phantom", "true_hand")
+
+
+def _csv_writer_archive(modes, beam_ids):
+    """The archive as the row-by-row csv.writer loop wrote it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for mode in sorted(modes):
+        grid = modes[mode].grid
+        ids = beam_ids.get(mode) or range(len(modes[mode]))
+        for beam, pattern in zip(ids, modes[mode]):
+            for it, theta in enumerate(grid.theta):
+                for ip, phi in enumerate(grid.phi):
+                    if grid.valid[it, ip]:
+                        writer.writerow([repr(float(phi)), repr(float(theta)),
+                                         beam, mode,
+                                         f"{pattern.values[it, ip]:.6f}"])
+    return out.getvalue()
+
+
+def test_writer_bytes_match_csv_writer_loop(tmp_path):
+    # long axis reprs (7.2 * k), an interior invalid band, signed zeros, the
+    # floor, and values that round at the sixth decimal
+    grid = with_invalid_band(make_grid(7.2, 3.6, 176.4), 80.0, 100.0)
+    assert repr(float(grid.theta[3])) == "25.200000000000003"
+    rng = np.random.default_rng(11)
+    special = [-0.0, 0.0, -200.0, -250.0, 5e-7, -5e-7, 4.9999995e-7,
+               -4e-7, 1.0000005, -2.5000005, 12.3456785, -0.0000015]
+    modes = {}
+    for mode in ("true_hand", "freespace", "phantom"):
+        pats = []
+        for _ in range(2):
+            values = rng.uniform(-80.0, 20.0, grid.shape)
+            values.flat[rng.choice(values.size, len(special),
+                                   replace=False)] = special
+            pats.append(Pattern.from_values(grid, values, kind="eirp"))
+        modes[mode] = PatternSet(patterns=tuple(pats))
+    beam_ids = {"freespace": (0, 5), "phantom": (2, 3), "true_hand": (0, 1)}
+    for data, ids in ((modes, {}),
+                      (ScanData(grid=grid, modes=modes, beam_ids=beam_ids),
+                       beam_ids)):
+        path = tmp_path / "out.csv"
+        write_scan_csv(path, data)
+        assert path.read_bytes() == _csv_writer_archive(modes, ids).encode()
+
+
+# SMALL_CSV plus a true_hand copy 100 dB down, which `stats` accepts
+FUZZ_ROWS = SMALL_CSV.splitlines()[1:] + [
+    row.replace(",freespace,-", ",true_hand,-1")
+    for row in SMALL_CSV.splitlines()[1:]]
+_FIELD_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "1_0", "-1",
+                     " freespace ", "true_hand", "phantom", "", '"0.0"',
+                     "99999999999999999999", "90.0", "1e308", "-1e308",
+                     "\x00", "\x1c1"]))
+
+
+@st.composite
+def _corrupted_scan(draw):
+    """FUZZ_ROWS with one field replaced by drawn text, one row dropped or
+    duplicated, or one blank line inserted."""
+    lines = [",".join(CSV_HEADER)] + FUZZ_ROWS
+    i = draw(st.integers(1, len(lines) - 1))
+    op = draw(st.sampled_from(["field", "drop", "duplicate", "blank"]))
+    if op == "field":
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, 4))] = draw(_FIELD_TEXT)
+        lines[i] = ",".join(fields)
+    elif op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(draw(st.integers(1, len(lines))), lines[i])
+    else:
+        lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(lines) + "\n"
+
+
+def _stats_on(text):
+    """Exit code and stderr of ``stats --scan`` on an archive ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = run_cli(["stats", "--scan", str(path), "--delta5", "-60"])
+    return code, err.getvalue()
+
+
+def test_stats_on_fuzz_base_succeeds():
+    assert _stats_on("\n".join([",".join(CSV_HEADER)] + FUZZ_ROWS)) == (0, "")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_corrupted_scan())
+def test_fuzz_stats_on_corrupted_scan(text):
+    code, err = _stats_on(text)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1, err

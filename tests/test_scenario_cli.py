@@ -172,6 +172,12 @@ class TestBundled:
         with pytest.raises(ConfigError):
             load_scenario(path)
 
+    def test_load_scenario_undecodable(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_scenario(path)
+
 
 class TestMetadata:
     def test_round_trip_keys(self):
@@ -394,13 +400,23 @@ S1_MALFORMED = [
     (("thresholds_dbm",), [], "thresholds_dbm"),
     (("percentiles",), [150], "percentiles"),
     (("models", "names"), ["prior-hand-15.3", "prior-hand-15.3"], "models"),
+    # a JSON string in a list slot is not read one character at a time
+    (("percentiles",), "50", "percentiles"),
+    (("thresholds_dbm",), "-35", "thresholds_dbm"),
+    (("invalid_theta_band",), "12", "invalid_theta_band"),
+    (("beams",), "ab", "beams"),
+    (("beams", 0, "amplitude_taper"), "1111", "beams"),
+    (("masks", "true_hand"), "ab", "masks"),
+    (("masks", "true_hand", 0, "phi"), "12", "masks"),
+    (("models", "names"), "3gpp-flat-30", "models"),
+    (("models", "region", "theta"), "69", "models"),
 ]
 
 
 @pytest.mark.parametrize("command", ["report", "stats"])
 @pytest.mark.parametrize("path,value,block", S1_MALFORMED,
-                         ids=lambda x: ".".join(x) if isinstance(x, tuple)
-                         else None)
+                         ids=lambda x: (".".join(map(str, x))
+                                        if isinstance(x, tuple) else None))
 def test_malformed_scenario_is_one_line_error(tmp_path, command, path, value,
                                               block):
     scenario = tmp_path / "bad.json"
