@@ -70,10 +70,11 @@ class WeightedCDF:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "cum_weights", c)
 
-    def cdf_at(self, x: float) -> float:
-        """Weighted mass of samples <= x."""
-        i = int(np.searchsorted(self.values, x, side="right"))
-        return float(self.cum_weights[i - 1]) if i else 0.0
+    def cdf_at(self, x):
+        """Weighted mass of samples <= x; a float, or an array for one."""
+        i = np.searchsorted(self.values, x, side="right")
+        mass = np.where(i > 0, self.cum_weights[i - 1], 0.0)
+        return float(mass) if mass.ndim == 0 else mass
 
     def tail_at(self, x: float) -> float:
         """Weighted mass of samples >= x."""

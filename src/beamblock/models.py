@@ -143,23 +143,15 @@ def comparison_dict(report: ComparisonReport) -> dict:
 def _cdf_crossovers(a: WeightedCDF, b: WeightedCDF) -> list[float]:
     """Levels where sign(F_a - F_b) flips, on the merged sample set."""
     xs = np.union1d(a.values, b.values)
-    diff = np.array([a.cdf_at(x) - b.cdf_at(x) for x in xs])
+    diff = a.cdf_at(xs) - b.cdf_at(xs)
     sign = np.sign(np.where(np.abs(diff) <= 1e-12, 0.0, diff))
-    out = []
-    last = 0.0
-    last_x = None
-    for x, s in zip(xs, sign):
-        if s != 0.0:
-            if last != 0.0 and s != last:
-                mid = (last_x + x) / 2.0
-                level = round(mid / CROSSOVER_RESOLUTION_DB) \
-                    * CROSSOVER_RESOLUTION_DB
-                out.append(round(level, 1))
-            last = s
-            last_x = x
-        elif last != 0.0:
-            last_x = x
-    return out
+    # A flip is a nonzero sign unlike the nonzero one before it; its level
+    # is the midpoint between its sample and the sample just below.
+    nz = np.flatnonzero(sign)
+    flips = nz[1:][sign[nz[1:]] != sign[nz[:-1]]]
+    return [round(round(mid / CROSSOVER_RESOLUTION_DB)
+                  * CROSSOVER_RESOLUTION_DB, 1)
+            for mid in (xs[flips - 1] + xs[flips]) / 2.0]
 
 
 def compare_models(free: Pattern, candidates: dict, roi: RoIMask,
@@ -173,8 +165,7 @@ def compare_models(free: Pattern, candidates: dict, roi: RoIMask,
     region-restricted weighted CDFs; cross-overs are detected between every
     candidate pair.
     """
-    if not isinstance(candidates, dict):
-        candidates = dict(candidates)
+    candidates = dict(candidates)
     if not candidates:
         raise DataError("at least one candidate is required")
     free_cdf = weighted_cdf(free, weights, mask=roi)

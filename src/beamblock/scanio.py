@@ -278,6 +278,8 @@ def write_scan_csv(path, data) -> None:
     """
     modes, beam_ids = ((data.modes, data.beam_ids)
                        if isinstance(data, ScanData) else (data, {}))
+    if not set(modes) <= set(MODES):
+        raise DataError(f"unknown mode {min(set(modes) - set(MODES))!r}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for mode in sorted(modes):

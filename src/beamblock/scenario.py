@@ -45,15 +45,17 @@ class Scenario:
     models: dict
 
 
-def _list(value):
-    """``value`` if it is a list: a JSON string is not read as one."""
+def _list(value, n=None):
+    """``value`` if it is a list (of ``n`` items, if given), not a string."""
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list, got {type(value).__name__}")
+    if n is not None and len(value) != n:
+        raise ValueError(f"expected {n} items, got {len(value)}")
     return value
 
 
 def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
-    phi, theta = _list(d["phi"]), _list(d["theta"])
+    phi, theta = _list(d["phi"], 2), _list(d["theta"], 2)
     delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
     return MaskRegion(phi_lo=float(phi[0]), phi_hi=float(phi[1]),
                       theta_lo=float(theta[0]), theta_hi=float(theta[1]),
@@ -88,7 +90,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         block = "invalid_theta_band"
         band = d.get("invalid_theta_band")
         if band is not None:
-            band = _list(band)
+            band = _list(band, 2)
             grid = with_invalid_band(grid, float(band[0]), float(band[1]))
 
         block = "array"

@@ -103,17 +103,20 @@ def steering_weights(config: ArrayConfig, beam: BeamSpec) -> np.ndarray:
     return taper * np.exp(1j * np.deg2rad(phases))
 
 
-def _array_factor_db_from_u(config: ArrayConfig, weights: np.ndarray,
-                            u) -> np.ndarray:
+def _steering_phasors(config: ArrayConfig, u) -> np.ndarray:
+    """exp(j 2pi d u k) per point and element, shared by every beam."""
+    return np.exp(1j * (2.0 * np.pi * config.spacing * np.asarray(u)[..., None]
+                        * np.arange(config.n_elements)))
+
+
+def _array_factor_db(config: ArrayConfig, weights: np.ndarray,
+                     phasors: np.ndarray) -> np.ndarray:
     w = np.asarray(weights)
     if w.shape != (config.n_elements,):
         raise ConfigError("weights length must match n_elements")
     if np.any(np.abs(w) > 1.0 + 1e-9):
         raise ConfigError("weight magnitudes must be <= 1")
-    u = np.asarray(u, dtype=float)
-    k = np.arange(config.n_elements)
-    phase = 2.0 * np.pi * config.spacing * u[..., None] * k
-    total = np.abs((w * np.exp(1j * phase)).sum(axis=-1))
+    total = np.abs((w * phasors).sum(axis=-1))
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(total)
 
@@ -125,45 +128,47 @@ def array_factor_db(config: ArrayConfig, weights: np.ndarray,
     Exact nulls clamp to the floor sentinel instead of -inf.
     """
     u = np.sin(np.deg2rad(np.asarray(angle_off_boresight, dtype=float)))
-    return np.maximum(_array_factor_db_from_u(config, weights, u), FLOOR_DB)
+    return np.maximum(_array_factor_db(config, weights,
+                                       _steering_phasors(config, u)), FLOOR_DB)
 
 
 def _direction_cosines(config: ArrayConfig, phi_deg, theta_deg):
-    dphi = (np.asarray(phi_deg, dtype=float)
-            - config.boresight_phi + 180.0) % 360.0 - 180.0
-    dphi_r = np.deg2rad(dphi)
+    dphi_r = np.deg2rad((np.asarray(phi_deg, dtype=float)
+                         - config.boresight_phi + 180.0) % 360.0 - 180.0)
     sin_t = np.sin(np.deg2rad(np.asarray(theta_deg, dtype=float)))
-    cos_psi = sin_t * np.cos(dphi_r)
-    u = sin_t * np.sin(dphi_r)
-    return cos_psi, u
+    return sin_t * np.cos(dphi_r), sin_t * np.sin(dphi_r)
 
 
 def element_gain_db(config: ArrayConfig, phi_deg, theta_deg) -> np.ndarray:
     """Element power gain in dBi at broadcastable (phi, theta) arrays."""
-    cos_psi, u = _direction_cosines(config, phi_deg, theta_deg)
+    return _element_gain_db(config,
+                            *_direction_cosines(config, phi_deg, theta_deg))
+
+
+def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
     peak = config.element_peak_gain_dbi
     with np.errstate(divide="ignore", invalid="ignore"):
         if config.element_kind == "patch":
-            g = peak + 20.0 * PATCH_Q * np.log10(np.where(cos_psi > 0,
-                                                          cos_psi, np.nan))
-            g = np.where(cos_psi > 0, g, -np.inf)
-        elif config.element_kind == "dipole":
+            return np.where(cos_psi > 0,
+                            peak + 20.0 * PATCH_Q * np.log10(cos_psi), -np.inf)
+        if config.element_kind == "dipole":
             roll = 1.0 - u * u
-            g = peak + 20.0 * np.log10(np.where(roll > 0, roll, np.nan))
-            g = np.where(roll > 0, g, -np.inf)
-        else:
-            g = np.broadcast_to(float(peak), np.broadcast_shapes(
-                np.shape(cos_psi), np.shape(u))).copy()
-    return g
+            return np.where(roll > 0, peak + 20.0 * np.log10(roll), -np.inf)
+    return np.full(np.shape(cos_psi), float(peak))
+
+
+def _eirp_terms(config: ArrayConfig, phi_deg, theta_deg):
+    """Beam-independent EIRP terms: tx power + element gain, and phasors."""
+    cos_psi, u = _direction_cosines(config, phi_deg, theta_deg)
+    base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
+    return base, _steering_phasors(config, u)
 
 
 def eirp_at(config: ArrayConfig, weights: np.ndarray, phi_deg,
             theta_deg) -> np.ndarray:
     """EIRP in dBm at arbitrary angles, without the floor clamp."""
-    _, u = _direction_cosines(config, phi_deg, theta_deg)
-    af = _array_factor_db_from_u(config, weights, u)
-    elem = element_gain_db(config, phi_deg, theta_deg)
-    return config.tx_power_dbm + elem + af
+    base, phasors = _eirp_terms(config, phi_deg, theta_deg)
+    return base + _array_factor_db(config, weights, phasors)
 
 
 def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
@@ -172,12 +177,11 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     if not beams:
         raise ConfigError("at least one beam is required")
     tt, pp = grid.mesh()
-    patterns = []
-    for beam in beams:
-        w = steering_weights(config, beam)
-        patterns.append(Pattern.from_values(grid, eirp_at(config, w, pp, tt),
-                                            kind="eirp"))
-    return PatternSet(patterns=tuple(patterns))
+    base, phasors = _eirp_terms(config, pp, tt)
+    return PatternSet(patterns=tuple(
+        Pattern.from_values(grid, base + _array_factor_db(
+            config, steering_weights(config, beam), phasors), kind="eirp")
+        for beam in beams))
 
 
 @dataclass(frozen=True)

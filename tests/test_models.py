@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamblock.coverage import weighted_cdf
+from beamblock.coverage import WeightedCDF, weighted_cdf
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import (Pattern, make_grid, solid_angle_weights)
 from beamblock.models import (CROSSOVER_RESOLUTION_DB, PRESET_LOSSES_DB,
-                              apply_model, compare_models, constant_loss,
+                              _cdf_crossovers, apply_model, compare_models, constant_loss,
                               flat_region, measured_mask, model_preset)
 from beamblock.roi import roi_r1
 from beamblock.synth import MaskRegion
@@ -235,3 +237,66 @@ class TestMixtureIdentity:
         for t in probes:
             want = 0.5 * (f_cdf.cdf_at(t) + f_cdf.cdf_at(t + 30.0))
             assert b_cdf.cdf_at(t) == pytest.approx(want, abs=MIXTURE_TOL)
+
+
+def _crossovers_loop(a, b):
+    """Cross-over levels as the per-sample scalar loop found them."""
+    xs = np.union1d(a.values, b.values)
+    diff = np.array([a.cdf_at(x) - b.cdf_at(x) for x in xs])
+    sign = np.sign(np.where(np.abs(diff) <= 1e-12, 0.0, diff))
+    out = []
+    last = 0.0
+    last_x = None
+    for x, s in zip(xs, sign):
+        if s != 0.0:
+            if last != 0.0 and s != last:
+                mid = (last_x + x) / 2.0
+                level = round(mid / CROSSOVER_RESOLUTION_DB) \
+                    * CROSSOVER_RESOLUTION_DB
+                out.append(round(level, 1))
+            last = s
+            last_x = x
+        elif last != 0.0:
+            last_x = x
+    return out
+
+
+@st.composite
+def _quantized_cdf(draw):
+    """A CDF on a coarse value lattice, so samples tie within and across
+    CDFs; integer weights so different CDFs can meet exactly."""
+    n = draw(st.integers(1, 12))
+    steps = sorted(draw(st.lists(st.integers(-16, 16), min_size=n,
+                                 max_size=n)))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n,
+                                     max_size=n)), dtype=float)
+    return WeightedCDF(values=np.array(steps) * 0.35,
+                       cum_weights=np.cumsum(weights) / weights.sum())
+
+
+_CDF_PAIRS = st.one_of(st.tuples(_quantized_cdf(), _quantized_cdf()),
+                       _quantized_cdf().map(lambda c: (c, c)))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_CDF_PAIRS)
+def test_crossovers_match_per_sample_loop(pair):
+    a, b = pair
+    got = _cdf_crossovers(a, b)
+    want = _crossovers_loop(a, b)
+    assert got == want
+    assert all(type(level) is float for level in got)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_quantized_cdf(), st.lists(st.integers(-20, 20), max_size=8))
+def test_cdf_at_array_matches_scalar_calls(cdf, steps):
+    # below the least sample, on every sample, and between lattice points
+    xs = np.concatenate(([cdf.values[0] - 1.0], cdf.values,
+                         np.array(steps) * 0.35 + 0.1))
+    got = cdf.cdf_at(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    want = [cdf.cdf_at(float(x)) for x in xs]
+    assert all(type(w) is float for w in want)
+    assert got.tolist() == want
+    assert got[0] == 0.0

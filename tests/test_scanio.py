@@ -416,6 +416,13 @@ class TestWrite:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 4  # header + one valid theta row
 
+    def test_unknown_mode_rejected_before_opening(self, tmp_path):
+        _, pset = self._data()
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError, match="unknown mode 'absorber'"):
+            write_scan_csv(path, {"freespace": pset, "absorber": pset})
+        assert not path.exists()
+
     def test_modes_tuple_is_closed(self):
         assert MODES == ("freespace", "phantom", "true_hand")
 

@@ -11,18 +11,21 @@ import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beamblock import cli, scenario as scenario_mod
+from beamblock import cli, scenario as scenario_mod, synth
 from beamblock.cli import run_cli
+from beamblock.coverage import WeightedCDF
 from beamblock.errors import ConfigError
 from beamblock.models import BlockageModel
 from beamblock.scanio import parse_scan_csv
 from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
                                 load_scenario, scenario_from_dict,
                                 scenario_metadata)
+from beamblock.synth import BeamSpec
 
 BUNDLED = ("s1_patch_portrait_hard", "s2_patch_portrait_loose",
            "s3_dipole_portrait_hard", "s4_dipole_portrait_loose",
@@ -386,6 +389,43 @@ class TestCli:
                        ["models"]["names"])
         assert sorted(calls) == ["load"] + ["model"] * n_models
 
+    def test_compare_makes_no_scalar_cdf_lookups(self, monkeypatch):
+        """Cross-overs look up each CDF once over the merged samples, not
+        once per sample."""
+        ndims = []
+        cdf_at = WeightedCDF.cdf_at
+
+        def counted(self, x):
+            ndims.append(np.ndim(x))
+            return cdf_at(self, x)
+
+        monkeypatch.setattr(WeightedCDF, "cdf_at", counted)
+        code, _, _ = _run(["compare", "--scenario", "s1_patch_portrait_hard"])
+        assert code == 0
+        assert ndims and 0 not in ndims
+
+    def test_beam_independent_terms_once_per_synthesis(self, monkeypatch):
+        """Synthesis evaluates the direction cosines and the element gain
+        once per call, whatever the number of beams."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_direction_cosines", "_element_gain_db"):
+            monkeypatch.setattr(synth, name,
+                                counted(name, getattr(synth, name)))
+        sc = load_bundled("s1_patch_portrait_hard")
+        for n_beams in (1, 3, 16):
+            beams = [BeamSpec(scan_deg=s)
+                     for s in np.linspace(-60.0, 60.0, n_beams)]
+            calls.clear()
+            synth.synth_pattern_set(sc.config, beams, sc.grid)
+            assert sorted(calls) == ["_direction_cosines", "_element_gain_db"]
+
 
 # Each malformed value, applied to s1, is a one-line exit-2 error naming its
 # scenario block, raised at load (before any synthesis or output).
@@ -411,6 +451,16 @@ S1_MALFORMED = [
     (("models", "names"), "3gpp-flat-30", "models"),
     (("models", "region", "theta"), "69", "models"),
 ]
+# A fixed pair takes exactly two items: no item is dropped or made up.
+S1_BAD_PAIRS = [
+    (("invalid_theta_band",), [80, 100, 120], "invalid_theta_band"),
+    (("invalid_theta_band",), [80], "invalid_theta_band"),
+    (("masks", "true_hand", 0, "phi"), [150, 210, 999], "masks"),
+    (("masks", "true_hand", 0, "theta"), [], "masks"),
+    (("models", "region", "phi"), [150, 210, 0], "models"),
+    (("models", "region", "theta"), [60, 120, 150, 170], "models"),
+]
+S1_MALFORMED += S1_BAD_PAIRS
 
 
 @pytest.mark.parametrize("command", ["report", "stats"])
@@ -430,6 +480,15 @@ def test_malformed_scenario_is_one_line_error(tmp_path, command, path, value,
     assert code == 2 and out == ""
     assert err.startswith(f"error: bad {block}: ") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("path,value,block", S1_BAD_PAIRS)
+def test_bad_pair_names_its_length(path, value, block):
+    doc = _replaced(_bundled_json("s1_patch_portrait_hard"), path, value)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == (f"bad {block}: expected 2 items, "
+                              f"got {len(value)}")
 
 
 def _loose_grip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamblock.errors import ConfigError
-from beamblock.grid import FLOOR_DB, Pattern, make_grid
+from beamblock.grid import FLOOR_DB, Pattern, make_grid, with_invalid_band
 from beamblock.synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
                              apply_blockage_mask, array_factor_db,
                              element_gain_db, eirp_at, quantize_phases_deg,
@@ -224,6 +224,36 @@ class TestSynthPatternSet:
             measured.append(above[-1] - above[0])
         assert 40.0 <= measured[0] <= 45.0
         assert measured[1] < 40.0 and measured[2] < 40.0
+
+
+_BYTE_CASES = [
+    (ArrayConfig(), [BeamSpec(0.0), BeamSpec(30.0), BeamSpec(-45.0)]),
+    (ArrayConfig(n_elements=2, element_kind="dipole"),
+     [BeamSpec(0.0), BeamSpec(45.0)]),
+    (ArrayConfig(n_elements=3, element_kind="isotropic", spacing=0.7),
+     [BeamSpec(20.0)]),
+    (ArrayConfig(phase_bits=0), [BeamSpec(12.5), BeamSpec(-60.0)]),
+    (ArrayConfig(phase_bits=3, boresight_phi=10.0),
+     [BeamSpec(-30.0, amplitude_taper=(0.5, 1.0, 1.0, 0.5))]),
+    (ArrayConfig(n_elements=8), [BeamSpec(s) for s in range(-75, 90, 10)]),
+]
+
+
+@pytest.mark.parametrize("config,beams", _BYTE_CASES)
+@pytest.mark.parametrize("band", [None, (80.0, 100.0)])
+def test_synthesis_bytes_match_eirp_at_per_beam(config, beams, band):
+    grid = make_grid(7.2, 3.6, 176.4)
+    if band is not None:
+        grid = with_invalid_band(grid, *band)
+    tt, pp = grid.mesh()
+    got = synth_pattern_set(config, beams, grid)
+    assert len(got) == len(beams)
+    for beam, pattern in zip(beams, got):
+        want = Pattern.from_values(
+            grid, eirp_at(config, steering_weights(config, beam), pp, tt),
+            kind="eirp")
+        assert pattern.values.tobytes() == want.values.tobytes()
+        assert pattern.floored == want.floored
 
 
 class TestValidation:
