@@ -1,8 +1,8 @@
 """Spherical beam-pattern statistics and blockage analysis for mmWave arrays."""
 
-from .coverage import (CoverageLost, OverlayPattern, WeightedCDF,
-                       coverage_above, coverage_lost, overlay_best_beam,
-                       percentile_loss, percentile_value, weighted_cdf)
+from .coverage import (CoverageLost, WeightedCDF, coverage_above,
+                       coverage_lost, overlay_best_beam, percentile_value,
+                       weighted_cdf)
 from .errors import BlockageError, ConfigError, DataError
 from .grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet, WeightField,
                    fraction_of_sphere, make_grid, solid_angle_weights,
@@ -11,12 +11,10 @@ from .lossstats import (GaussianFit, LossStats, Study, StudySummary,
                         gaussian_fit, loss_field, loss_stats, study_summary)
 from .models import (BlockageModel, ComparisonReport, apply_model,
                      compare_models, comparison_dict, constant_loss,
-                     flat_region, measured_mask, model_preset)
+                     flat_region, model_preset)
 from .roi import (RoIImprovement, RoIMask, matched_r1_for_r5, roi_improvement,
                   roi_r1, roi_r2, roi_r3, roi_r4, roi_r5, write_roi_csv)
-from .scanio import (LinkBudget, ScanData, eirp_from_prx,
-                     friis_path_loss_db, parse_scan_csv, prx_from_eirp,
-                     write_scan_csv)
+from .scanio import ScanData, parse_scan_csv, write_scan_csv
 from .scenario import (Scenario, build_patterns, list_bundled, load_bundled,
                        load_scenario, scenario_metadata)
 from .synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,6 +30,13 @@ def _resolve_scenario(ref: str):
     if Path(ref).is_file():
         return load_scenario(ref)
     return load_bundled(ref)
+
+
+def finite_float(text: str) -> float:
+    """argparse type of the dB flags: a float, neither NaN nor infinite."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_percentiles(text: str) -> tuple[float, ...]:
@@ -87,8 +95,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_overlay(args) -> int:
     overlay = _load_study(args)[0].overlay(args.mode)
-    svg = heatmap_svg(overlay.pattern,
-                      f"{args.mode} best-beam EIRP (dBm)")
+    svg = heatmap_svg(overlay, f"{args.mode} best-beam EIRP (dBm)")
     Path(args.out).write_text(svg)
     return 0
 
@@ -104,7 +111,7 @@ def _cmd_cdf(args) -> int:
                     "sphere coverage CDF", "best-beam EIRP (dBm)"))
     for mode in modes:
         if args.threshold is not None:
-            pct = coverage_above(study.overlay(mode).pattern, study.weights,
+            pct = coverage_above(study.overlay(mode), study.weights,
                                  args.threshold)
             print(f"{mode}: {pct:.2f}% of sphere >= "
                   f"{args.threshold:g} dBm")
@@ -116,8 +123,8 @@ def _cmd_cdf(args) -> int:
 
 def _cmd_roi(args) -> int:
     study, _ = _load_study(args)
-    free = study.overlay("freespace").pattern
-    blocked = study.overlay("true_hand").pattern
+    free = study.overlay("freespace")
+    blocked = study.overlay("true_hand")
     law, base_law = _ROI_KINDS[args.roi_kind]
     region = law(free, blocked, args)
     payload = {"kind": region.kind, "params": region.params,
@@ -141,8 +148,8 @@ def _cmd_roi(args) -> int:
 
 def _cmd_stats(args) -> int:
     study, _ = _load_study(args)
-    free = study.overlay("freespace").pattern
-    blocked = study.overlay("true_hand").pattern
+    free = study.overlay("freespace")
+    blocked = study.overlay("true_hand")
     loss = loss_field(free, blocked)
     base = matched_r1_for_r5(free, args.delta5)
     enhanced = roi_r5(free, blocked, args.delta5)
@@ -158,8 +165,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_compare(args) -> int:
     study, scenario = _load_study(args)
-    free = study.overlay("freespace").pattern
-    blocked = study.overlay("true_hand").pattern
+    free = study.overlay("freespace")
+    blocked = study.overlay("true_hand")
     region = roi_r5(free, blocked, args.delta5)
     candidates = {"true_hand": blocked}
     if scenario is not None and not args.models:
@@ -219,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cdf", help="coverage CDF curves and percentiles")
     _add_input_args(p)
     p.add_argument("--out", help="output SVG path")
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=finite_float,
                    help="print coverage above this EIRP (dBm)")
     p.add_argument("--percentiles",
                    help="comma list, print these percentile values")
@@ -228,15 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roi", help="region-of-interest coverage")
     _add_input_args(p)
     p.add_argument("--roi-kind", default="r5", choices=sorted(_ROI_KINDS))
-    p.add_argument("--delta1", type=float, default=5.0,
+    p.add_argument("--delta1", type=finite_float, default=5.0,
                    help="dB below the free-space peak (R1)")
-    p.add_argument("--delta2", type=float, default=5.0,
+    p.add_argument("--delta2", type=finite_float, default=5.0,
                    help="dB below the blocked peak (R2)")
-    p.add_argument("--delta3", type=float, default=10.0,
+    p.add_argument("--delta3", type=finite_float, default=10.0,
                    help="dB below the free-space peak, blocked pattern (R3)")
-    p.add_argument("--delta4", type=float, default=-35.0,
+    p.add_argument("--delta4", type=finite_float, default=-35.0,
                    help="absolute blocked EIRP floor in dBm (R4)")
-    p.add_argument("--delta5", type=float, default=-35.0,
+    p.add_argument("--delta5", type=finite_float, default=-35.0,
                    help="absolute either-pattern EIRP floor in dBm (R5)")
     p.add_argument("--out",
                    help="output directory for mask CSV + coverage JSON "
@@ -245,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="blockage-loss statistics and fit")
     _add_input_args(p)
-    p.add_argument("--delta5", type=float, default=-35.0,
+    p.add_argument("--delta5", type=finite_float, default=-35.0,
                    help="absolute EIRP floor for the region (dBm)")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("compare", help="score blockage models vs measurement")
     _add_input_args(p)
-    p.add_argument("--delta5", type=float, default=-35.0,
+    p.add_argument("--delta5", type=finite_float, default=-35.0,
                    help="absolute EIRP floor for the region (dBm)")
     p.add_argument("--models", help="comma list of model presets")
     p.add_argument("--out", help="output JSON path (default stdout)")

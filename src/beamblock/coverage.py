@@ -13,38 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import AngularGrid, Pattern, PatternSet, WeightField
+from .grid import Pattern, PatternSet, WeightField
 
 PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
                          "sample value v with weighted mass(value >= v) "
                          ">= p/100")
 
 
-@dataclass(frozen=True)
-class OverlayPattern:
-    """Per-point best beam: max EIRP across the codebook.
-
-    ``best_beam`` holds the index of the winning pattern (lowest index wins
-    ties) and -1 at invalid points.
-    """
-
-    pattern: Pattern
-    best_beam: np.ndarray
-
-    @property
-    def grid(self) -> AngularGrid:
-        return self.pattern.grid
-
-
-def overlay_best_beam(pset: PatternSet) -> OverlayPattern:
-    """Pointwise maximum over beams, with the winning beam index."""
-    stack = np.stack([p.values for p in pset])
-    filled = np.where(np.isnan(stack), -np.inf, stack)
-    best = np.argmax(filled, axis=0)
-    values = np.take_along_axis(stack, best[None, ...], axis=0)[0]
-    best = np.where(pset.grid.valid, best, -1)
-    pattern = Pattern.from_values(pset.grid, values, kind=pset[0].kind)
-    return OverlayPattern(pattern=pattern, best_beam=best)
+def overlay_best_beam(pset: PatternSet) -> Pattern:
+    """Pointwise maximum EIRP over the codebook's beams."""
+    return Pattern.from_values(pset.grid,
+                               np.max([p.values for p in pset], axis=0),
+                               kind=pset[0].kind)
 
 
 @dataclass(frozen=True)
@@ -75,11 +55,6 @@ class WeightedCDF:
         i = np.searchsorted(self.values, x, side="right")
         mass = np.where(i > 0, self.cum_weights[i - 1], 0.0)
         return float(mass) if mass.ndim == 0 else mass
-
-    def tail_at(self, x: float) -> float:
-        """Weighted mass of samples >= x."""
-        i = int(np.searchsorted(self.values, x, side="left"))
-        return 1.0 - (float(self.cum_weights[i - 1]) if i else 0.0)
 
 
 def weighted_cdf(pattern: Pattern, weights: WeightField,
@@ -129,12 +104,6 @@ def percentile_value(cdf: WeightedCDF, p: float) -> float:
     target = 1.0 - p / 100.0
     idx = int(np.searchsorted(prev, target + 1e-12, side="right")) - 1
     return float(cdf.values[max(idx, 0)])
-
-
-def percentile_loss(free: WeightedCDF, blocked: WeightedCDF,
-                    p: float) -> float:
-    """Drop of the p-th percentile value from free to blocked, in dB."""
-    return percentile_value(free, p) - percentile_value(blocked, p)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ this package then ignores them on both sides of the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,13 +196,12 @@ class Pattern:
     """A scalar dB field on a grid: EIRP (dBm) or blockage loss (dB).
 
     Values are NaN at invalid points. Anything below ``FLOOR_DB`` has been
-    clamped, with ``floored`` recording that it happened.
+    clamped to it.
     """
 
     grid: AngularGrid
     values: np.ndarray
     kind: str = "eirp"
-    floored: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         v = _as_readonly(np.asarray(self.values, dtype=float))
@@ -220,13 +219,10 @@ class Pattern:
         if v.shape != grid.shape:
             raise ConfigError("values shape must match the grid")
         v[~grid.valid] = np.nan
-        low = v < FLOOR_DB
-        floored = bool(np.any(low))
-        if floored:
-            v[low] = FLOOR_DB
+        v[v < FLOOR_DB] = FLOOR_DB
         if np.any(~np.isfinite(v) & grid.valid):
             raise DataError("non-finite value at a valid grid point")
-        return cls(grid=grid, values=v, kind=kind, floored=floored)
+        return cls(grid=grid, values=v, kind=kind)
 
     def valid_values(self) -> np.ndarray:
         """Flat array of values at valid points."""

@@ -8,14 +8,13 @@ every other spherical percentage, renormalized within the region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .coverage import (CoverageLost, OverlayPattern, WeightedCDF,
-                       coverage_lost, overlay_best_beam, percentile_value,
-                       weighted_cdf)
+from .coverage import (CoverageLost, WeightedCDF, coverage_lost,
+                       overlay_best_beam, percentile_value, weighted_cdf)
 from .errors import DataError
 from .grid import Pattern, WeightField, solid_angle_weights
 from .roi import (RoIImprovement, RoIMask, matched_r1_for_r5, roi_improvement,
@@ -38,7 +37,7 @@ class Study:
         self._overlays = {}
         self._cdfs = {}
 
-    def overlay(self, mode: str) -> OverlayPattern:
+    def overlay(self, mode: str) -> Pattern:
         if mode not in self._overlays:
             if mode not in self.modes:
                 raise DataError(f"input provides no {mode} mode; have "
@@ -48,8 +47,7 @@ class Study:
 
     def cdf(self, mode: str) -> WeightedCDF:
         if mode not in self._cdfs:
-            self._cdfs[mode] = weighted_cdf(self.overlay(mode).pattern,
-                                            self.weights)
+            self._cdfs[mode] = weighted_cdf(self.overlay(mode), self.weights)
         return self._cdfs[mode]
 
 
@@ -115,6 +113,9 @@ def loss_stats(loss: Pattern, roi: RoIMask,
                      n_points=int(v.size))
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 @dataclass(frozen=True)
 class GaussianFit:
     """Normal fit to a loss distribution, by weighted moment matching."""
@@ -127,7 +128,8 @@ class GaussianFit:
         x = np.asarray(x, dtype=float)
         if self.sigma == 0:
             return (x >= self.mu).astype(float)
-        return ndtr((x - self.mu) / self.sigma)
+        # the standard normal CDF of z is 0.5 * erfc(-z / sqrt(2))
+        return 0.5 * _erfc(-((x - self.mu) / self.sigma) / math.sqrt(2.0))
 
 
 def gaussian_fit(loss: Pattern, roi: RoIMask,
@@ -191,8 +193,8 @@ def study_summary(study: Study, blocked_mode: str,
         raise DataError("thresholds and percentiles must be non-empty")
 
     weights = study.weights
-    f = study.overlay("freespace").pattern
-    b = study.overlay(blocked_mode).pattern
+    f = study.overlay("freespace")
+    b = study.overlay(blocked_mode)
     f_cdf = study.cdf("freespace")
     b_cdf = study.cdf(blocked_mode)
 

@@ -1,10 +1,9 @@
 """Simple blockage models and head-to-head comparison against measurement.
 
-Three model families predict a blocked overlay from a free-space one:
+Two model families predict a blocked overlay from a free-space one:
 
     constant_loss:  subtract one number everywhere
     flat_region:    subtract one number inside a sharp angular region
-    measured_mask:  subtract a per-point loss field
 
 Presets carry the customary literature numbers: mean hand loss 15.3 dB,
 mean body loss 8.5 dB, and a 30 dB flat in-region loss.
@@ -41,34 +40,25 @@ class BlockageModel:
     """One predictive model; build via the constructor helpers below."""
 
     kind: str
-    loss_db: float | None = None
+    loss_db: float
     region: MaskRegion | None = None
-    loss_pattern: Pattern | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("constant_loss", "flat_region", "measured_mask"):
+        if self.kind not in ("constant_loss", "flat_region"):
             raise ConfigError(f"unknown model kind: {self.kind!r}")
+        if not np.isfinite(self.loss_db):
+            raise ConfigError("loss_db must be finite")
 
 
 def constant_loss(loss_db: float) -> BlockageModel:
-    if not np.isfinite(loss_db):
-        raise ConfigError("loss_db must be finite")
     return BlockageModel(kind="constant_loss", loss_db=float(loss_db))
 
 
 def flat_region(region: MaskRegion, loss_db: float) -> BlockageModel:
-    if not np.isfinite(loss_db):
-        raise ConfigError("loss_db must be finite")
     if region.edge_taper_deg != 0.0:
         raise ConfigError("flat_region models use sharp regions (taper 0)")
     return BlockageModel(kind="flat_region", loss_db=float(loss_db),
                          region=replace(region, delta_db=float(loss_db)))
-
-
-def measured_mask(loss: Pattern) -> BlockageModel:
-    if loss.kind != "loss":
-        raise ConfigError("measured_mask needs a loss-kind pattern")
-    return BlockageModel(kind="measured_mask", loss_pattern=loss)
 
 
 def model_preset(name: str, region: MaskRegion | None = None) -> BlockageModel:
@@ -88,15 +78,11 @@ def apply_model(free: Pattern, model: BlockageModel) -> Pattern:
     grid = free.grid
     if model.kind == "constant_loss":
         delta = model.loss_db
-    elif model.kind == "flat_region":
+    else:
         r = model.region
         if not (grid.theta[0] <= r.theta_lo and r.theta_hi <= grid.theta[-1]):
             raise DataError("model region lies outside the grid")
         delta = BlockageMask(regions=(r,)).delta_field(grid)
-    else:
-        if model.loss_pattern.grid != grid:
-            raise DataError("measured mask and pattern must share one grid")
-        delta = model.loss_pattern.values
     return Pattern.from_values(grid, free.values - delta, kind=free.kind)
 
 

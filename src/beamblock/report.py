@@ -68,8 +68,8 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     weights = study.weights
     summary = study_summary(study, "true_hand", scenario.thresholds_dbm,
                             scenario.percentiles)
-    free = study.overlay("freespace").pattern
-    hand = study.overlay("true_hand").pattern
+    free = study.overlay("freespace")
+    hand = study.overlay("true_hand")
 
     base = matched_r1_for_r5(free, scenario.delta5_dbm)
     enhanced = roi_r5(free, hand, scenario.delta5_dbm)
@@ -150,7 +150,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     for mode, label in _MODE_LABELS:
         if mode in study.modes:
             (out / f"overlay_{mode}.svg").write_text(heatmap_svg(
-                study.overlay(mode).pattern,
+                study.overlay(mode),
                 f"{title}: {label} best-beam EIRP (dBm)"))
             curves.append((mode, study.cdf(mode)))
     (out / "eirp_cdf.svg").write_text(

@@ -1,14 +1,10 @@
-"""Scan archive CSV schema and the receive link budget.
+"""Scan archive CSV schema.
 
 One CSV row per (grid point, beam, mode) with header
 
     phi,theta,beam_id,mode,value_dbm
 
-and modes freespace / phantom / true_hand. Values are EIRP in dBm unless a
-link budget is supplied to convert raw received power:
-
-    P_rx = EIRP_tx + G_rx - path_loss - cable_loss
-    EIRP_tx = P_rx - G_rx + path_loss + cable_loss
+and modes freespace / phantom / true_hand. Values are EIRP in dBm.
 
 Grid points absent from every (mode, beam) series become invalid points;
 points absent from only some series are an error.
@@ -17,7 +13,6 @@ points absent from only some series are an error.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,53 +24,6 @@ MODES = ("freespace", "phantom", "true_hand")
 
 CSV_HEADER = ("phi", "theta", "beam_id", "mode", "value_dbm")
 
-SPEED_OF_LIGHT = 299792458.0
-
-
-def friis_path_loss_db(distance_m: float, frequency_hz: float) -> float:
-    """Free-space path loss 20*log10(4*pi*d*f/c)."""
-    if distance_m <= 0 or frequency_hz <= 0:
-        raise ConfigError("distance and frequency must be positive")
-    return 20.0 * np.log10(4.0 * np.pi * distance_m * frequency_hz
-                           / SPEED_OF_LIGHT)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Fixed terms between transmit EIRP and received power."""
-
-    rx_gain_dbi: float = 14.0
-    path_loss_db: float = 64.91
-    cable_loss_db: float = 0.0
-
-    def __post_init__(self):
-        terms = (self.rx_gain_dbi, self.path_loss_db, self.cable_loss_db)
-        if not all(np.isfinite(t) for t in terms):
-            raise ConfigError("link budget terms must be finite")
-        if self.path_loss_db < 0 or self.cable_loss_db < 0:
-            raise ConfigError("path and cable losses must be >= 0 dB")
-
-    @classmethod
-    def from_geometry(cls, distance_m: float, frequency_hz: float,
-                      rx_gain_dbi: float = 14.0,
-                      cable_loss_db: float = 0.0) -> "LinkBudget":
-        return cls(rx_gain_dbi=rx_gain_dbi,
-                   path_loss_db=friis_path_loss_db(distance_m, frequency_hz),
-                   cable_loss_db=cable_loss_db)
-
-
-def eirp_from_prx(prx_dbm: float, budget: LinkBudget):
-    """Transmit EIRP implied by a received power measurement."""
-    return (np.asarray(prx_dbm, dtype=float) - budget.rx_gain_dbi
-            + budget.path_loss_db + budget.cable_loss_db)
-
-
-def prx_from_eirp(eirp_dbm: float, budget: LinkBudget):
-    """Received power implied by a transmit EIRP."""
-    return (np.asarray(eirp_dbm, dtype=float) + budget.rx_gain_dbi
-            - budget.path_loss_db - budget.cable_loss_db)
-
-
 @dataclass(frozen=True)
 class ScanData:
     """Parsed archive: per-mode pattern sets on one shared grid."""
@@ -83,11 +31,6 @@ class ScanData:
     grid: AngularGrid
     modes: dict
     beam_ids: dict
-
-    def __getitem__(self, mode: str) -> PatternSet:
-        if mode not in self.modes:
-            raise DataError(f"mode {mode!r} not present in scan data")
-        return self.modes[mode]
 
 
 # A mode field longer than 15 characters, padding included, fills the
@@ -177,7 +120,7 @@ def _lattice_axis(keys: list, name: str, max_points: int):
                     f"uniform lattice of at most {max_points} points")
 
 
-def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
+def parse_scan_csv(path) -> ScanData:
     """Read a scan archive, inferring the grid and validity mask.
 
     One ``np.loadtxt`` call reads the rows after the header. If it refuses
@@ -260,8 +203,6 @@ def parse_scan_csv(path, link_budget: LinkBudget | None = None) -> ScanData:
     patterns, beam_ids = {}, {}
     for s, values in zip(series.tolist(), cube):
         name = MODES[s // len(beams)]
-        if link_budget is not None:
-            values = eirp_from_prx(values, link_budget)
         patterns.setdefault(name, []).append(
             Pattern.from_values(grid, values, kind="eirp"))
         beam_ids[name] = beam_ids.get(name, ()) + (int(beams[s % len(beams)]),)

@@ -10,6 +10,7 @@ and are addressable by name from the CLI.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -54,6 +55,13 @@ def _list(value, n=None):
     return value
 
 
+def _finite(value) -> float:
+    """``value`` as a float that is neither NaN nor infinite."""
+    if not math.isfinite(x := float(value)):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
 def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
     phi, theta = _list(d["phi"], 2), _list(d["theta"], 2)
     delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
@@ -96,7 +104,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         block = "array"
         config = ArrayConfig(**{k: (str(v) if k == "element_kind" else
                                     int(v) if k in ("n_elements", "phase_bits")
-                                    else float(v))
+                                    else _finite(v))
                                 for k, v in d["array"].items()})
 
         block = "beams"
@@ -132,7 +140,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             models[name] = model_preset(name, region=region)
 
         block = "thresholds_dbm"
-        thresholds = tuple(float(t) for t in _list(d["thresholds_dbm"]))
+        thresholds = tuple(map(_finite, _list(d["thresholds_dbm"])))
         if not thresholds:
             raise ValueError("need at least one threshold")
         block = "percentiles"
@@ -140,7 +148,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         if not percentiles or not all(0.0 <= p <= 100.0 for p in percentiles):
             raise ValueError("need at least one percentile, each in [0, 100]")
         block = "delta5_dbm"
-        delta5 = float(d["delta5_dbm"])
+        delta5 = _finite(d["delta5_dbm"])
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc

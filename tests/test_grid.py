@@ -203,14 +203,12 @@ class TestPattern:
         pat = Pattern.from_values(tiny_grid, values, kind="eirp")
         assert pat.max_value() == 7.0
         assert pat.valid_values().size == 8
-        assert not pat.floored
 
     def test_neg_inf_clamped_and_flagged(self, tiny_grid):
         values = np.zeros((2, 4))
         values[0, 0] = -np.inf
         pat = Pattern.from_values(tiny_grid, values, kind="eirp")
         assert pat.values[0, 0] == FLOOR_DB
-        assert pat.floored
 
     def test_nan_at_valid_point_rejected(self, tiny_grid):
         values = np.zeros((2, 4))

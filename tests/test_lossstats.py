@@ -1,5 +1,10 @@
 """Loss-field statistics, Gaussian fitting, and study summaries."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -7,9 +12,9 @@ from scipy.special import ndtr
 from beamblock.errors import DataError
 from beamblock.grid import (AngularGrid, Pattern, PatternSet, make_grid,
                             solid_angle_weights, uniform_weights)
-from beamblock.lossstats import (GaussianFit, LossStats, Study,
-                                 StudySummary, gaussian_fit, loss_field,
-                                 loss_stats, study_summary)
+from beamblock.lossstats import (GaussianFit, Study, StudySummary,
+                                 gaussian_fit, loss_field, loss_stats,
+                                 study_summary)
 from beamblock import lossstats
 from beamblock.report import write_report
 from beamblock.roi import roi_r1
@@ -172,6 +177,17 @@ class TestGaussianFit:
         fit = GaussianFit(mu=7.0, sigma=0.0)
         assert fit.cdf(6.999) == 0.0
         assert fit.cdf(7.0) == 1.0
+
+    def test_cli_import_loads_no_scipy(self):
+        """scipy is a test-only dependency: the CLI never imports it."""
+        src = str(Path(lossstats.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, beamblock.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n"
 
 
 class TestStudySummary:

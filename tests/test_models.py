@@ -9,8 +9,8 @@ from beamblock.coverage import WeightedCDF, weighted_cdf
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import (Pattern, make_grid, solid_angle_weights)
 from beamblock.models import (CROSSOVER_RESOLUTION_DB, PRESET_LOSSES_DB,
-                              _cdf_crossovers, apply_model, compare_models, constant_loss,
-                              flat_region, measured_mask, model_preset)
+                              _cdf_crossovers, apply_model, compare_models,
+                              constant_loss, flat_region, model_preset)
 from beamblock.roi import roi_r1
 from beamblock.synth import MaskRegion
 
@@ -96,23 +96,6 @@ class TestApplyModel:
                             edge_taper_deg=10.0)
         with pytest.raises(ConfigError):
             flat_region(region, 5.0)
-
-    def test_measured_mask_subtracts_pointwise(self, grid, free):
-        rng = np.random.default_rng(101)
-        loss_vals = _dyadic(rng, grid.valid.shape, lo=0, hi=20)
-        loss = _pattern(grid, loss_vals, kind="loss")
-        out = apply_model(free, measured_mask(loss))
-        assert np.array_equal(out.values, free.values - loss_vals)
-
-    def test_measured_mask_needs_loss_kind(self, free):
-        with pytest.raises(ConfigError):
-            measured_mask(free)
-
-    def test_measured_mask_grid_mismatch(self, free):
-        other = make_grid(90.0, 45.0, 135.0)
-        loss = _pattern(other, np.zeros(other.valid.shape), kind="loss")
-        with pytest.raises(DataError):
-            apply_model(free, measured_mask(loss))
 
 
 class TestPresets:

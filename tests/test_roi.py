@@ -7,11 +7,11 @@ import pytest
 
 from beamblock.coverage import overlay_best_beam
 from beamblock.errors import ConfigError, DataError
-from beamblock.grid import (AngularGrid, Pattern, make_grid,
-                            solid_angle_weights, with_invalid_band)
-from beamblock.roi import (RoIMask, improvement_from_percent,
-                           matched_r1_for_r5, roi_improvement, roi_r1,
-                           roi_r2, roi_r3, roi_r4, roi_r5, write_roi_csv)
+from beamblock.grid import (Pattern, make_grid, solid_angle_weights,
+                            with_invalid_band)
+from beamblock.roi import (improvement_from_percent, matched_r1_for_r5,
+                           roi_improvement, roi_r1, roi_r2, roi_r3, roi_r4,
+                           roi_r5, write_roi_csv)
 
 
 def _pattern(grid, values):
@@ -65,7 +65,7 @@ class TestR1:
     def test_patch_overlay_near_beam_coverage(self, patch_set, full_grid):
         over = overlay_best_beam(patch_set)
         weights = solid_angle_weights(full_grid)
-        mask = roi_r1(over.pattern, 5.0)
+        mask = roi_r1(over, 5.0)
         assert 10.0 <= mask.coverage(weights) <= 20.0
 
 

@@ -1,4 +1,4 @@
-"""Scan archive parsing, writing, and the receive link budget."""
+"""Scan archive parsing and writing."""
 
 import contextlib
 import csv
@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamblock.cli import run_cli
-from beamblock.errors import ConfigError, DataError
+from beamblock.errors import DataError
 from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
-from beamblock.scanio import (CSV_HEADER, MODES, LinkBudget, ScanData,
-                              eirp_from_prx, friis_path_loss_db,
-                              parse_scan_csv, prx_from_eirp, write_scan_csv)
+from beamblock.scanio import (CSV_HEADER, MODES, ScanData, parse_scan_csv,
+                              write_scan_csv)
 from beamblock.scenario import scenario_from_dict
 
 SMALL_CSV = """phi,theta,beam_id,mode,value_dbm
@@ -40,76 +39,18 @@ def _write(tmp_path, text, name="scan.csv"):
     return path
 
 
-class TestLinkBudget:
-    def test_friis_reference_distance(self):
-        # 1.5 m at 28 GHz
-        assert friis_path_loss_db(1.5, 28e9) == pytest.approx(64.91,
-                                                              abs=0.01)
-
-    def test_friis_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            friis_path_loss_db(0.0, 28e9)
-        with pytest.raises(ConfigError):
-            friis_path_loss_db(1.5, -1.0)
-
-    def test_eirp_from_prx(self):
-        budget = LinkBudget(rx_gain_dbi=14.0, path_loss_db=64.9,
-                            cable_loss_db=3.0)
-        assert float(eirp_from_prx(-50.0, budget)) == pytest.approx(3.9)
-
-    def test_identity_budget(self):
-        budget = LinkBudget(rx_gain_dbi=0.0, path_loss_db=0.0,
-                            cable_loss_db=0.0)
-        assert float(eirp_from_prx(-37.25, budget)) == -37.25
-        assert float(prx_from_eirp(-37.25, budget)) == -37.25
-
-    def test_round_trip_exact_on_dyadic_terms(self):
-        budget = LinkBudget(rx_gain_dbi=14.0, path_loss_db=64.0,
-                            cable_loss_db=3.0)
-        prx = -50.25
-        assert float(prx_from_eirp(eirp_from_prx(prx, budget),
-                                   budget)) == prx
-
-    def test_from_geometry(self):
-        budget = LinkBudget.from_geometry(distance_m=1.5,
-                                          frequency_hz=28e9,
-                                          rx_gain_dbi=14.0)
-        assert budget.path_loss_db == pytest.approx(64.91, abs=0.01)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            LinkBudget(rx_gain_dbi=14.0, path_loss_db=-1.0)
-        with pytest.raises(ConfigError):
-            LinkBudget(rx_gain_dbi=np.nan)
-        with pytest.raises(ConfigError):
-            LinkBudget(cable_loss_db=-0.5)
-
-
 class TestParse:
     def test_small_archive(self, tmp_path):
         data = parse_scan_csv(_write(tmp_path, SMALL_CSV))
         assert isinstance(data, ScanData)
         assert list(data.modes) == ["freespace"]
         assert data.beam_ids["freespace"] == (0, 1)
-        pset = data["freespace"]
+        pset = data.modes["freespace"]
         assert len(pset.patterns) == 2
         np.testing.assert_allclose(pset.patterns[0].values,
                                    [[-50.0, -51.0], [-52.0, -53.0]])
         np.testing.assert_allclose(data.grid.phi, [0.0, 180.0])
         np.testing.assert_allclose(data.grid.theta, [45.0, 135.0])
-
-    def test_link_budget_applied(self, tmp_path):
-        budget = LinkBudget(rx_gain_dbi=14.0, path_loss_db=64.0,
-                            cable_loss_db=0.0)
-        data = parse_scan_csv(_write(tmp_path, SMALL_CSV),
-                              link_budget=budget)
-        assert data["freespace"].patterns[0].values[0, 0] == -50.0 - 14.0 \
-            + 64.0
-
-    def test_missing_mode_lookup(self, tmp_path):
-        data = parse_scan_csv(_write(tmp_path, SMALL_CSV))
-        with pytest.raises(DataError):
-            data["true_hand"]
 
     def test_duplicate_row_cites_lines(self, tmp_path):
         text = SMALL_CSV + "0.0,45.0,0,freespace,-50.000000\n"
@@ -131,7 +72,7 @@ class TestParse:
         data = parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n"))
         assert not data.grid.valid[1, 1]
         assert data.grid.valid.sum() == 3
-        assert np.isnan(data["freespace"].patterns[0].values[1, 1])
+        assert np.isnan(data.modes["freespace"].patterns[0].values[1, 1])
 
     def test_unknown_mode_rejected(self, tmp_path):
         text = SMALL_CSV.replace("freespace", "absorber")
@@ -244,8 +185,9 @@ class TestParse:
         lines = SMALL_CSV.splitlines()
         lines[3:3] = ["", " ", "\t"]
         data = parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n\n"))
-        np.testing.assert_array_equal(data["freespace"].patterns[1].values,
-                                      [[-40.0, -41.0], [-42.0, -43.0]])
+        np.testing.assert_array_equal(
+            data.modes["freespace"].patterns[1].values,
+            [[-40.0, -41.0], [-42.0, -43.0]])
 
     def test_duplicate_in_shuffled_file_cites_physical_lines(self, tmp_path):
         rows = SMALL_CSV.splitlines()[1:]
@@ -267,13 +209,13 @@ class TestParse:
         text = SMALL_CSV.replace(",1,freespace,", ",5,freespace,")
         data = parse_scan_csv(_write(tmp_path, text))
         assert data.beam_ids["freespace"] == (0, 5)
-        assert data["freespace"].patterns[1].values[0, 0] == -40.0
+        assert data.modes["freespace"].patterns[1].values[0, 0] == -40.0
 
     def test_infinite_values(self, tmp_path):
         # -inf is floored like any value below the floor; +inf is refused
         data = parse_scan_csv(_write(tmp_path, SMALL_CSV.replace(
             "-51.000000", "-inf")))
-        assert data["freespace"].patterns[0].values[0, 1] == -200.0
+        assert data.modes["freespace"].patterns[0].values[0, 1] == -200.0
         with pytest.raises(DataError, match="non-finite value"):
             parse_scan_csv(_write(tmp_path, SMALL_CSV.replace(
                 "-51.000000", "inf")))
@@ -383,7 +325,7 @@ class TestWrite:
         write_scan_csv(path, {"freespace": pset})
         back = parse_scan_csv(path)
         assert back.grid == grid
-        got = back["freespace"]
+        got = back.modes["freespace"]
         for a, b in zip(pset.patterns, got.patterns):
             np.testing.assert_allclose(a.values, b.values, atol=5e-7)
 

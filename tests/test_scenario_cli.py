@@ -450,6 +450,12 @@ S1_MALFORMED = [
     (("masks", "true_hand", 0, "phi"), "12", "masks"),
     (("models", "names"), "3gpp-flat-30", "models"),
     (("models", "region", "theta"), "69", "models"),
+    # NaN and Infinity would reach summary.json, which must be valid JSON
+    (("thresholds_dbm",), [math.nan, -40], "thresholds_dbm"),
+    (("thresholds_dbm",), [math.inf], "thresholds_dbm"),
+    (("delta5_dbm",), -math.inf, "delta5_dbm"),
+    (("array", "tx_power_dbm"), math.nan, "array"),
+    (("array", "element_peak_gain_dbi"), math.inf, "array"),
 ]
 # A fixed pair takes exactly two items: no item is dropped or made up.
 S1_BAD_PAIRS = [
@@ -489,6 +495,23 @@ def test_bad_pair_names_its_length(path, value, block):
         scenario_from_dict(doc)
     assert str(err.value) == (f"bad {block}: expected 2 items, "
                               f"got {len(value)}")
+
+
+# Every dB flag and the commands that take it.
+DB_FLAGS = [("cdf", "--threshold"), ("roi", "--delta1"), ("roi", "--delta2"),
+            ("roi", "--delta3"), ("roi", "--delta4"), ("roi", "--delta5"),
+            ("stats", "--delta5"), ("compare", "--delta5")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", DB_FLAGS)
+def test_non_finite_flag_is_usage_error(tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    code, stdout, err = _run([command, "--scenario", "s1_patch_portrait_hard",
+                              f"{flag}={value}", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert f"error: argument {flag}: must be finite, got '{value}'" in err
+    assert not out.exists()
 
 
 def _loose_grip(tmp_path):
@@ -566,6 +589,13 @@ def _mutated_minimal(draw):
     return _replaced(MINIMAL, path, value)
 
 
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _check_exit(code, err):
     assert code in (0, 1, 2)
     if code:
@@ -578,8 +608,10 @@ def test_fuzz_stats_on_mutated_scenario(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(doc))
-        code, _, err = _run(["stats", "--scenario", str(path)])
+        code, out, err = _run(["stats", "--scenario", str(path)])
     _check_exit(code, err)
+    if code == 0:
+        _strict_json(out)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -592,5 +624,7 @@ def test_fuzz_report_on_mutated_scenario(doc):
         code, _, err = _run(["report", "--scenario", str(path),
                              "--out", str(out)])
         _check_exit(code, err)
+        if code == 0:
+            _strict_json((out / "summary.json").read_text())
         for svg in out.glob("*.svg"):
             ET.parse(svg)
