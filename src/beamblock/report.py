@@ -62,8 +62,6 @@ def _range_str(pair) -> str:
 
 def write_report(scenario: Scenario, out_dir) -> dict:
     """Write the full bundle into ``out_dir``; returns the JSON payload."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     study = Study(build_patterns(scenario))
     weights = study.weights
     summary = study_summary(study, "true_hand", scenario.thresholds_dbm,
@@ -113,6 +111,9 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                             for r in body.percentiles],
         }
 
+    # Made only now, so a data error above leaves no empty directory.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["study", "subarray", "orientation", "grip",

@@ -16,7 +16,6 @@ free-pattern half of its rule.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,10 +157,10 @@ def roi_improvement(base: RoIMask, enhanced: RoIMask,
 def write_roi_csv(mask: RoIMask, path) -> None:
     """Dump a region as one `phi,theta,in_roi` row per grid point."""
     grid = mask.grid
+    phis = [repr(float(phi)) for phi in grid.phi]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi", "theta", "in_roi"])
-        for i, theta in enumerate(grid.theta):
-            for j, phi in enumerate(grid.phi):
-                writer.writerow([repr(float(phi)), repr(float(theta)),
-                                 int(mask.mask[i, j])])
+        fh.write("phi,theta,in_roi\n")
+        for theta, row in zip(grid.theta.tolist(),
+                              mask.mask.astype(int).tolist()):
+            fh.write("".join([f"{phi},{theta!r},{m}\n"
+                              for phi, m in zip(phis, row)]))

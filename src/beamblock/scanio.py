@@ -227,10 +227,10 @@ def write_scan_csv(path, data) -> None:
             grid = modes[mode].grid
             phis = [repr(float(x)) for x in grid.phi]
             thetas = [repr(float(x)) for x in grid.theta]
-            points = [f"{phis[j]},{thetas[i]},"
-                      for i, j in np.argwhere(grid.valid).tolist()]
+            # %(b)s takes the beam; no repr(float) or mode holds a '%'
+            rows = "".join([f"{phis[j]},{thetas[i]},%(b)s,{mode},%%.6f\n"
+                            for i, j in np.argwhere(grid.valid).tolist()])
             ids = beam_ids.get(mode) or range(len(modes[mode]))
             for beam, pattern in zip(ids, modes[mode]):
-                fh.write("".join([f"{p}{beam},{mode},{v:.6f}\n" for p, v in
-                                  zip(points, pattern.values[grid.valid]
-                                      .tolist())]))
+                fh.write(rows % {"b": beam} % tuple(
+                    pattern.values[grid.valid].tolist()))

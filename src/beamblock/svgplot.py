@@ -24,6 +24,10 @@ _RAMP = (
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                  "#8c564b")
 
+# Segment i of the ramp runs from _LO[i] to _HI[i].
+_LO, _HI = np.array(_RAMP[:-1]), np.array(_RAMP[1:])
+_HEX = np.array([f"{k:02x}" for k in range(256)])
+
 _INVALID_FILL = "#d9d9d9"
 _FONT = 'font-family="DejaVu Sans, sans-serif"'
 
@@ -32,13 +36,15 @@ def _f(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ramp_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_RAMP) - 1)
-    i = min(int(pos), len(_RAMP) - 2)
-    frac = pos - i
-    rgb = [(1 - frac) * a + frac * b for a, b in zip(_RAMP[i], _RAMP[i + 1])]
-    return "#" + "".join(f"{int(round(255 * c)):02x}" for c in rgb)
+def _ramp_colors(t: np.ndarray) -> np.ndarray:
+    """``#rrggbb`` of each ``t`` on the ramp, ``t`` clipped to [0, 1]."""
+    pos = np.clip(t, 0.0, 1.0) * (len(_RAMP) - 1)
+    i = np.minimum(pos.astype(int), len(_RAMP) - 2)
+    frac = (pos - i)[:, None]
+    # np.rint rounds half to even, like round()
+    hexes = _HEX[np.rint(255 * ((1 - frac) * _LO[i] + frac * _HI[i]))
+                 .astype(int)]
+    return "#" + hexes[:, 0] + hexes[:, 1] + hexes[:, 2]
 
 
 def _svg_open(width: float, height: float, title: str) -> list[str]:
@@ -64,17 +70,15 @@ def heatmap_svg(pattern: Pattern, title: str, span_db: float = 40.0) -> str:
     finite = pattern.values[grid.valid]
     vmin = max(float(np.nanmin(finite)), vmax - span_db)
     out = _svg_open(width, height, title)
-    for it in range(n_t):
-        for ip in range(n_p):
-            x, y = ml + ip * cell, mt + it * cell
-            if not grid.valid[it, ip]:
-                fill = _INVALID_FILL
-            else:
-                v = pattern.values[it, ip]
-                t = (v - vmin) / (vmax - vmin) if vmax > vmin else 1.0
-                fill = _ramp_color(t)
-            out.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(cell)}" '
-                       f'height="{_f(cell)}" fill="{fill}"/>')
+    fills = np.full(grid.shape, _INVALID_FILL)
+    t = ((finite - vmin) / (vmax - vmin) if vmax > vmin
+         else np.ones(finite.size))
+    fills[grid.valid] = _ramp_colors(t)
+    xs = [f'<rect x="{_f(ml + ip * cell)}" y="' for ip in range(n_p)]
+    for it, row in enumerate(fills.tolist()):
+        tail = (f'{_f(mt + it * cell)}" width="{_f(cell)}" '
+                f'height="{_f(cell)}" fill="')
+        out.extend([x + tail + fill + '"/>' for x, fill in zip(xs, row)])
     out.append(f'<rect x="{_f(ml)}" y="{_f(mt)}" width="{_f(plot_w)}" '
                f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>')
     # axis ticks: phi every 60 deg, theta every 30 deg
@@ -107,11 +111,11 @@ def heatmap_svg(pattern: Pattern, title: str, span_db: float = 40.0) -> str:
     # colorbar
     cb_x, cb_w, n_seg = ml + plot_w + 18, 14.0, 64
     seg_h = plot_h / n_seg
-    for s in range(n_seg):
-        t = 1.0 - (s + 0.5) / n_seg
+    colors = _ramp_colors(1.0 - (np.arange(n_seg) + 0.5) / n_seg)
+    for s, fill in enumerate(colors.tolist()):
         y = mt + s * seg_h
         out.append(f'<rect x="{_f(cb_x)}" y="{_f(y)}" width="{_f(cb_w)}" '
-                   f'height="{_f(seg_h + 0.5)}" fill="{_ramp_color(t)}"/>')
+                   f'height="{_f(seg_h + 0.5)}" fill="{fill}"/>')
     out.append(f'<rect x="{_f(cb_x)}" y="{_f(mt)}" width="{_f(cb_w)}" '
                f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>')
     for frac, val in ((0.0, vmax), (0.5, (vmax + vmin) / 2), (1.0, vmin)):

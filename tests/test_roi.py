@@ -1,6 +1,7 @@
 """Region-of-interest laws over free and blocked overlay patterns."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -241,3 +242,29 @@ class TestMaskMechanics:
             j = int(np.argmin(np.abs(grid.phi - float(row["phi"]))))
             got[i, j] = row["in_roi"] == "1"
         assert np.array_equal(got, mask.mask)
+
+
+def _csv_writer_roi(mask):
+    """The per-point csv.writer dump that write_roi_csv must reproduce."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["phi", "theta", "in_roi"])
+    for i, theta in enumerate(mask.grid.theta):
+        for j, phi in enumerate(mask.grid.phi):
+            writer.writerow([repr(float(phi)), repr(float(theta)),
+                             int(mask.mask[i, j])])
+    return out.getvalue()
+
+
+def test_roi_csv_bytes_match_csv_writer_loop(tmp_path):
+    # long axis reprs (7.2 * k) and an interior invalid band
+    grid = with_invalid_band(make_grid(7.2, 3.6, 176.4), 80.0, 100.0)
+    assert repr(float(grid.theta[3])) == "25.200000000000003"
+    rng = np.random.default_rng(5)
+    free = _pattern(grid, rng.uniform(-60.0, 0.0, size=grid.shape))
+    blocked = _pattern(grid, rng.uniform(-80.0, -5.0, size=grid.shape))
+    path = tmp_path / "roi_mask.csv"
+    for mask in (roi_r1(free, 10.0), roi_r5(free, blocked, -20.0),
+                 roi_r1(free, 0.0)):
+        write_roi_csv(mask, path)
+        assert path.read_bytes() == _csv_writer_roi(mask).encode()

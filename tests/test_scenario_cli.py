@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beamblock import cli, scenario as scenario_mod, synth
@@ -550,6 +550,18 @@ class TestEmptyMatchedR1:
                              "--delta5", "40"])
         assert code == 1 and err.startswith("error:")
 
+    def test_report_data_error_leaves_no_directory(self, tmp_path):
+        d = _bundled_json("s1_patch_portrait_hard")
+        d["delta5_dbm"] = 40
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "rep"
+        code, _, err = _run(["report", "--scenario", str(path),
+                             "--out", str(out)])
+        assert code == 1
+        assert err == "error: region contains no weighted valid points\n"
+        assert not out.exists()
+
 
 def _json_paths(node, path=()):
     yield path
@@ -596,6 +608,18 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+# Non-finite thresholds and delta5_dbm, which the derandomized draws miss.
+_NON_FINITE = [_replaced(MINIMAL, path, value)
+               for path in (("thresholds_dbm", 0), ("delta5_dbm",))
+               for value in (math.nan, math.inf, -math.inf)]
+
+
+def _with_examples(test):
+    for doc in reversed(_NON_FINITE):
+        test = example(doc)(test)
+    return test
+
+
 def _check_exit(code, err):
     assert code in (0, 1, 2)
     if code:
@@ -603,6 +627,7 @@ def _check_exit(code, err):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
+@_with_examples
 @given(_mutated_minimal())
 def test_fuzz_stats_on_mutated_scenario(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -615,6 +640,7 @@ def test_fuzz_stats_on_mutated_scenario(doc):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
+@_with_examples
 @given(_mutated_minimal())
 def test_fuzz_report_on_mutated_scenario(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -626,5 +652,7 @@ def test_fuzz_report_on_mutated_scenario(doc):
         _check_exit(code, err)
         if code == 0:
             _strict_json((out / "summary.json").read_text())
+        else:
+            assert not out.exists()
         for svg in out.glob("*.svg"):
             ET.parse(svg)
