@@ -44,7 +44,9 @@ def _ramp_colors(t: np.ndarray) -> np.ndarray:
     # np.rint rounds half to even, like round()
     hexes = _HEX[np.rint(255 * ((1 - frac) * _LO[i] + frac * _HI[i]))
                  .astype(int)]
-    return "#" + hexes[:, 0] + hexes[:, 1] + hexes[:, 2]
+    # np.char.add, not "+": numpy < 2 has no add loop for str arrays
+    add = np.char.add
+    return add(add(add("#", hexes[:, 0]), hexes[:, 1]), hexes[:, 2])
 
 
 def _svg_open(width: float, height: float, title: str) -> list[str]:
