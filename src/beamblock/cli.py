@@ -77,7 +77,7 @@ _ROI_KINDS = {
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -96,7 +96,7 @@ def _cmd_synth(args) -> int:
 def _cmd_overlay(args) -> int:
     overlay = _load_study(args)[0].overlay(args.mode)
     svg = heatmap_svg(overlay, f"{args.mode} best-beam EIRP (dBm)")
-    Path(args.out).write_text(svg)
+    Path(args.out).write_text(svg, encoding="utf-8")
     return 0
 
 
@@ -108,7 +108,8 @@ def _cmd_cdf(args) -> int:
     if args.out:
         Path(args.out).write_text(
             cdf_svg([(mode, study.cdf(mode)) for mode in modes],
-                    "sphere coverage CDF", "best-beam EIRP (dBm)"))
+                    "sphere coverage CDF", "best-beam EIRP (dBm)"),
+            encoding="utf-8")
     for mode in modes:
         if args.threshold is not None:
             pct = coverage_above(study.overlay(mode), study.weights,
@@ -174,10 +175,11 @@ def _cmd_compare(args) -> int:
     else:
         names = (args.models.split(",") if args.models
                  else ["prior-hand-15.3", "prior-body-8.5"])
+        preset_region = scenario.model_region if scenario else None
         for name in names:
             name = name.strip()
             if name:
-                candidates[name] = model_preset(name)
+                candidates[name] = model_preset(name, region=preset_region)
     report = compare_models(free, candidates, region, study.weights)
     _emit(dict(comparison_dict(report), delta5_dbm=args.delta5,
                conventions=CONVENTIONS), args.out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import Pattern, PatternSet, WeightField
+from .grid import Pattern, PatternSet, WeightField, fraction_of_sphere
 
 PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
                          "sample value v with weighted mass(value >= v) "
@@ -23,8 +23,7 @@ PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
 def overlay_best_beam(pset: PatternSet) -> Pattern:
     """Pointwise maximum EIRP over the codebook's beams."""
     return Pattern.from_values(pset.grid,
-                               np.max([p.values for p in pset], axis=0),
-                               kind=pset[0].kind)
+                               np.max([p.values for p in pset], axis=0))
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,8 @@ def coverage_above(pattern: Pattern, weights: WeightField,
     """Percent of the valid sphere with value >= threshold (non-strict)."""
     if pattern.grid != weights.grid:
         raise DataError("pattern and weights must share one grid")
-    hit = pattern.values >= threshold
-    return 100.0 * float(weights.weights[hit & pattern.grid.valid].sum())
+    # invalid points hold NaN, which compares False
+    return fraction_of_sphere(pattern.values >= threshold, weights)
 
 
 def percentile_value(cdf: WeightedCDF, p: float) -> float:

@@ -88,10 +88,6 @@ class AngularGrid:
         return hash((self.phi.tobytes(), self.theta.tobytes(),
                      self.valid.tobytes()))
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcast (theta, phi) matrices of shape ``self.shape``."""
-        return np.meshgrid(self.theta, self.phi, indexing="ij")
-
 
 def make_grid(phi_step: float, theta_min: float, theta_max: float,
               theta_step: float | None = None) -> AngularGrid:
@@ -201,19 +197,15 @@ class Pattern:
 
     grid: AngularGrid
     values: np.ndarray
-    kind: str = "eirp"
 
     def __post_init__(self):
         v = _as_readonly(np.asarray(self.values, dtype=float))
         if v.shape != self.grid.shape:
             raise ConfigError("values shape must match the grid")
-        if self.kind not in ("eirp", "loss"):
-            raise ConfigError("pattern kind must be 'eirp' or 'loss'")
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, grid: AngularGrid, values: np.ndarray,
-                    kind: str = "eirp") -> "Pattern":
+    def from_values(cls, grid: AngularGrid, values: np.ndarray) -> "Pattern":
         """Clamp to the floor, blank invalid points, and wrap."""
         v = np.array(values, dtype=float)
         if v.shape != grid.shape:
@@ -222,19 +214,10 @@ class Pattern:
         v[v < FLOOR_DB] = FLOOR_DB
         if np.any(~np.isfinite(v) & grid.valid):
             raise DataError("non-finite value at a valid grid point")
-        return cls(grid=grid, values=v, kind=kind)
-
-    def valid_values(self) -> np.ndarray:
-        """Flat array of values at valid points."""
-        return self.values[self.grid.valid]
+        return cls(grid=grid, values=v)
 
     def max_value(self) -> float:
         return float(np.nanmax(self.values[self.grid.valid]))
-
-    def shifted(self, delta_db: float) -> "Pattern":
-        """Same field with ``delta_db`` subtracted everywhere."""
-        return Pattern.from_values(self.grid, self.values - delta_db,
-                                   kind=self.kind)
 
 
 @dataclass(frozen=True)
@@ -261,6 +244,3 @@ class PatternSet:
 
     def __iter__(self):
         return iter(self.patterns)
-
-    def __getitem__(self, i: int) -> Pattern:
-        return self.patterns[i]

@@ -52,11 +52,10 @@ class Study:
 
 
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
-    """Pointwise free minus blocked, as a loss-kind pattern."""
+    """Pointwise free minus blocked, in dB."""
     if free.grid != blocked.grid:
         raise DataError("free and blocked patterns must share one grid")
-    return Pattern.from_values(free.grid, free.values - blocked.values,
-                               kind="loss")
+    return Pattern.from_values(free.grid, free.values - blocked.values)
 
 
 @dataclass(frozen=True)

@@ -37,27 +37,25 @@ PRESET_LOSSES_DB = {
 
 @dataclass(frozen=True)
 class BlockageModel:
-    """One predictive model; build via the constructor helpers below."""
+    """``loss_db`` everywhere, or only inside ``region`` if one is given;
+    build via the constructor helpers below."""
 
-    kind: str
     loss_db: float
     region: MaskRegion | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant_loss", "flat_region"):
-            raise ConfigError(f"unknown model kind: {self.kind!r}")
         if not np.isfinite(self.loss_db):
             raise ConfigError("loss_db must be finite")
 
 
 def constant_loss(loss_db: float) -> BlockageModel:
-    return BlockageModel(kind="constant_loss", loss_db=float(loss_db))
+    return BlockageModel(loss_db=float(loss_db))
 
 
 def flat_region(region: MaskRegion, loss_db: float) -> BlockageModel:
     if region.edge_taper_deg != 0.0:
         raise ConfigError("flat_region models use sharp regions (taper 0)")
-    return BlockageModel(kind="flat_region", loss_db=float(loss_db),
+    return BlockageModel(loss_db=float(loss_db),
                          region=replace(region, delta_db=float(loss_db)))
 
 
@@ -76,14 +74,14 @@ def model_preset(name: str, region: MaskRegion | None = None) -> BlockageModel:
 def apply_model(free: Pattern, model: BlockageModel) -> Pattern:
     """Predicted blocked pattern: ``free`` minus the model's dB delta."""
     grid = free.grid
-    if model.kind == "constant_loss":
+    if model.region is None:
         delta = model.loss_db
     else:
         r = model.region
         if not (grid.theta[0] <= r.theta_lo and r.theta_hi <= grid.theta[-1]):
             raise DataError("model region lies outside the grid")
         delta = BlockageMask(regions=(r,)).delta_field(grid)
-    return Pattern.from_values(grid, free.values - delta, kind=free.kind)
+    return Pattern.from_values(grid, free.values - delta)
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,12 @@ class CrossOver:
 class ComparisonReport:
     candidates: tuple[CandidateResult, ...]
     crossovers: tuple[CrossOver, ...]
-    percentiles: tuple[float, ...] = DELTA_PERCENTILES
 
 
 def comparison_dict(report: ComparisonReport) -> dict:
     """JSON form of a comparison; deltas keyed by percentile, descending."""
     return {
-        "percentiles": list(report.percentiles),
+        "percentiles": list(DELTA_PERCENTILES),
         "candidates": [
             {"name": c.name,
              "deltas_db": {f"{p:g}": c.deltas_db[p]
@@ -141,15 +138,14 @@ def _cdf_crossovers(a: WeightedCDF, b: WeightedCDF) -> list[float]:
 
 
 def compare_models(free: Pattern, candidates: dict, roi: RoIMask,
-                   weights: WeightField,
-                   percentiles=DELTA_PERCENTILES) -> ComparisonReport:
+                   weights: WeightField) -> ComparisonReport:
     """Score candidate blocked overlays against the free one over ``roi``.
 
     ``candidates`` maps names to blocked Patterns or BlockageModels (models
     are applied to ``free`` first); an iterable of (name, candidate) pairs
-    works too. Deltas are free minus candidate at each percentile of the
-    region-restricted weighted CDFs; cross-overs are detected between every
-    candidate pair.
+    works too. Deltas are free minus candidate at each DELTA_PERCENTILES
+    level of the region-restricted weighted CDFs; cross-overs are detected
+    between every candidate pair.
     """
     candidates = dict(candidates)
     if not candidates:
@@ -160,8 +156,8 @@ def compare_models(free: Pattern, candidates: dict, roi: RoIMask,
         pattern = apply_model(free, cand) if isinstance(cand, BlockageModel) \
             else cand
         cdf = weighted_cdf(pattern, weights, mask=roi)
-        deltas = {float(p): percentile_value(free_cdf, p)
-                  - percentile_value(cdf, p) for p in percentiles}
+        deltas = {p: percentile_value(free_cdf, p) - percentile_value(cdf, p)
+                  for p in DELTA_PERCENTILES}
         results.append(CandidateResult(name=name, deltas_db=deltas, cdf=cdf))
     crossovers = []
     for ra, rb in itertools.combinations(results, 2):
@@ -169,5 +165,4 @@ def compare_models(free: Pattern, candidates: dict, roi: RoIMask,
             crossovers.append(CrossOver(name_a=ra.name, name_b=rb.name,
                                         value_dbm=level))
     return ComparisonReport(candidates=tuple(results),
-                            crossovers=tuple(crossovers),
-                            percentiles=tuple(float(p) for p in percentiles))
+                            crossovers=tuple(crossovers))

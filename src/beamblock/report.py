@@ -114,7 +114,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     # Made only now, so a data error above leaves no empty directory.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", newline="") as fh:
+    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["study", "subarray", "orientation", "grip",
                     "gross_loss_db", "rel_coverage_lost_pct",
@@ -125,7 +125,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                     _range_str(h["rel_coverage_lost_pct"]),
                     _range_str(h["roi_improvement_pct"])])
 
-    with open(out / "coverage.csv", "w", newline="") as fh:
+    with open(out / "coverage.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(list(thresholds[0]))
         for r in thresholds:
@@ -133,14 +133,15 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                        [("n/a" if v is None else f"{v:.4f}")
                         for v in list(r.values())[1:]])
 
-    with open(out / "percentiles.csv", "w", newline="") as fh:
+    with open(out / "percentiles.csv", "w", newline="",
+              encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["percentile", "free_dbm", "blocked_dbm", "loss_db"])
         for r in summary.percentiles:
             w.writerow([f"{r.percentile:g}", f"{r.free_dbm:.4f}",
                         f"{r.blocked_dbm:.4f}", f"{r.loss_db:.4f}"])
 
-    with open(out / "summary.json", "w") as fh:
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -152,14 +153,14 @@ def write_report(scenario: Scenario, out_dir) -> dict:
         if mode in study.modes:
             (out / f"overlay_{mode}.svg").write_text(heatmap_svg(
                 study.overlay(mode),
-                f"{title}: {label} best-beam EIRP (dBm)"))
+                f"{title}: {label} best-beam EIRP (dBm)"), encoding="utf-8")
             curves.append((mode, study.cdf(mode)))
     (out / "eirp_cdf.svg").write_text(
         cdf_svg(curves, f"{title}: sphere coverage CDF",
-                "best-beam EIRP (dBm)"))
+                "best-beam EIRP (dBm)"), encoding="utf-8")
     loss_curve = [("loss over R5", weighted_cdf(loss, weights,
                                                 mask=enhanced))]
     (out / "loss_cdf.svg").write_text(
         cdf_svg(loss_curve, f"{title}: blockage loss CDF",
-                "blockage loss (dB)", gaussian=fit))
+                "blockage loss (dB)", gaussian=fit), encoding="utf-8")
     return payload

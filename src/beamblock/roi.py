@@ -44,12 +44,6 @@ class RoIMask:
     def coverage(self, weights: WeightField) -> float:
         return fraction_of_sphere(self, weights)
 
-    def union(self, other: "RoIMask", kind: str, params: dict) -> "RoIMask":
-        if self.grid != other.grid:
-            raise DataError("regions must share one grid")
-        return RoIMask(grid=self.grid, mask=self.mask | other.mask,
-                       kind=kind, params=params)
-
 
 def _check_pair(free: Pattern, blocked: Pattern) -> None:
     if free.grid != blocked.grid:
@@ -74,10 +68,9 @@ def _r1_plus(kind: str, free: Pattern, blocked: Pattern, delta1: float,
              blocked_thr: float, params: dict) -> RoIMask:
     """R1, extended by blocked points at or above ``blocked_thr``."""
     _check_pair(free, blocked)
-    extra = RoIMask(grid=free.grid, mask=blocked.values >= blocked_thr,
-                    kind=kind)
-    return roi_r1(free, delta1).union(extra, kind,
-                                      {"delta1": delta1, **params})
+    mask = roi_r1(free, delta1).mask | (blocked.values >= blocked_thr)
+    return RoIMask(grid=free.grid, mask=mask, kind=kind,
+                   params={"delta1": delta1, **params})
 
 
 def roi_r2(free: Pattern, blocked: Pattern, delta1: float,

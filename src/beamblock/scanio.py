@@ -204,7 +204,7 @@ def parse_scan_csv(path) -> ScanData:
     for s, values in zip(series.tolist(), cube):
         name = MODES[s // len(beams)]
         patterns.setdefault(name, []).append(
-            Pattern.from_values(grid, values, kind="eirp"))
+            Pattern.from_values(grid, values))
         beam_ids[name] = beam_ids.get(name, ()) + (int(beams[s % len(beams)]),)
     return ScanData(grid=grid, beam_ids=beam_ids, modes={
         m: PatternSet(patterns=tuple(p)) for m, p in patterns.items()})
@@ -221,7 +221,7 @@ def write_scan_csv(path, data) -> None:
                        if isinstance(data, ScanData) else (data, {}))
     if not set(modes) <= set(MODES):
         raise DataError(f"unknown mode {min(set(modes) - set(MODES))!r}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for mode in sorted(modes):
             grid = modes[mode].grid

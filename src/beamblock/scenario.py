@@ -29,7 +29,8 @@ _OPTIONAL_KEYS = {"title", "invalid_theta_band"}
 @dataclass(frozen=True)
 class Scenario:
     """One study's full configuration; ``models`` maps each comparison
-    preset name, in file order, to its BlockageModel."""
+    preset name, in file order, to its BlockageModel, and ``model_region``
+    is the region those presets were built with (None if there is none)."""
 
     name: str
     title: str
@@ -44,6 +45,7 @@ class Scenario:
     percentiles: tuple[float, ...]
     delta5_dbm: float
     models: dict
+    model_region: MaskRegion | None
 
 
 def _list(value, n=None):
@@ -159,13 +161,13 @@ def scenario_from_dict(d: dict) -> Scenario:
         subarray=str(d["subarray"]), orientation=str(d["orientation"]),
         grip=str(d["grip"]), grid=grid, config=config, beams=tuple(beams),
         masks=masks, thresholds_dbm=thresholds, percentiles=percentiles,
-        delta5_dbm=delta5, models=models)
+        delta5_dbm=delta5, models=models, model_region=region)
 
 
 def load_scenario(path) -> Scenario:
-    """Load a scenario JSON file."""
+    """Load a scenario JSON file, UTF-8 encoded."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
@@ -188,7 +190,8 @@ def load_bundled(name: str) -> Scenario:
     if not candidate.is_file():
         raise ConfigError(f"no bundled scenario named {name!r}; "
                           f"available: {', '.join(list_bundled())}")
-    return scenario_from_dict(json.loads(candidate.read_text()))
+    text = candidate.read_text(encoding="utf-8")
+    return scenario_from_dict(json.loads(text))
 
 
 def build_patterns(scenario: Scenario) -> dict:

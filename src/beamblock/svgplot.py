@@ -30,6 +30,7 @@ _HEX = np.array([f"{k:02x}" for k in range(256)])
 
 _INVALID_FILL = "#d9d9d9"
 _FONT = 'font-family="DejaVu Sans, sans-serif"'
+_SPAN_DB = 40.0  # depth of the heatmap color scale below its peak
 
 
 def _f(x: float) -> str:
@@ -60,7 +61,7 @@ def _svg_open(width: float, height: float, title: str) -> list[str]:
     ]
 
 
-def heatmap_svg(pattern: Pattern, title: str, span_db: float = 40.0) -> str:
+def heatmap_svg(pattern: Pattern, title: str) -> str:
     """Azimuth-elevation heatmap of a pattern, invalid points in gray."""
     grid = pattern.grid
     n_t, n_p = grid.shape
@@ -70,7 +71,7 @@ def heatmap_svg(pattern: Pattern, title: str, span_db: float = 40.0) -> str:
     width, height = ml + plot_w + mr, mt + plot_h + mb
     vmax = pattern.max_value()
     finite = pattern.values[grid.valid]
-    vmin = max(float(np.nanmin(finite)), vmax - span_db)
+    vmin = max(float(np.nanmin(finite)), vmax - _SPAN_DB)
     out = _svg_open(width, height, title)
     fills = np.full(grid.shape, _INVALID_FILL)
     t = ((finite - vmin) / (vmax - vmin) if vmax > vmin

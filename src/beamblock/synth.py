@@ -71,11 +71,6 @@ class BeamSpec:
                 raise ConfigError("amplitude taper entries must be in [0, 1]")
             object.__setattr__(self, "amplitude_taper", t)
 
-    @property
-    def label(self) -> str:
-        sign = "+" if self.scan_deg >= 0 else "-"
-        return f"scan{sign}{abs(self.scan_deg):g}"
-
 
 def quantize_phases_deg(phases_deg: np.ndarray, bits: int) -> np.ndarray:
     """Snap phases to the 360/2^bits lattice, ties toward the lower phase."""
@@ -176,11 +171,10 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     """EIRP pattern per codebook beam on ``grid``, floor-clamped."""
     if not beams:
         raise ConfigError("at least one beam is required")
-    tt, pp = grid.mesh()
-    base, phasors = _eirp_terms(config, pp, tt)
+    base, phasors = _eirp_terms(config, grid.phi, grid.theta[:, None])
     return PatternSet(patterns=tuple(
         Pattern.from_values(grid, base + _array_factor_db(
-            config, steering_weights(config, beam), phasors), kind="eirp")
+            config, steering_weights(config, beam), phasors))
         for beam in beams))
 
 
@@ -260,6 +254,6 @@ class BlockageMask:
 def apply_blockage_mask(free: PatternSet, mask: BlockageMask) -> PatternSet:
     """Subtract the mask's delta field from every beam pattern."""
     delta = mask.delta_field(free.grid)
-    blocked = tuple(Pattern.from_values(p.grid, p.values - delta, kind=p.kind)
+    blocked = tuple(Pattern.from_values(p.grid, p.values - delta)
                     for p in free)
     return PatternSet(patterns=blocked)

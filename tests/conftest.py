@@ -13,8 +13,8 @@ def dyadic(rng, shape, lo=-60.0, hi=10.0):
     return steps.astype(float) / 1024.0
 
 
-def pattern_on(grid: AngularGrid, values, kind="eirp") -> Pattern:
-    return Pattern.from_values(grid, np.asarray(values, dtype=float), kind=kind)
+def pattern_on(grid: AngularGrid, values) -> Pattern:
+    return Pattern.from_values(grid, np.asarray(values, dtype=float))
 
 
 @pytest.fixture(scope="session")

@@ -37,9 +37,8 @@ value_arrays = arrays(np.float64, (3, 4),
                                          allow_infinity=False))
 
 
-def _pattern(grid, values, kind="eirp"):
-    return Pattern.from_values(grid, np.asarray(values, dtype=float),
-                               kind=kind)
+def _pattern(grid, values):
+    return Pattern.from_values(grid, np.asarray(values, dtype=float))
 
 
 def _hpbw_deg(config, scan_deg):
@@ -239,8 +238,7 @@ def test_criterion_5_loss_statistics_oracle():
     rng = np.random.default_rng(127)
     for mu, sigma in ((13.9, 9.2), (15.4, 7.5)):
         loss = _pattern(grid, rng.normal(mu, sigma,
-                                         size=grid.valid.shape),
-                        kind="loss")
+                                         size=grid.valid.shape))
         stats = loss_stats(loss, full, weights)
         assert stats.mean_db == pytest.approx(mu, abs=0.5)
         assert stats.median_db == pytest.approx(mu, abs=0.5)
@@ -249,8 +247,8 @@ def test_criterion_5_loss_statistics_oracle():
     # constant-shift scenario: dyadic values keep the field exactly flat
     steps = rng.integers(-50 * 1024, 0, size=grid.valid.shape)
     free = _pattern(grid, steps / 1024.0)
-    blocked = free.shifted(7.0)
-    loss = _pattern(grid, free.values - blocked.values, kind="loss")
+    blocked = _pattern(grid, free.values - 7.0)
+    loss = _pattern(grid, free.values - blocked.values)
     stats = loss_stats(loss, full, weights)
     assert stats.mean_db == 7.0
     assert stats.median_db == 7.0

@@ -22,8 +22,7 @@ def _two_point_grid():
 
 
 def _pattern(grid, values):
-    return Pattern.from_values(grid, np.asarray(values, dtype=float),
-                               kind="eirp")
+    return Pattern.from_values(grid, np.asarray(values, dtype=float))
 
 
 def oracle_percentile(values, weights, p):
@@ -62,8 +61,7 @@ class TestOverlay:
 
     def test_invalid_points_flagged(self):
         grid = with_invalid_band(make_grid(5.0, 5.0, 175.0), 5.0, 10.0)
-        pat = Pattern.from_values(grid, np.zeros(grid.valid.shape),
-                                  kind="eirp")
+        pat = Pattern.from_values(grid, np.zeros(grid.valid.shape))
         over = overlay_best_beam(PatternSet(patterns=[pat]))
         assert np.isnan(over.values[:2]).all()
         assert (over.values[2:] == 0.0).all()
@@ -194,7 +192,7 @@ class TestPercentiles:
         weights = solid_angle_weights(full_grid)
         vals = rng.integers(-70 * 1024, 0, size=full_grid.valid.shape)
         free = _pattern(full_grid, vals / 1024.0)
-        blocked = free.shifted(30.0)
+        blocked = _pattern(free.grid, free.values - 30.0)
         f_cdf = weighted_cdf(free, weights)
         b_cdf = weighted_cdf(blocked, weights)
         for p in PROBE_PERCENTILES:
@@ -238,14 +236,16 @@ class TestCoverageLost:
     def test_zero_free_coverage_gives_none(self, tiny_grid):
         weights = solid_angle_weights(tiny_grid)
         pat = _pattern(tiny_grid, np.full((2, 4), -90.0))
-        lost = coverage_lost(pat, pat.shifted(10.0), weights, -35.0)
+        blocked = _pattern(tiny_grid, pat.values - 10.0)
+        lost = coverage_lost(pat, blocked, weights, -35.0)
         assert lost.free_pct == 0.0
         assert lost.rel_lost_pct is None
 
     def test_dataclass_fields(self, tiny_grid):
         weights = solid_angle_weights(tiny_grid)
         free = _pattern(tiny_grid, np.full((2, 4), -30.0))
-        lost = coverage_lost(free, free.shifted(10.0), weights, -35.0)
+        blocked = _pattern(tiny_grid, free.values - 10.0)
+        lost = coverage_lost(free, blocked, weights, -35.0)
         assert isinstance(lost, CoverageLost)
         assert lost.threshold == -35.0
         assert lost.free_pct == pytest.approx(100.0)

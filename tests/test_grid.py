@@ -200,55 +200,44 @@ class TestFractionOfSphere:
 class TestPattern:
     def test_from_values_basic(self, tiny_grid):
         values = np.arange(8.0).reshape(2, 4)
-        pat = Pattern.from_values(tiny_grid, values, kind="eirp")
+        pat = Pattern.from_values(tiny_grid, values)
         assert pat.max_value() == 7.0
-        assert pat.valid_values().size == 8
+        assert pat.values[tiny_grid.valid].size == 8
 
     def test_neg_inf_clamped_and_flagged(self, tiny_grid):
         values = np.zeros((2, 4))
         values[0, 0] = -np.inf
-        pat = Pattern.from_values(tiny_grid, values, kind="eirp")
+        pat = Pattern.from_values(tiny_grid, values)
         assert pat.values[0, 0] == FLOOR_DB
 
     def test_nan_at_valid_point_rejected(self, tiny_grid):
         values = np.zeros((2, 4))
         values[1, 1] = np.nan
         with pytest.raises(DataError):
-            Pattern.from_values(tiny_grid, values, kind="eirp")
+            Pattern.from_values(tiny_grid, values)
 
     def test_pos_inf_rejected(self, tiny_grid):
         values = np.zeros((2, 4))
         values[1, 1] = np.inf
         with pytest.raises(DataError):
-            Pattern.from_values(tiny_grid, values, kind="eirp")
+            Pattern.from_values(tiny_grid, values)
 
     def test_invalid_points_become_nan(self):
         grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
-        pat = Pattern.from_values(grid, np.ones((2, 4)), kind="eirp")
+        pat = Pattern.from_values(grid, np.ones((2, 4)))
         assert np.isnan(pat.values[0]).all()
-        assert pat.valid_values().size == 4
-
-    def test_shifted_subtracts(self, tiny_grid):
-        pat = Pattern.from_values(tiny_grid, np.full((2, 4), 10.0),
-                                  kind="eirp")
-        down = pat.shifted(3.0)
-        assert np.allclose(down.valid_values(), 7.0)
-        assert down.kind == pat.kind
+        assert pat.values[grid.valid].size == 4
 
     def test_shape_mismatch_rejected(self, tiny_grid):
         with pytest.raises(ConfigError):
-            Pattern.from_values(tiny_grid, np.zeros((3, 4)), kind="eirp")
-
-    def test_unknown_kind_rejected(self, tiny_grid):
-        with pytest.raises(ConfigError):
-            Pattern.from_values(tiny_grid, np.zeros((2, 4)), kind="watts")
+            Pattern.from_values(tiny_grid, np.zeros((3, 4)))
 
 
 class TestPatternSet:
     def test_mixed_grids_rejected(self, tiny_grid):
         other = make_grid(45.0, 45.0, 135.0)
-        a = Pattern.from_values(tiny_grid, np.zeros((2, 4)), kind="eirp")
-        b = Pattern.from_values(other, np.zeros((3, 8)), kind="eirp")
+        a = Pattern.from_values(tiny_grid, np.zeros((2, 4)))
+        b = Pattern.from_values(other, np.zeros((3, 8)))
         with pytest.raises(DataError):
             PatternSet(patterns=[a, b])
 

@@ -24,9 +24,8 @@ GENERATOR_TOL_DB = 0.5
 GAUSS_TOL = 0.2
 
 
-def _pattern(grid, values, kind="eirp"):
-    return Pattern.from_values(grid, np.asarray(values, dtype=float),
-                               kind=kind)
+def _pattern(grid, values):
+    return Pattern.from_values(grid, np.asarray(values, dtype=float))
 
 
 def _full_roi(pattern):
@@ -42,8 +41,7 @@ def big_grid():
 class TestLossField:
     def test_constant_shift(self, tiny_grid):
         free = _pattern(tiny_grid, np.full((2, 4), -20.0))
-        loss = loss_field(free, free.shifted(30.0))
-        assert loss.kind == "loss"
+        loss = loss_field(free, _pattern(free.grid, free.values - 30.0))
         assert (loss.values == 30.0).all()
 
     def test_reflection_goes_negative(self, tiny_grid):
@@ -72,7 +70,7 @@ class TestLossField:
 
 class TestLossStats:
     def test_constant_field(self, tiny_grid):
-        loss = _pattern(tiny_grid, np.full((2, 4), 30.0), kind="loss")
+        loss = _pattern(tiny_grid, np.full((2, 4), 30.0))
         stats = loss_stats(loss, _full_roi(loss), solid_angle_weights(
             tiny_grid))
         assert stats.mean_db == 30.0
@@ -84,7 +82,7 @@ class TestLossStats:
         grid = AngularGrid(phi=np.array([0.0, 180.0]),
                            theta=np.array([90.0]),
                            valid=np.ones((1, 2), dtype=bool))
-        loss = _pattern(grid, [[10.0, 20.0]], kind="loss")
+        loss = _pattern(grid, [[10.0, 20.0]])
         stats = loss_stats(loss, _full_roi(loss), solid_angle_weights(grid))
         assert stats.mean_db == pytest.approx(15.0, abs=1e-12)
         assert stats.median_db == 10.0
@@ -95,8 +93,7 @@ class TestLossStats:
         weights = solid_angle_weights(tiny_grid)
         for _ in range(50):
             loss = _pattern(tiny_grid,
-                            rng.uniform(0.0, 40.0, size=(2, 4)),
-                            kind="loss")
+                            rng.uniform(0.0, 40.0, size=(2, 4)))
             m = loss_stats(loss, _full_roi(loss), weights).median_db
             v = loss.values.ravel()
             w = weights.weights.ravel()
@@ -109,7 +106,7 @@ class TestLossStats:
         weights = solid_angle_weights(tiny_grid)
         for offset in (0.0, 100.0, 1000.0):
             vals = offset + rng.uniform(0.0, 10.0, size=(2, 4))
-            loss = _pattern(tiny_grid, vals, kind="loss")
+            loss = _pattern(tiny_grid, vals)
             stats = loss_stats(loss, _full_roi(loss), weights)
             w = weights.weights.ravel()
             v = vals.ravel()
@@ -119,7 +116,7 @@ class TestLossStats:
     def test_generator_recovery(self, big_grid):
         rng = np.random.default_rng(61)
         vals = rng.normal(13.9, 9.2, size=big_grid.valid.shape)
-        loss = _pattern(big_grid, vals, kind="loss")
+        loss = _pattern(big_grid, vals)
         stats = loss_stats(loss, _full_roi(loss),
                            solid_angle_weights(big_grid))
         assert stats.mean_db == pytest.approx(13.9, abs=GENERATOR_TOL_DB)
@@ -128,7 +125,7 @@ class TestLossStats:
         assert stats.n_points == big_grid.valid.sum()
 
     def test_empty_region_rejected(self, tiny_grid):
-        loss = _pattern(tiny_grid, np.zeros((2, 4)), kind="loss")
+        loss = _pattern(tiny_grid, np.zeros((2, 4)))
         empty = roi_r1(loss, 10000.0)
         object.__setattr__(empty, "mask",
                            np.zeros((2, 4), dtype=bool))
@@ -137,7 +134,7 @@ class TestLossStats:
 
     def test_region_restriction(self, tiny_grid):
         vals = np.arange(8.0).reshape(2, 4)
-        loss = _pattern(tiny_grid, vals, kind="loss")
+        loss = _pattern(tiny_grid, vals)
         peak_only = roi_r1(loss, 0.0)
         stats = loss_stats(loss, peak_only, solid_angle_weights(tiny_grid))
         assert stats.mean_db == 7.0
@@ -149,8 +146,7 @@ class TestGaussianFit:
     def test_matches_loss_stats(self, tiny_grid):
         rng = np.random.default_rng(67)
         weights = solid_angle_weights(tiny_grid)
-        loss = _pattern(tiny_grid, rng.uniform(0, 30, size=(2, 4)),
-                        kind="loss")
+        loss = _pattern(tiny_grid, rng.uniform(0, 30, size=(2, 4)))
         stats = loss_stats(loss, _full_roi(loss), weights)
         fit = gaussian_fit(loss, _full_roi(loss), weights)
         assert fit.mu == stats.mean_db
@@ -160,7 +156,7 @@ class TestGaussianFit:
     def test_recovers_normal_parameters(self, big_grid):
         rng = np.random.default_rng(71)
         vals = rng.normal(10.0, 5.0, size=big_grid.valid.shape)
-        loss = _pattern(big_grid, vals, kind="loss")
+        loss = _pattern(big_grid, vals)
         fit = gaussian_fit(loss, _full_roi(loss), uniform_weights(big_grid))
         assert fit.mu == pytest.approx(10.0, abs=GAUSS_TOL)
         assert fit.sigma == pytest.approx(5.0, abs=GAUSS_TOL)

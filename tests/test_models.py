@@ -17,9 +17,8 @@ from beamblock.synth import MaskRegion
 MIXTURE_TOL = 1e-6
 
 
-def _pattern(grid, values, kind="eirp"):
-    return Pattern.from_values(grid, np.asarray(values, dtype=float),
-                               kind=kind)
+def _pattern(grid, values):
+    return Pattern.from_values(grid, np.asarray(values, dtype=float))
 
 
 def _dyadic(rng, shape, lo=-60, hi=0):
@@ -107,8 +106,8 @@ class TestPresets:
     def test_constant_presets(self, free):
         hand = model_preset("prior-hand-15.3")
         out = apply_model(free, hand)
-        assert np.allclose(out.valid_values(),
-                           free.valid_values() - 15.3)
+        valid = free.grid.valid
+        assert np.allclose(out.values[valid], free.values[valid] - 15.3)
 
     def test_region_preset_requires_region(self):
         with pytest.raises(ConfigError):
@@ -116,7 +115,7 @@ class TestPresets:
         region = MaskRegion(phi_lo=150.0, phi_hi=210.0, theta_lo=60.0,
                             theta_hi=150.0, delta_db=30.0)
         model = model_preset("3gpp-flat-30", region=region)
-        assert model.kind == "flat_region"
+        assert model.region == region
         assert model.loss_db == 30.0
 
     def test_unknown_preset(self):

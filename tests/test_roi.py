@@ -16,8 +16,7 @@ from beamblock.roi import (improvement_from_percent, matched_r1_for_r5,
 
 
 def _pattern(grid, values):
-    return Pattern.from_values(grid, np.asarray(values, dtype=float),
-                               kind="eirp")
+    return Pattern.from_values(grid, np.asarray(values, dtype=float))
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,7 @@ class TestR3:
 
     def test_uniform_drop_cannot_extend_r1(self, rng_pair):
         free, _ = rng_pair
-        blocked = free.shifted(10.0)
+        blocked = _pattern(free.grid, free.values - 10.0)
         r3 = roi_r3(free, blocked, 5.0, 5.0)
         assert np.array_equal(r3.mask, roi_r1(free, 5.0).mask)
 
@@ -215,13 +214,6 @@ class TestMaskMechanics:
         mask = roi_r1(_pattern(grid, vals), 1000.0)
         assert not mask.mask[:2].any()
         assert mask.mask[2:].all()
-
-    def test_union_requires_same_grid(self, grid, rng_pair):
-        other = make_grid(90.0, 45.0, 135.0)
-        a = roi_r1(rng_pair[0], 5.0)
-        b = roi_r1(_pattern(other, np.zeros(other.valid.shape)), 5.0)
-        with pytest.raises(DataError):
-            a.union(b, kind="R1", params={})
 
     def test_grid_mismatch_rejected(self, grid, rng_pair):
         other = make_grid(90.0, 45.0, 135.0)

@@ -315,7 +315,7 @@ class TestWrite:
         grid = make_grid(90.0, 45.0, 135.0)
         rng = np.random.default_rng(107)
         steps = rng.integers(-60 * 10 ** 6, 0, size=(2, 2, 4))
-        pats = [Pattern.from_values(grid, steps[i] / 10 ** 6, kind="eirp")
+        pats = [Pattern.from_values(grid, steps[i] / 10 ** 6)
                 for i in range(2)]
         return grid, PatternSet(patterns=pats)
 
@@ -352,7 +352,7 @@ class TestWrite:
 
     def test_only_valid_points_written(self, tmp_path):
         grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
-        pat = Pattern.from_values(grid, np.zeros((2, 4)), kind="eirp")
+        pat = Pattern.from_values(grid, np.zeros((2, 4)))
         path = tmp_path / "out.csv"
         write_scan_csv(path, {"freespace": PatternSet(patterns=[pat])})
         lines = path.read_text().splitlines()
@@ -402,7 +402,7 @@ def test_writer_bytes_match_csv_writer_loop(tmp_path):
             values = rng.uniform(-80.0, 20.0, grid.shape)
             values.flat[rng.choice(values.size, len(special),
                                    replace=False)] = special
-            pats.append(Pattern.from_values(grid, values, kind="eirp"))
+            pats.append(Pattern.from_values(grid, values))
         modes[mode] = PatternSet(patterns=tuple(pats))
     beam_ids = {"freespace": (0, 5), "phantom": (2, 3), "true_hand": (0, 1)}
     for data, ids in ((modes, {}),

@@ -6,6 +6,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -283,6 +286,31 @@ class TestCli:
                 # constant-loss prediction shifts every percentile equally
                 for v in c["deltas_db"].values():
                     assert v == pytest.approx(15.3, abs=1e-9)
+
+    def test_compare_models_flag_uses_scenario_region(self, tmp_path):
+        """The README quick-start: region presets named with --models take
+        the scenario's models.region."""
+        argv = ["compare", "--scenario", "s2_patch_portrait_loose"]
+        code, out, err = _run(argv + ["--models",
+                                      "prior-hand-15.3,3gpp-flat-30"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert [c["name"] for c in payload["candidates"]] == [
+            "true_hand", "prior-hand-15.3", "3gpp-flat-30"]
+        default = json.loads(_run(argv)[1])
+
+        def flat(p):
+            return next(c["deltas_db"] for c in p["candidates"]
+                        if c["name"] == "3gpp-flat-30")
+        assert flat(payload) == flat(default)
+
+    def test_compare_region_preset_on_scan_needs_region(self, tmp_path):
+        assert run_cli(["synth", "--scenario", "s1_patch_portrait_hard",
+                        "--out", str(tmp_path)]) == 0
+        code, out, err = _run(["compare", "--scan", str(tmp_path / "scan.csv"),
+                               "--models", "3gpp-flat-30"])
+        assert (code, out) == (2, "")
+        assert err == "error: preset '3gpp-flat-30' needs a region\n"
 
     def test_report_bundle_files(self, tmp_path):
         out = tmp_path / "report"
@@ -656,3 +684,52 @@ def test_fuzz_report_on_mutated_scenario(doc):
             assert not out.exists()
         for svg in out.glob("*.svg"):
             ET.parse(svg)
+
+
+@pytest.mark.parametrize("name", ["s3_dipole_portrait_hard",
+                                  "s5_patch_landscape_intermediate"])
+def test_cli_agrees_with_report(tmp_path, name):
+    """stats and compare at the scenario's delta5 print what the report's
+    summary.json holds for the same study."""
+    assert run_cli(["report", "--scenario", name,
+                    "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    delta5 = f"--delta5={summary['scenario']['delta5_dbm']!r}"
+
+    code, out, err = _run(["stats", "--scenario", name, delta5])
+    assert code == 0, err
+    stats = json.loads(out)
+    for label, block in summary["roi_loss_stats"].items():
+        assert stats[label] == (block and block["weighted"])
+    assert stats["gaussian_fit"] == summary["gaussian_fit"]
+
+    code, out, err = _run(["compare", "--scenario", name, delta5])
+    assert code == 0, err
+    compare = json.loads(out)
+    del compare["delta5_dbm"], compare["conventions"]
+    assert compare == summary["models"]
+
+
+def test_non_ascii_title_under_c_locale(tmp_path):
+    """Outputs are written, and scenario JSON read, as UTF-8 whatever the
+    locale: a C-locale run matches a UTF-8-mode run byte for byte."""
+    doc = _bundled_json("s1_patch_portrait_hard")
+    doc["title"] = "s1 \u2014 hand grip"
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    bundles = {}
+    for label, extra in (("c", {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                                "LC_ALL": "C"}),
+                         ("utf8", {"PYTHONUTF8": "1"})):
+        env = dict(os.environ, PYTHONPATH=src, **extra)
+        out = tmp_path / label
+        proc = subprocess.run(
+            [sys.executable, "-m", "beamblock.cli", "report", "--scenario",
+             str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        bundles[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(bundles["c"]) == 9
+    assert bundles["c"] == bundles["utf8"]
+    assert "s1 \u2014 hand grip".encode() in bundles["c"]["eirp_cdf.svg"]

@@ -19,7 +19,7 @@ def _ramp_color(t: float) -> str:
     return "#" + "".join(f"{int(round(255 * c)):02x}" for c in rgb)
 
 
-def _scalar_heatmap(pattern, title, span_db=40.0):
+def _scalar_heatmap(pattern, title):
     """heatmap_svg with one _ramp_color call and one f-string per cell."""
     grid = pattern.grid
     n_t, n_p = grid.shape
@@ -29,7 +29,7 @@ def _scalar_heatmap(pattern, title, span_db=40.0):
     width, height = ml + plot_w + mr, mt + plot_h + mb
     vmax = pattern.max_value()
     finite = pattern.values[grid.valid]
-    vmin = max(float(np.nanmin(finite)), vmax - span_db)
+    vmin = max(float(np.nanmin(finite)), vmax - 40.0)
     out = _svg_open(width, height, title)
     for it in range(n_t):
         for ip in range(n_p):
@@ -109,23 +109,25 @@ def _random_db(grid, lo, hi, seed):
     return np.random.default_rng(seed).uniform(lo, hi, grid.shape)
 
 
-def _floored(grid):
-    values = _random_db(grid, -30.0, -10.0, 3)
-    values.flat[::7] = -300.0  # below FLOOR_DB: stored as the floor
+def _floored(lo, hi):
+    def values(grid):
+        out = _random_db(grid, lo, hi, 3)
+        out.flat[::7] = -300.0  # below FLOOR_DB: stored as the floor
+        return out
     return values
 
 
-@pytest.mark.parametrize("values, span_db", [
-    (lambda g: _random_db(g, -90.0, 10.0, 1), 40.0),  # t clipped below 0
-    (lambda g: np.full(g.shape, -20.0), 40.0),  # vmax == vmin
-    (_floored, 40.0),
-    (_floored, 500.0),  # vmin is FLOOR_DB
+@pytest.mark.parametrize("values", [
+    lambda g: _random_db(g, -90.0, 10.0, 1),  # t clipped below 0
+    lambda g: np.full(g.shape, -20.0),  # vmax == vmin
+    _floored(-30.0, -10.0),
+    _floored(-195.0, -170.0),  # within the 40 dB span: vmin is FLOOR_DB
 ], ids=["clipped", "constant", "floored", "floored-wide-span"])
-def test_heatmap_bytes_match_scalar_renderer(values, span_db):
+def test_heatmap_bytes_match_scalar_renderer(values):
     grid = _band_grid()
-    pattern = Pattern.from_values(grid, values(grid), kind="eirp")
-    got = heatmap_svg(pattern, "t <&>", span_db).split("\n")
-    want = _scalar_heatmap(pattern, "t <&>", span_db).split("\n")
+    pattern = Pattern.from_values(grid, values(grid))
+    got = heatmap_svg(pattern, "t <&>").split("\n")
+    want = _scalar_heatmap(pattern, "t <&>").split("\n")
     for k, (line, expected) in enumerate(zip(got, want)):
         assert line == expected, f"line {k}"  # a short report, not a diff
     assert len(got) == len(want)

@@ -122,7 +122,7 @@ class TestElementModels:
         config = ArrayConfig(n_elements=1, element_kind="isotropic",
                              tx_power_dbm=4.0, element_peak_gain_dbi=0.0)
         pats = synth_pattern_set(config, [BeamSpec(scan_deg=0.0)], grid)
-        np.testing.assert_allclose(pats.patterns[0].valid_values(), 4.0,
+        np.testing.assert_allclose(pats.patterns[0].values[grid.valid], 4.0,
                                    atol=1e-9)
 
     def test_patch_peak_at_boresight(self):
@@ -166,10 +166,8 @@ class TestElementModels:
 
 
 class TestSynthPatternSet:
-    def test_beam_labels_and_count(self, patch_set, patch_beams):
-        assert len(patch_set.patterns) == 3
-        for pat in patch_set.patterns:
-            assert pat.kind == "eirp"
+    def test_one_pattern_per_beam(self, patch_set, patch_beams):
+        assert len(patch_set.patterns) == len(patch_beams) == 3
 
     def test_scan_zero_symmetric_about_boresight(self, full_grid,
                                                  patch_config):
@@ -245,13 +243,12 @@ def test_synthesis_bytes_match_eirp_at_per_beam(config, beams, band):
     grid = make_grid(7.2, 3.6, 176.4)
     if band is not None:
         grid = with_invalid_band(grid, *band)
-    tt, pp = grid.mesh()
+    tt, pp = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     got = synth_pattern_set(config, beams, grid)
     assert len(got) == len(beams)
     for beam, pattern in zip(beams, got):
         want = Pattern.from_values(
-            grid, eirp_at(config, steering_weights(config, beam), pp, tt),
-            kind="eirp")
+            grid, eirp_at(config, steering_weights(config, beam), pp, tt))
         assert pattern.values.tobytes() == want.values.tobytes()
 
 
@@ -300,8 +297,7 @@ class TestMaskRegions:
 
     def test_reflection_region_adds_power(self, full_grid):
         base = Pattern.from_values(full_grid,
-                                   np.full(full_grid.valid.shape, -40.0),
-                                   kind="eirp")
+                                   np.full(full_grid.valid.shape, -40.0))
         from beamblock.grid import PatternSet
         region = MaskRegion(phi_lo=42.5, phi_hi=77.5, theta_lo=52.5,
                             theta_hi=97.5, delta_db=-6.0, edge_taper_deg=0.0)
@@ -319,7 +315,7 @@ class TestMaskRegions:
         rng = np.random.default_rng(11)
         steps = rng.integers(-60 * 1024, 10 * 1024,
                              size=full_grid.valid.shape)
-        base = Pattern.from_values(full_grid, steps / 1024.0, kind="eirp")
+        base = Pattern.from_values(full_grid, steps / 1024.0)
         from beamblock.grid import PatternSet
         region = MaskRegion(phi_lo=150.0, phi_hi=210.0, theta_lo=60.0,
                             theta_hi=150.0, delta_db=12.5, edge_taper_deg=0.0)
