@@ -165,21 +165,23 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    names = None
+    if args.models is not None:
+        names = [name.strip() for name in args.models.split(",")]
+        if "" in names or len(set(names)) < len(names):
+            raise ConfigError("--models must name each preset once, "
+                              "none blank")
     study, scenario = _load_study(args)
     free = study.overlay("freespace")
     blocked = study.overlay("true_hand")
     region = roi_r5(free, blocked, args.delta5)
     candidates = {"true_hand": blocked}
-    if scenario is not None and not args.models:
+    if scenario is not None and names is None:
         candidates.update(scenario.models)
     else:
-        names = (args.models.split(",") if args.models
-                 else ["prior-hand-15.3", "prior-body-8.5"])
         preset_region = scenario.model_region if scenario else None
-        for name in names:
-            name = name.strip()
-            if name:
-                candidates[name] = model_preset(name, region=preset_region)
+        for name in names or ["prior-hand-15.3", "prior-body-8.5"]:
+            candidates[name] = model_preset(name, region=preset_region)
     report = compare_models(free, candidates, region, study.weights)
     _emit(dict(comparison_dict(report), delta5_dbm=args.delta5,
                conventions=CONVENTIONS), args.out)

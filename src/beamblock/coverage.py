@@ -105,17 +105,6 @@ def percentile_value(cdf: WeightedCDF, p: float) -> float:
     return float(cdf.values[max(idx, 0)])
 
 
-@dataclass(frozen=True)
-class CoverageLost:
-    """Coverage above a threshold, before and after blockage."""
-
-    threshold: float
-    free_pct: float
-    blocked_pct: float
-    abs_lost_pct: float
-    rel_lost_pct: float | None
-
-
 def lost_percentages(free_pct: float,
                      blocked_pct: float) -> tuple[float, float | None]:
     """Absolute and relative coverage lost between two percentages."""
@@ -123,12 +112,3 @@ def lost_percentages(free_pct: float,
     rel = 100.0 * abs_lost / free_pct if free_pct > 0 else None
     return abs_lost, rel
 
-
-def coverage_lost(free: Pattern, blocked: Pattern, weights: WeightField,
-                  threshold: float) -> CoverageLost:
-    """Absolute and relative sphere coverage lost at a threshold."""
-    f = coverage_above(free, weights, threshold)
-    b = coverage_above(blocked, weights, threshold)
-    abs_lost, rel = lost_percentages(f, b)
-    return CoverageLost(threshold=threshold, free_pct=f, blocked_pct=b,
-                        abs_lost_pct=abs_lost, rel_lost_pct=rel)

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverage import (CoverageLost, WeightedCDF, coverage_lost,
+from .coverage import (WeightedCDF, coverage_above, lost_percentages,
                        overlay_best_beam, percentile_value, weighted_cdf)
 from .errors import DataError
 from .grid import Pattern, WeightField, solid_angle_weights
-from .roi import (RoIImprovement, RoIMask, matched_r1_for_r5, roi_improvement,
-                  roi_r5)
+from .roi import RoIMask, matched_r1_for_r5, roi_improvement, roi_r5
 
 
 class Study:
@@ -139,45 +138,13 @@ def gaussian_fit(loss: Pattern, roi: RoIMask,
     return GaussianFit(mu=mean, sigma=std)
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
-    """Coverage and region-of-interest outcome at one EIRP threshold."""
-
-    threshold_dbm: float
-    coverage: CoverageLost
-    improvement: RoIImprovement  # base_pct: matched R1, enhanced_pct: R5
-
-
-@dataclass(frozen=True)
-class PercentileRow:
-    """Percentile levels of both overlays and the drop between them."""
-
-    percentile: float
-    free_dbm: float
-    blocked_dbm: float
-    loss_db: float
-
-
-def _range(values: list) -> tuple[float, float] | None:
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None
-    return (min(vals), max(vals))
-
-
-@dataclass(frozen=True)
-class StudySummary:
-    """One study's headline numbers: loss, coverage lost, RoI gain ranges."""
-
-    thresholds: tuple[ThresholdRow, ...]
-    percentiles: tuple[PercentileRow, ...]
-    gross_loss_db: tuple[float, float] | None
-    rel_lost_pct: tuple[float, float] | None
-    improvement_pct: tuple[float, float] | None
+def _range(rows: list, key: str) -> list | None:
+    vals = [r[key] for r in rows if r[key] is not None]
+    return [min(vals), max(vals)] if vals else None
 
 
 def study_summary(study: Study, blocked_mode: str,
-                  thresholds, percentiles) -> StudySummary:
+                  thresholds, percentiles) -> dict:
     """Roll the freespace and ``blocked_mode`` overlays up to headlines.
 
     At each threshold t: sphere coverage above t for both overlays with the
@@ -185,6 +152,10 @@ def study_summary(study: Study, blocked_mode: str,
     using t as the absolute floor. At each percentile p: the overlay level
     drop. Threshold and percentile lists are deduplicated and sorted
     descending, so the summary is permutation-invariant in both.
+
+    Returns summary.json's ``thresholds`` and ``percentiles`` rows (dicts
+    keyed in the column order of coverage.csv and percentiles.csv) and its
+    ``headline`` ranges ([lo, hi], or None when no row defines one).
     """
     thr = sorted({float(t) for t in thresholds}, reverse=True)
     pct = sorted({float(p) for p in percentiles}, reverse=True)
@@ -194,28 +165,33 @@ def study_summary(study: Study, blocked_mode: str,
     weights = study.weights
     f = study.overlay("freespace")
     b = study.overlay(blocked_mode)
-    f_cdf = study.cdf("freespace")
-    b_cdf = study.cdf(blocked_mode)
 
     t_rows = []
     for t in thr:
-        cov = coverage_lost(f, b, weights, t)
-        base = matched_r1_for_r5(f, t)
-        enhanced = roi_r5(f, b, t)
-        t_rows.append(ThresholdRow(
-            threshold_dbm=t, coverage=cov,
-            improvement=roi_improvement(base, enhanced, weights)))
+        # the matched R1 is f >= t, so its coverage is the free coverage
+        imp = roi_improvement(matched_r1_for_r5(f, t), roi_r5(f, b, t),
+                              weights)
+        blocked_pct = coverage_above(b, weights, t)
+        abs_lost, rel_lost = lost_percentages(imp.base_pct, blocked_pct)
+        t_rows.append({
+            "threshold_dbm": t, "free_pct": imp.base_pct,
+            "blocked_pct": blocked_pct, "abs_lost_pct": abs_lost,
+            "rel_lost_pct": rel_lost, "r1_pct": imp.base_pct,
+            "r5_pct": imp.enhanced_pct, "improvement_abs_pct": imp.abs_pct,
+            "improvement_rel_pct": imp.rel_pct})
     p_rows = []
     for p in pct:
-        fv = percentile_value(f_cdf, p)
-        bv = percentile_value(b_cdf, p)
-        p_rows.append(PercentileRow(percentile=p, free_dbm=fv, blocked_dbm=bv,
-                                    loss_db=fv - bv))
+        fv = percentile_value(study.cdf("freespace"), p)
+        bv = percentile_value(study.cdf(blocked_mode), p)
+        p_rows.append({"percentile": p, "free_dbm": fv, "blocked_dbm": bv,
+                       "loss_db": fv - bv})
 
-    return StudySummary(
-        thresholds=tuple(t_rows),
-        percentiles=tuple(p_rows),
-        gross_loss_db=_range([r.loss_db for r in p_rows]),
-        rel_lost_pct=_range([r.coverage.rel_lost_pct for r in t_rows]),
-        improvement_pct=_range([r.improvement.rel_pct for r in t_rows]),
-    )
+    return {
+        "thresholds": t_rows,
+        "percentiles": p_rows,
+        "headline": {
+            "gross_loss_db": _range(p_rows, "loss_db"),
+            "rel_coverage_lost_pct": _range(t_rows, "rel_lost_pct"),
+            "roi_improvement_pct": _range(t_rows, "improvement_rel_pct"),
+        },
+    }

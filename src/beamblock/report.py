@@ -44,16 +44,6 @@ _MODE_LABELS = (("freespace", "free-space"), ("true_hand", "hand-blocked"),
                 ("phantom", "body-blocked"))
 
 
-def _threshold_dict(row) -> dict:
-    """One summary threshold row; the key order is coverage.csv's columns."""
-    cov, imp = row.coverage, row.improvement
-    return {"threshold_dbm": row.threshold_dbm, "free_pct": cov.free_pct,
-            "blocked_pct": cov.blocked_pct, "abs_lost_pct": cov.abs_lost_pct,
-            "rel_lost_pct": cov.rel_lost_pct, "r1_pct": imp.base_pct,
-            "r5_pct": imp.enhanced_pct, "improvement_abs_pct": imp.abs_pct,
-            "improvement_rel_pct": imp.rel_pct}
-
-
 def _range_str(pair) -> str:
     if pair is None:
         return "n/a"
@@ -77,22 +67,13 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                                        **scenario.models},
                                 enhanced, weights)
     uweights = uniform_weights(scenario.grid)
-    thresholds = [_threshold_dict(r) for r in summary.thresholds]
 
     meta = scenario_metadata(scenario)
     payload = {
         "scenario": dict({k: meta[k] for k in _SCENARIO_KEYS},
                          n_beams=len(scenario.beams)),
         "conventions": CONVENTIONS,
-        "headline": {
-            "gross_loss_db": list(summary.gross_loss_db),
-            "rel_coverage_lost_pct": list(summary.rel_lost_pct)
-            if summary.rel_lost_pct else None,
-            "roi_improvement_pct": list(summary.improvement_pct)
-            if summary.improvement_pct else None,
-        },
-        "thresholds": thresholds,
-        "percentiles": [asdict(r) for r in summary.percentiles],
+        **summary,
         "roi_loss_stats": {
             label: None if region.params.get("empty") else
             {"weighted": asdict(loss_stats(loss, region, weights)),
@@ -105,10 +86,10 @@ def write_report(scenario: Scenario, out_dir) -> dict:
         body = study_summary(study, "phantom", scenario.thresholds_dbm,
                              scenario.percentiles)
         payload["phantom"] = {
-            "thresholds": [{k: d[k] for k in _PHANTOM_KEYS} for d in
-                           map(_threshold_dict, body.thresholds)],
-            "percentiles": [{"percentile": r.percentile, "loss_db": r.loss_db}
-                            for r in body.percentiles],
+            "thresholds": [{k: r[k] for k in _PHANTOM_KEYS}
+                           for r in body["thresholds"]],
+            "percentiles": [{k: r[k] for k in ("percentile", "loss_db")}
+                            for r in body["percentiles"]],
         }
 
     # Made only now, so a data error above leaves no empty directory.
@@ -127,8 +108,8 @@ def write_report(scenario: Scenario, out_dir) -> dict:
 
     with open(out / "coverage.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(list(thresholds[0]))
-        for r in thresholds:
+        w.writerow(list(summary["thresholds"][0]))
+        for r in summary["thresholds"]:
             w.writerow([f"{r['threshold_dbm']:g}"] +
                        [("n/a" if v is None else f"{v:.4f}")
                         for v in list(r.values())[1:]])
@@ -136,10 +117,10 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     with open(out / "percentiles.csv", "w", newline="",
               encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["percentile", "free_dbm", "blocked_dbm", "loss_db"])
-        for r in summary.percentiles:
-            w.writerow([f"{r.percentile:g}", f"{r.free_dbm:.4f}",
-                        f"{r.blocked_dbm:.4f}", f"{r.loss_db:.4f}"])
+        w.writerow(list(summary["percentiles"][0]))
+        for r in summary["percentiles"]:
+            w.writerow([f"{r['percentile']:g}"] +
+                       [f"{v:.4f}" for v in list(r.values())[1:]])
 
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

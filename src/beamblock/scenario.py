@@ -64,6 +64,13 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a boolean or a fractional number is refused."""
+    if isinstance(value, bool) or float(value) != int(value):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
     phi, theta = _list(d["phi"], 2), _list(d["theta"], 2)
     delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
@@ -100,12 +107,15 @@ def scenario_from_dict(d: dict) -> Scenario:
         block = "invalid_theta_band"
         band = d.get("invalid_theta_band")
         if band is not None:
-            band = _list(band, 2)
-            grid = with_invalid_band(grid, float(band[0]), float(band[1]))
+            lo, hi = map(float, _list(band, 2))
+            if not lo <= hi:
+                raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+            grid = with_invalid_band(grid, lo, hi)
 
         block = "array"
         config = ArrayConfig(**{k: (str(v) if k == "element_kind" else
-                                    int(v) if k in ("n_elements", "phase_bits")
+                                    _integer(v)
+                                    if k in ("n_elements", "phase_bits")
                                     else _finite(v))
                                 for k, v in d["array"].items()})
 

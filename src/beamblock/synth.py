@@ -204,8 +204,8 @@ class MaskRegion:
             raise ConfigError("theta bounds must satisfy 0 < lo <= hi < 180")
         if not np.isfinite(self.delta_db):
             raise ConfigError("delta_db must be finite")
-        if self.edge_taper_deg < 0:
-            raise ConfigError("edge_taper_deg must be >= 0")
+        if not 0.0 <= self.edge_taper_deg < np.inf:
+            raise ConfigError("edge_taper_deg must be finite and >= 0")
 
 
 def _axis_membership(inner: np.ndarray, taper: float) -> np.ndarray:

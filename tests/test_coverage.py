@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beamblock.coverage import (CoverageLost, coverage_above, coverage_lost,
-                                lost_percentages, overlay_best_beam,
-                                percentile_value, weighted_cdf)
+from beamblock.coverage import (coverage_above, lost_percentages,
+                                overlay_best_beam, percentile_value,
+                                weighted_cdf)
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import (AngularGrid, Pattern, PatternSet, make_grid,
                             solid_angle_weights, uniform_weights,
                             with_invalid_band)
+from beamblock.lossstats import Study, study_summary
 
 PROBE_PERCENTILES = (90.0, 80.0, 50.0, 33.3, 20.0, 10.0)
 
@@ -218,12 +219,20 @@ class TestPercentiles:
 
 
 class TestCoverageLost:
+    """Coverage-lost columns of ``study_summary``'s threshold rows."""
+
+    @staticmethod
+    def _row(free, blocked, threshold):
+        study = Study({"freespace": PatternSet(patterns=[free]),
+                       "true_hand": PatternSet(patterns=[blocked])})
+        return study_summary(study, "true_hand", [threshold],
+                             [50.0])["thresholds"][0]
+
     def test_no_blockage_loses_nothing(self, tiny_grid):
-        weights = solid_angle_weights(tiny_grid)
         pat = _pattern(tiny_grid, np.full((2, 4), -30.0))
-        lost = coverage_lost(pat, pat, weights, -35.0)
-        assert lost.abs_lost_pct == 0.0
-        assert lost.rel_lost_pct == 0.0
+        row = self._row(pat, pat, -35.0)
+        assert row["abs_lost_pct"] == 0.0
+        assert row["rel_lost_pct"] == 0.0
 
     def test_fixture_values(self):
         abs_lost, rel_lost = lost_percentages(23.3, 3.4)
@@ -234,21 +243,18 @@ class TestCoverageLost:
         assert rel_lost == pytest.approx(43.8, abs=0.05)
 
     def test_zero_free_coverage_gives_none(self, tiny_grid):
-        weights = solid_angle_weights(tiny_grid)
         pat = _pattern(tiny_grid, np.full((2, 4), -90.0))
         blocked = _pattern(tiny_grid, pat.values - 10.0)
-        lost = coverage_lost(pat, blocked, weights, -35.0)
-        assert lost.free_pct == 0.0
-        assert lost.rel_lost_pct is None
+        row = self._row(pat, blocked, -35.0)
+        assert row["free_pct"] == 0.0
+        assert row["rel_lost_pct"] is None
 
-    def test_dataclass_fields(self, tiny_grid):
-        weights = solid_angle_weights(tiny_grid)
+    def test_total_loss_row(self, tiny_grid):
         free = _pattern(tiny_grid, np.full((2, 4), -30.0))
         blocked = _pattern(tiny_grid, free.values - 10.0)
-        lost = coverage_lost(free, blocked, weights, -35.0)
-        assert isinstance(lost, CoverageLost)
-        assert lost.threshold == -35.0
-        assert lost.free_pct == pytest.approx(100.0)
-        assert lost.blocked_pct == 0.0
-        assert lost.abs_lost_pct == pytest.approx(100.0)
-        assert lost.rel_lost_pct == pytest.approx(100.0)
+        row = self._row(free, blocked, -35.0)
+        assert row["threshold_dbm"] == -35.0
+        assert row["free_pct"] == pytest.approx(100.0)
+        assert row["blocked_pct"] == 0.0
+        assert row["abs_lost_pct"] == pytest.approx(100.0)
+        assert row["rel_lost_pct"] == pytest.approx(100.0)

@@ -37,3 +37,41 @@ def test_checker_sees_an_unused_import():
     source = ("import json\nimport os.path\nfrom math import pi, tau\n"
               "print(os.path.sep, tau)\n")
     assert _unused_imports(source) == ["line 1: json", "line 3: pi"]
+
+
+# Public reference functions the tests check the vectorized synthesis with.
+TEST_ORACLES = {"array_factor_db", "element_gain_db", "eirp_at"}
+
+
+def _dead_definitions(sources: dict) -> list[tuple[str, str]]:
+    """Top-level functions and classes that no module loads by name.
+
+    ``sources`` maps module names to their source; a definition counts as
+    used when any module reads it as a name or as an attribute. Returns
+    (module, name) pairs.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+    return [(module, name) for module, name in defined if name not in used]
+
+
+def test_no_dead_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert [(module, name) for module, name in _dead_definitions(sources)
+            if name not in TEST_ORACLES] == []
+
+
+def test_checker_sees_a_dead_definition():
+    sources = {"a.py": "def used():\n    pass\n\n\ndef dead():\n    pass\n"
+                       "\n\nclass Dead:\n    pass\n",
+               "b.py": "import a\na.used()\n"}
+    assert _dead_definitions(sources) == [("a.py", "dead"), ("a.py", "Dead")]

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from beamblock.coverage import coverage_above
 from beamblock.errors import DataError
-from beamblock.grid import (AngularGrid, Pattern, PatternSet, make_grid,
-                            solid_angle_weights, uniform_weights)
-from beamblock.lossstats import (GaussianFit, Study, StudySummary,
-                                 gaussian_fit, loss_field, loss_stats,
-                                 study_summary)
+from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
+                            make_grid, solid_angle_weights, uniform_weights,
+                            with_invalid_band)
+from beamblock.lossstats import (GaussianFit, Study, gaussian_fit,
+                                 loss_field, loss_stats, study_summary)
 from beamblock import lossstats
 from beamblock.report import write_report
 from beamblock.roi import roi_r1
@@ -199,11 +200,11 @@ class TestStudySummary:
         study = self._sets(full_grid, vals, vals)
         summary = study_summary(study, "true_hand", [-35.0, -45.0],
                                 [50.0, 20.0])
-        assert summary.gross_loss_db == (0.0, 0.0)
-        assert summary.rel_lost_pct == (0.0, 0.0)
-        assert summary.improvement_pct == (0.0, 0.0)
-        for row in summary.thresholds:
-            assert row.coverage.abs_lost_pct == 0.0
+        assert summary["headline"] == {"gross_loss_db": [0.0, 0.0],
+                                       "rel_coverage_lost_pct": [0.0, 0.0],
+                                       "roi_improvement_pct": [0.0, 0.0]}
+        for row in summary["thresholds"]:
+            assert row["abs_lost_pct"] == 0.0
 
     def test_constant_shift_study(self, full_grid):
         rng = np.random.default_rng(79)
@@ -211,9 +212,9 @@ class TestStudySummary:
             / 1024.0
         study = self._sets(full_grid, vals, vals - 10.0)
         summary = study_summary(study, "true_hand", [-35.0], [50.0, 20.0])
-        assert summary.gross_loss_db == (10.0, 10.0)
-        for row in summary.percentiles:
-            assert row.loss_db == 10.0
+        assert summary["headline"]["gross_loss_db"] == [10.0, 10.0]
+        for row in summary["percentiles"]:
+            assert row["loss_db"] == 10.0
 
     def test_lists_deduplicated_and_sorted(self, full_grid):
         rng = np.random.default_rng(83)
@@ -223,8 +224,8 @@ class TestStudySummary:
                           [20.0, 50.0, 20.0])
         b = study_summary(study, "true_hand", [-35.0, -45.0], [50.0, 20.0])
         assert a == b
-        assert [r.threshold_dbm for r in a.thresholds] == [-35.0, -45.0]
-        assert [r.percentile for r in a.percentiles] == [50.0, 20.0]
+        assert [r["threshold_dbm"] for r in a["thresholds"]] == [-35.0, -45.0]
+        assert [r["percentile"] for r in a["percentiles"]] == [50.0, 20.0]
 
     def test_partial_blockage_with_reflection(self, full_grid):
         """Attenuation plus a reflection lobe: positive loss, positive gain."""
@@ -237,11 +238,33 @@ class TestStudySummary:
         blocked_vals[5:10, 0:6] = -32.0  # reflection above the floor
         study = self._sets(full_grid, free_vals, blocked_vals)
         summary = study_summary(study, "true_hand", [-35.0], [50.0])
-        lo, hi = summary.rel_lost_pct
+        lo, hi = summary["headline"]["rel_coverage_lost_pct"]
         assert 0.0 < lo <= hi < 100.0
-        lo, hi = summary.improvement_pct
+        lo, hi = summary["headline"]["roi_improvement_pct"]
         assert 0.0 < lo <= hi
-        assert isinstance(summary, StudySummary)
+
+    def test_free_pct_is_free_coverage_above(self, full_grid):
+        """The matched R1 coverage stands in for the free-space coverage.
+
+        Invalid points hold NaN, so ``free >= t`` is already the matched R1
+        mask; both sums run over the same elements in the same order.
+        """
+        grid = with_invalid_band(full_grid, 80.0, 100.0)
+        rng = np.random.default_rng(97)
+        free_vals = rng.uniform(-80.0, -20.0, size=grid.valid.shape)
+        free_vals[::3, ::4] = -500.0  # clamped to the floor
+        study = self._sets(grid, free_vals, free_vals - 7.5)
+        thresholds = [FLOOR_DB, -75.0, -50.25, -33.0, -20.0, 0.0]
+        summary = study_summary(study, "true_hand", thresholds, [50.0])
+        free = study.overlay("freespace")
+        rows = summary["thresholds"]
+        assert len(rows) == len(thresholds)
+        for row in rows:
+            t = row["threshold_dbm"]
+            assert row["free_pct"] == coverage_above(free, study.weights, t)
+            assert row["r1_pct"] == row["free_pct"]
+        assert rows[-1]["free_pct"] == pytest.approx(100.0)
+        assert rows[0]["free_pct"] == 0.0
 
 
 class TestStudy:

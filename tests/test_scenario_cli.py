@@ -304,6 +304,13 @@ class TestCli:
                         if c["name"] == "3gpp-flat-30")
         assert flat(payload) == flat(default)
 
+    @pytest.mark.parametrize("models", ["prior-hand-15.3,prior-hand-15.3",
+                                        " , ", ""])
+    def test_compare_models_flag_rejects_repeat_and_blank(self, models):
+        assert _run(["compare", "--scenario", "s1_patch_portrait_hard",
+                     "--models", models]) == (
+            2, "", "error: --models must name each preset once, none blank\n")
+
     def test_compare_region_preset_on_scan_needs_region(self, tmp_path):
         assert run_cli(["synth", "--scenario", "s1_patch_portrait_hard",
                         "--out", str(tmp_path)]) == 0
@@ -484,6 +491,13 @@ S1_MALFORMED = [
     (("delta5_dbm",), -math.inf, "delta5_dbm"),
     (("array", "tx_power_dbm"), math.nan, "array"),
     (("array", "element_peak_gain_dbi"), math.inf, "array"),
+    # integer fields take no fraction and no boolean
+    (("array", "n_elements"), 4.7, "array"),
+    (("array", "phase_bits"), 2.5, "array"),
+    (("array", "n_elements"), True, "array"),
+    # a band needs lo <= hi, which NaN fails
+    (("invalid_theta_band",), [math.nan, 100], "invalid_theta_band"),
+    (("invalid_theta_band",), [100, 80], "invalid_theta_band"),
 ]
 # A fixed pair takes exactly two items: no item is dropped or made up.
 S1_BAD_PAIRS = [
@@ -513,6 +527,22 @@ def test_malformed_scenario_is_one_line_error(tmp_path, command, path, value,
     code, out, err = _run(argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: bad {block}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "stats"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_edge_taper_is_config_error(tmp_path, command, value):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_replaced(
+        _bundled_json("s1_patch_portrait_hard"),
+        ("masks", "true_hand", 0, "edge_taper_deg"), value)))
+    out_dir = tmp_path / "out"
+    argv = [command, "--scenario", str(scenario)]
+    if command == "report":
+        argv += ["--out", str(out_dir)]
+    assert _run(argv) == (2, "",
+                          "error: edge_taper_deg must be finite and >= 0\n")
     assert not out_dir.exists()
 
 
