@@ -112,8 +112,8 @@ def make_grid(phi_step: float, theta_min: float, theta_max: float,
     if not 0.0 < phi_step <= 90.0:
         raise ConfigError("phi_step must be in (0, 90] degrees")
     tstep = phi_step if theta_step is None else theta_step
-    if tstep <= 0:
-        raise ConfigError("theta_step must be positive")
+    if not 0.0 < tstep < np.inf:
+        raise ConfigError("theta_step must be finite and positive")
     n_phi = int(round(360.0 / phi_step))
     if n_phi < 1 or abs(n_phi * phi_step - 360.0) > _STEP_TOL:
         raise ConfigError("phi_step must divide 360 degrees evenly")

@@ -102,7 +102,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         g = d["grid"]
         grid = make_grid(float(g["phi_step"]), float(g["theta_min"]),
                          float(g["theta_max"]),
-                         theta_step=(float(g["theta_step"])
+                         theta_step=(_finite(g["theta_step"])
                                      if "theta_step" in g else None))
         block = "invalid_theta_band"
         band = d.get("invalid_theta_band")

@@ -12,6 +12,8 @@ so no Cartesian conversion is needed anywhere. Element models are
 one-parameter idealizations: a patch with cos^q power rolloff (front
 hemisphere only) and a dipole with cos^2 amplitude rolloff toward the
 array axis. EIRP(dir) = tx_power + element_gain(dir) + array_factor(dir).
+The array factor depends on u alone, so synthesis evaluates it once per
+distinct u of the lattice and gathers it back onto the grid.
 """
 
 from __future__ import annotations
@@ -152,18 +154,13 @@ def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
     return np.full(np.shape(cos_psi), float(peak))
 
 
-def _eirp_terms(config: ArrayConfig, phi_deg, theta_deg):
-    """Beam-independent EIRP terms: tx power + element gain, and phasors."""
-    cos_psi, u = _direction_cosines(config, phi_deg, theta_deg)
-    base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
-    return base, _steering_phasors(config, u)
-
-
 def eirp_at(config: ArrayConfig, weights: np.ndarray, phi_deg,
             theta_deg) -> np.ndarray:
     """EIRP in dBm at arbitrary angles, without the floor clamp."""
-    base, phasors = _eirp_terms(config, phi_deg, theta_deg)
-    return base + _array_factor_db(config, weights, phasors)
+    cos_psi, u = _direction_cosines(config, phi_deg, theta_deg)
+    base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
+    return base + _array_factor_db(config, weights,
+                                   _steering_phasors(config, u))
 
 
 def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
@@ -171,10 +168,15 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     """EIRP pattern per codebook beam on ``grid``, floor-clamped."""
     if not beams:
         raise ConfigError("at least one beam is required")
-    base, phasors = _eirp_terms(config, grid.phi, grid.theta[:, None])
+    cos_psi, u = _direction_cosines(config, grid.phi, grid.theta[:, None])
+    base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
+    # Ravel first: the inverse is then 1-D on every numpy version.
+    u_set, at = np.unique(u.ravel(), return_inverse=True)
+    at = at.reshape(u.shape)
+    phasors = _steering_phasors(config, u_set)
     return PatternSet(patterns=tuple(
         Pattern.from_values(grid, base + _array_factor_db(
-            config, steering_weights(config, beam), phasors))
+            config, steering_weights(config, beam), phasors)[at])
         for beam in beams))
 
 

@@ -58,6 +58,12 @@ class TestMakeGrid:
         assert grid.theta.shape == (71,)
         assert np.isclose(grid.theta_step, 2.5)
 
+    @pytest.mark.parametrize("theta_step", [0.0, -2.5, np.nan, np.inf])
+    def test_bad_theta_step(self, theta_step):
+        with pytest.raises(ConfigError,
+                           match="theta_step must be finite and positive"):
+            make_grid(5.0, 2.5, 177.5, theta_step=theta_step)
+
 
 class TestAngularGridValidation:
     def test_non_ascending_axes_rejected(self):

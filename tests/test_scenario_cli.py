@@ -19,7 +19,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from beamblock import cli, scenario as scenario_mod, synth
+from beamblock import (cli, report as report_mod, scenario as scenario_mod,
+                       synth)
 from beamblock.cli import run_cli
 from beamblock.coverage import WeightedCDF
 from beamblock.errors import ConfigError
@@ -461,6 +462,29 @@ class TestCli:
             synth.synth_pattern_set(sc.config, beams, sc.grid)
             assert sorted(calls) == ["_direction_cosines", "_element_gain_db"]
 
+    def test_steering_phasors_once_per_distinct_u(self, monkeypatch):
+        """Synthesis builds the steering phasors once per call, on the
+        distinct direction cosines of the lattice only."""
+        sizes = []
+        phasors = synth._steering_phasors
+
+        def counted(config, u):
+            sizes.append(np.size(u))
+            return phasors(config, u)
+
+        sc = load_bundled("s1_patch_portrait_hard")
+        _, u = synth._direction_cosines(sc.config, sc.grid.phi,
+                                        sc.grid.theta[:, None])
+        n_distinct = np.unique(u).size
+        assert n_distinct < u.size
+        monkeypatch.setattr(synth, "_steering_phasors", counted)
+        for n_beams in (1, 3, 16):
+            beams = [BeamSpec(scan_deg=s)
+                     for s in np.linspace(-60.0, 60.0, n_beams)]
+            sizes.clear()
+            synth.synth_pattern_set(sc.config, beams, sc.grid)
+            assert sizes == [n_distinct]
+
 
 # Each malformed value, applied to s1, is a one-line exit-2 error naming its
 # scenario block, raised at load (before any synthesis or output).
@@ -498,6 +522,9 @@ S1_MALFORMED = [
     # a band needs lo <= hi, which NaN fails
     (("invalid_theta_band",), [math.nan, 100], "invalid_theta_band"),
     (("invalid_theta_band",), [100, 80], "invalid_theta_band"),
+    # a non-finite step would build a NaN theta axis
+    (("grid", "theta_step"), math.nan, "grid"),
+    (("grid", "theta_step"), math.inf, "grid"),
 ]
 # A fixed pair takes exactly two items: no item is dropped or made up.
 S1_BAD_PAIRS = [
@@ -543,6 +570,26 @@ def test_non_finite_edge_taper_is_config_error(tmp_path, command, value):
         argv += ["--out", str(out_dir)]
     assert _run(argv) == (2, "",
                           "error: edge_taper_deg must be finite and >= 0\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "stats"])
+def test_out_of_memory_is_one_line_error(tmp_path, monkeypatch, command):
+    """A grid too large to allocate ends in one line and exit 1. The failure
+    is simulated: no test allocates a huge grid."""
+    reason = ("Unable to allocate 57.0 GiB for an array with shape "
+              "(170001, 360000) and data type bool")
+
+    def unallocatable(scenario):
+        raise MemoryError(reason)
+
+    monkeypatch.setattr(cli, "build_patterns", unallocatable)
+    monkeypatch.setattr(report_mod, "build_patterns", unallocatable)
+    out_dir = tmp_path / "out"
+    argv = [command, "--scenario", "s1_patch_portrait_hard"]
+    if command == "report":
+        argv += ["--out", str(out_dir)]
+    assert _run(argv) == (1, "", f"error: out of memory: {reason}\n")
     assert not out_dir.exists()
 
 

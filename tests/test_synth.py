@@ -237,10 +237,18 @@ _BYTE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("config,beams", _BYTE_CASES)
+# At 1 deg the 64,440 points share 19,914 distinct direction cosines u.
+_ONE_DEG_CASES = (0, 1, 4)  # patch, 2-element dipole, boresight_phi=10
+
+
+@pytest.mark.parametrize("config,beams,lattice", [
+    pytest.param(config, beams, (7.2, 3.6, 176.4), id=f"config{i}-beams{i}")
+    for i, (config, beams) in enumerate(_BYTE_CASES)] + [
+    pytest.param(*_BYTE_CASES[i], (1.0, 1.0, 179.0), id=f"config{i}-1deg")
+    for i in _ONE_DEG_CASES])
 @pytest.mark.parametrize("band", [None, (80.0, 100.0)])
-def test_synthesis_bytes_match_eirp_at_per_beam(config, beams, band):
-    grid = make_grid(7.2, 3.6, 176.4)
+def test_synthesis_bytes_match_eirp_at_per_beam(config, beams, lattice, band):
+    grid = make_grid(*lattice)
     if band is not None:
         grid = with_invalid_band(grid, *band)
     tt, pp = np.meshgrid(grid.theta, grid.phi, indexing="ij")
