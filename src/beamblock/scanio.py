@@ -13,6 +13,7 @@ points absent from only some series are an error.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +35,53 @@ class ScanData:
 
 
 # A mode field longer than 15 characters, padding included, fills the
-# "U16" column and is refused, since it may have been cut short.
+# "S16" column and is refused, since it may have been cut short.
 _ROW = np.dtype([("phi", "f8"), ("theta", "f8"), ("beam_id", "i8"),
-                 ("mode", "U16"), ("value_dbm", "f8")])
+                 ("mode", "S16"), ("value_dbm", "f8")])
+
+# Characters loadtxt would misread: NUL is cut from the end of a mode, and
+# \x1c-\x1f are white space around a number to loadtxt, not to float().
+_REFUSED = "\0\x1c\x1d\x1e\x1f"
+
+
+def _is_clean(path) -> bool:
+    """Whether the file is ASCII without any of ``_REFUSED``, checked in
+    8 MB chunks of bytes so that no copy of it is held."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 23):
+            if not chunk.isascii() or any(c in chunk
+                                          for c in _REFUSED.encode()):
+                return False
+    return True
+
+
+def _check_header(line: str) -> None:
+    if tuple(h.strip() for h in line.split(",")) != CSV_HEADER:
+        raise DataError(f"expected header {','.join(CSV_HEADER)}")
+
+
+def _read_text(path) -> str:
+    """The file after its checked header line, decoded as UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, text = fh.readline(), fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"scan file is not text: {exc}") from exc
+    _check_header(header)
+    return text
+
+
+_LOADTXT = dict(delimiter=",", comments=None, dtype=_ROW, ndmin=1,
+                encoding="utf-8")
 
 
 def _loadtxt(text: str) -> np.ndarray:
     """Rows of the CSV ``text``; ValueError for a line loadtxt refuses or
     would misread: non-ASCII (numpy 2.4 crashes on some of it in an integer
-    field), NUL (cut from the end of a mode) or \\x1c-\\x1f (white space
-    around a number to loadtxt, not to float())."""
-    if not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f"):
+    field) or one of ``_REFUSED``."""
+    if not text.isascii() or any(c in text for c in _REFUSED):
         raise ValueError("unsupported character")
-    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
-                      dtype=_ROW, ndmin=1)
+    return np.loadtxt(io.StringIO(text), **_LOADTXT)
 
 
 def _data_lines(text: str):
@@ -89,16 +123,40 @@ def _fault(line: str, kind: int) -> str:
             "'_', and beam_id below 2**63")
 
 
+def _read_rows(path):
+    """The rows read and the number of data lines; a refused line, if any,
+    is the first line after the rows."""
+    if _is_clean(path):
+        with open(path, encoding="utf-8") as fh:
+            _check_header(fh.readline())
+            try:
+                with warnings.catch_warnings():  # a blank file is refused
+                    warnings.filterwarnings("ignore", "loadtxt: input "
+                                            "contained no data")
+                    rows = np.loadtxt(fh, **_LOADTXT)
+                if len(rows):
+                    return rows, len(rows)
+            except ValueError:  # a refused line, or one of white space only
+                pass
+    lines = _data_lines(_read_text(path))[0]
+    if not lines:
+        raise DataError("scan file contains no data rows")
+    bad = _first_refused(lines)
+    return (_loadtxt("\n".join(lines[:bad])) if bad
+            else np.zeros(0, _ROW)), len(lines)
+
+
 def _angle_keys(x: np.ndarray):
     """Sorted distinct round(v, 9) of ``x`` and each value's index among
     them; ``round`` runs on the distinct values only."""
-    u, inv = np.unique(x, return_inverse=True)
+    u = np.unique(x)
     keys, at = np.unique([round(v, 9) for v in u.tolist()],
                          return_inverse=True)
+    of = at[np.searchsorted(u, x)]
     zero = np.flatnonzero(keys == 0)
     if zero.size:  # 0.0 or -0.0: the key of the first row that rounds to 0
-        keys[zero] = round(float(x[np.argmax(at[inv] == zero[0])]), 9)
-    return keys.tolist(), at[inv]
+        keys[zero] = round(float(x[np.argmax(of == zero[0])]), 9)
+    return keys.tolist(), of
 
 
 def _lattice_axis(keys: list, name: str, max_points: int):
@@ -123,36 +181,27 @@ def _lattice_axis(keys: list, name: str, max_points: int):
 def parse_scan_csv(path) -> ScanData:
     """Read a scan archive, inferring the grid and validity mask.
 
-    One ``np.loadtxt`` call reads the rows after the header. If it refuses
-    a line, bisection finds the first such line and the rows before it are
-    read and checked first: an error cites the physical line of the first
-    faulty row, blank lines counted.
+    The bytes are checked in 8 MB chunks first. If all are ASCII without
+    NUL or \\x1c-\\x1f, one ``np.loadtxt`` call streams the rows after the
+    header from the open file, so memory grows with the 48-byte rows and
+    not with the text. The text is read whole only on the error path: if
+    the check or loadtxt refuses a line, bisection finds the first such
+    line and the rows before it are read and checked first, and an error
+    cites the physical line of the first faulty row, blank lines counted.
+    Duplicate points are found through one series-major key per row, which
+    is ascending, so that no sort runs, in ``write_scan_csv``'s row order.
     """
-    try:
-        with open(path) as fh:
-            header, text = fh.readline(), fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"scan file is not text: {exc}") from exc
-    if tuple(h.strip() for h in header.split(",")) != CSV_HEADER:
-        raise DataError(f"expected header {','.join(CSV_HEADER)}")
-    if not text.strip():
-        raise DataError("scan file contains no data rows")
-    try:
-        rows = _loadtxt(text)
-        n_lines = len(rows)
-    except ValueError:  # a refused line, or one of white space only
-        lines = _data_lines(text)[0]
-        n_lines, bad = len(lines), _first_refused(lines)
-        rows = _loadtxt("\n".join(lines[:bad])) if bad else np.zeros(0, _ROW)
+    rows, n_lines = _read_rows(path)
     phi, theta, beam, mode, value = (rows[f] for f in _ROW.names)
-    code = np.full(len(rows), -1)
+    code = np.full(len(rows), -1, dtype=np.int8)
     for i, name in enumerate(MODES):
-        code[mode == name] = i
+        code[mode == name.encode()] = i
     odd = np.flatnonzero(code < 0)  # padded or unknown: strip the distinct
     names, name_of = np.unique(mode[odd], return_inverse=True)
     code[odd] = np.array([MODES.index(n.strip()) if n.strip() in MODES
                           and len(n) < 16 else -1
-                          for n in names.tolist()], dtype=int)[name_of]
+                          for n in names.astype(str).tolist()],
+                         dtype=np.int8)[name_of]
 
     # The first faulty row of each kind of _fault; a refused line comes
     # after the rows read. Duplicates are sought before the first of them.
@@ -162,17 +211,33 @@ def parse_scan_csv(path) -> ScanData:
     end = min(first)
     phi_keys, phi_of = _angle_keys(phi[:end])
     theta_keys, theta_of = _angle_keys(theta[:end])
-    beams, beam_of = np.unique(beam[:end], return_inverse=True)
-    series, series_of = np.unique(code[:end] * len(beams) + beam_of,
-                                  return_inverse=True)
-    point = np.unique(theta_of * len(phi_keys) + phi_of,
-                      return_inverse=True)[1]
-    key = point * len(series) + series_of
-    order = np.argsort(key, kind="stable")
-    same = np.flatnonzero(np.diff(key[order]) == 0)
-    if same.size or end < n_lines:
-        lines, numbers = _data_lines(text)
-        if same.size:  # the earliest second row of a point, and its first
+    beams = np.unique(beam[:end])
+    series_of = code[:end].astype(np.int64)  # widened before it can wrap
+    series_of *= len(beams)
+    series_of += np.searchsorted(beams, beam[:end])
+    present = np.bincount(series_of) > 0
+    series = np.flatnonzero(present)
+    series_of = (np.cumsum(present) - 1)[series_of]
+
+    # One series-major key per row, ascending in write_scan_csv's row
+    # order. Where no lattice can fit (see below), the points are numbered
+    # first, so the key stays below len(rows)**2 and cannot wrap.
+    n_points = len(theta_keys) * len(phi_keys)
+    point = theta_of * len(phi_keys) + phi_of
+    del theta_of, phi_of
+    if len(series) * n_points > 2 * len(rows):
+        points = np.unique(point)
+        point, n_points = np.searchsorted(points, point), len(points)
+    key = series_of * n_points
+    key += point
+    del point, series_of
+    ranked = np.sort(key) if np.any(key[1:] <= key[:-1]) else key
+    repeat = bool(np.any(ranked[1:] == ranked[:-1]))
+    if repeat or end < n_lines:
+        lines, numbers = _data_lines(_read_text(path))
+        if repeat:  # the earliest second row of a point, and its first
+            order = np.argsort(key, kind="stable")
+            same = np.flatnonzero(np.diff(key[order]) == 0)
             j = same[np.argmin(order[same + 1])]
             raise DataError(f"line {numbers[order[j + 1]]}: duplicate point, "
                             f"first at line {numbers[order[j]]}")
@@ -185,8 +250,13 @@ def parse_scan_csv(path) -> ScanData:
     phis, phi_idx = _lattice_axis(phi_keys, "phi", cells)
     thetas, theta_idx = _lattice_axis(theta_keys, "theta",
                                       cells // len(phis))
+    # A lattice fits, so the points were not renumbered: the key is the
+    # flat index of its (series, theta key, phi key) cell.
+    flat = np.full(len(series) * n_points, np.nan)
+    flat[key] = value
     cube = np.full((len(series), len(thetas), len(phis)), np.nan)
-    cube[series_of, theta_idx[theta_of], phi_idx[phi_of]] = value
+    cube[:, theta_idx[:, None], phi_idx] = flat.reshape(
+        len(series), len(theta_keys), len(phi_keys))
     count = (~np.isnan(cube)).sum(axis=0)
     valid = count == len(series)
     partial = (count > 0) & ~valid

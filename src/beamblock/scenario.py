@@ -181,7 +181,7 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
 

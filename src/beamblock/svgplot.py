@@ -133,11 +133,10 @@ def _thin_steps(cdf: WeightedCDF) -> list[tuple[float, float]]:
     """Step-curve vertices, decimated for plot size but deterministic."""
     pts = []
     last_x, last_y = None, 0.0
-    values, cums = cdf.values, cdf.cum_weights
-    for i in range(values.size):
-        x, y = float(values[i]), float(cums[i])
+    values = cdf.values.tolist()
+    for i, (x, y) in enumerate(zip(values, cdf.cum_weights.tolist())):
         if last_x is not None and x - last_x < 0.05 and y - last_y < 0.002 \
-                and i < values.size - 1:
+                and i < len(values) - 1:
             continue
         pts.append((x, last_y))
         pts.append((x, y))

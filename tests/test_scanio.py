@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from beamblock.errors import DataError
 from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
 from beamblock.scanio import (CSV_HEADER, MODES, ScanData, parse_scan_csv,
                               write_scan_csv)
-from beamblock.scenario import scenario_from_dict
+from beamblock.scenario import build_patterns, scenario_from_dict
 
 SMALL_CSV = """phi,theta,beam_id,mode,value_dbm
 0.0,45.0,0,freespace,-50.000000
@@ -172,6 +173,15 @@ class TestParse:
             parse_scan_csv(_write(tmp_path, ",".join(CSV_HEADER) + "\n"
                                   + rows))
 
+    def test_duplicate_in_sparse_file_found_before_grid(self, tmp_path):
+        # too sparse for any lattice: the duplicate is still reported first
+        rows = [f"{phi}.0,90.0,{phi},freespace,-48.0" for phi in range(100)]
+        rows.insert(60, rows[30])
+        with pytest.raises(DataError) as err:
+            parse_scan_csv(_write(tmp_path, "\n".join(
+                [",".join(CSV_HEADER)] + rows) + "\n"))
+        assert str(err.value) == "line 62: duplicate point, first at line 32"
+
     @pytest.mark.parametrize("blank", ["", "   \t"])
     def test_bad_row_after_blank_line_cites_physical_line(self, tmp_path,
                                                           blank):
@@ -308,6 +318,76 @@ class TestParse:
         with pytest.raises(DataError) as err:
             parse_scan_csv(_write(tmp_path, SMALL_CSV + extra))
         assert "inferred grid" in str(err.value)
+
+
+
+def _same_scan(a, b):
+    assert a.grid == b.grid and a.beam_ids == b.beam_ids
+    assert list(a.modes) == list(b.modes)
+    for mode in a.modes:
+        for pa, pb in zip(a.modes[mode], b.modes[mode], strict=True):
+            np.testing.assert_array_equal(pa.values, pb.values)
+
+
+@pytest.fixture(scope="module")
+def stress_archives(tmp_path_factory):
+    """s5 on a 2-degree grid with 4 beams: 192,240 rows in write_scan_csv's
+    order, and the same rows in a seeded shuffle."""
+    d = json.loads((resources.files("beamblock") / "scenarios"
+                    / "s5_patch_landscape_intermediate.json").read_text())
+    d["grid"] = {"phi_step": 2.0, "theta_min": 2.0, "theta_max": 178.0}
+    d["beams"] = [{"scan_deg": s} for s in (-45.0, -15.0, 15.0, 45.0)]
+    root = tmp_path_factory.mktemp("stress")
+    ordered = root / "ordered.csv"
+    write_scan_csv(ordered, build_patterns(scenario_from_dict(d)))
+    header, *rows = ordered.read_text().splitlines(True)
+    rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+    shuffled = _write(root, header + "".join(rows), "shuffled.csv")
+    return ordered, shuffled
+
+
+class TestParseScale:
+    def test_memory_is_bounded_by_the_rows(self, stress_archives):
+        # the rows take 48 bytes each, about 1.4 times their text; a copy of
+        # the whole text (4 bytes per character) would exceed the bound
+        path = stress_archives[1]
+        tracemalloc.start()
+        try:
+            data = parse_scan_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, data.modes.values())) == 12
+        assert peak <= 5 * path.stat().st_size
+
+    def test_row_order_does_not_matter(self, stress_archives):
+        ordered, shuffled = (parse_scan_csv(p) for p in stress_archives)
+        _same_scan(ordered, shuffled)
+
+    def test_duplicate_cites_same_lines_in_either_order(self, stress_archives,
+                                                        tmp_path):
+        for path in stress_archives:
+            header, *rows = path.read_text().splitlines(True)
+            rows.insert(150_000, rows[70_000])  # physical lines 150002, 70002
+            with pytest.raises(DataError) as err:
+                parse_scan_csv(_write(tmp_path, header + "".join(rows)))
+            assert str(err.value) == ("line 150002: duplicate point, "
+                                      "first at line 70002")
+
+    def test_many_beams_with_large_ids_read_back(self, tmp_path):
+        # 3 modes x 300 beams overflows an 8-bit series code, and ids near
+        # 2**62 overflow any key built from the ids themselves
+        grid = make_grid(90.0, 45.0, 135.0)
+        rng = np.random.default_rng(62)
+        ids = tuple(2**62 + 2**40 * k + 7 for k in range(300))
+        modes = {mode: PatternSet(patterns=tuple(
+            Pattern.from_values(grid, rng.integers(-90, 0, grid.shape) / 4)
+            for _ in ids)) for mode in MODES}
+        data = ScanData(grid=grid, modes=modes,
+                        beam_ids={mode: ids for mode in MODES})
+        path = tmp_path / "beams.csv"
+        write_scan_csv(path, data)
+        _same_scan(parse_scan_csv(path), data)
 
 
 class TestWrite:

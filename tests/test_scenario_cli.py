@@ -558,6 +558,22 @@ def test_malformed_scenario_is_one_line_error(tmp_path, command, path, value,
 
 
 @pytest.mark.parametrize("command", ["report", "stats"])
+def test_deeply_nested_scenario_is_one_line_error(tmp_path, command):
+    # deeper than the JSON decoder's recursion limit
+    scenario = tmp_path / "deep.json"
+    scenario.write_text("[" * 100000)
+    out_dir = tmp_path / "out"
+    argv = [command, "--scenario", str(scenario)]
+    if command == "report":
+        argv += ["--out", str(out_dir)]
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: scenario is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "stats"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_edge_taper_is_config_error(tmp_path, command, value):
     scenario = tmp_path / "bad.json"
