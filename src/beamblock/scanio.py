@@ -43,11 +43,17 @@ _ROW = np.dtype([("phi", "f8"), ("theta", "f8"), ("beam_id", "i8"),
 # \x1c-\x1f are white space around a number to loadtxt, not to float().
 _REFUSED = "\0\x1c\x1d\x1e\x1f"
 
+# Each mode name as the two 8-byte words of its NUL-padded "S16" field, and
+# the rows keyed at a time: few enough to sort in cache, enough to amortize.
+_MODE_WORDS = np.array([m.encode() for m in MODES], "S16").view("(2,)u8")
+_BLOCK = 1 << 16
+
 
 def _is_clean(path) -> bool:
-    """Whether the file is ASCII without any of ``_REFUSED``, checked in
-    8 MB chunks of bytes so that no copy of it is held."""
+    """Whether the file is ASCII without any of ``_REFUSED`` after a UTF-8
+    byte-order mark, checked in 8 MB chunks so that no copy of it is held."""
     with open(path, "rb") as fh:
+        fh.seek(3 if fh.read(3) == "\ufeff".encode() else 0)
         while chunk := fh.read(1 << 23):
             if not chunk.isascii() or any(c in chunk
                                           for c in _REFUSED.encode()):
@@ -61,9 +67,9 @@ def _check_header(line: str) -> None:
 
 
 def _read_text(path) -> str:
-    """The file after its checked header line, decoded as UTF-8."""
+    """The file after its checked header line, decoded as UTF-8-SIG."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header, text = fh.readline(), fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"scan file is not text: {exc}") from exc
@@ -127,7 +133,7 @@ def _read_rows(path):
     """The rows read and the number of data lines; a refused line, if any,
     is the first line after the rows."""
     if _is_clean(path):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             _check_header(fh.readline())
             try:
                 with warnings.catch_warnings():  # a blank file is refused
@@ -146,13 +152,25 @@ def _read_rows(path):
             else np.zeros(0, _ROW)), len(lines)
 
 
+def _index(x: np.ndarray, keyed=np.asarray):
+    """Sorted distinct ``keyed`` values of ``x`` and each row's index among
+    them, found one block of rows at a time so any row order costs alike."""
+    blocks = []
+    for i in range(0, len(x), _BLOCK):
+        d, at = np.unique(x[i:i + _BLOCK], return_inverse=True)
+        blocks.append((keyed(d), at))
+    keys = np.unique(np.concatenate([k for k, _ in blocks] or [x[:0]]))
+    of = np.empty(len(x), dtype=np.intp)
+    for i, (k, at) in zip(range(0, len(x), _BLOCK), blocks):
+        of[i:i + _BLOCK] = np.searchsorted(keys, k)[at]
+    return keys, of
+
+
 def _angle_keys(x: np.ndarray):
     """Sorted distinct round(v, 9) of ``x`` and each value's index among
-    them; ``round`` runs on the distinct values only."""
-    u = np.unique(x)
-    keys, at = np.unique([round(v, 9) for v in u.tolist()],
-                         return_inverse=True)
-    of = at[np.searchsorted(u, x)]
+    them; ``round`` runs on each block's distinct values only."""
+    keys, of = _index(x, lambda d: np.array([round(v, 9)
+                                             for v in d.tolist()]))
     zero = np.flatnonzero(keys == 0)
     if zero.size:  # 0.0 or -0.0: the key of the first row that rounds to 0
         keys[zero] = round(float(x[np.argmax(of == zero[0])]), 9)
@@ -188,14 +206,17 @@ def parse_scan_csv(path) -> ScanData:
     the check or loadtxt refuses a line, bisection finds the first such
     line and the rows before it are read and checked first, and an error
     cites the physical line of the first faulty row, blank lines counted.
-    Duplicate points are found through one series-major key per row, which
-    is ascending, so that no sort runs, in ``write_scan_csv``'s row order.
+    A UTF-8 byte-order mark before the header is skipped. Keys are computed
+    one block of rows at a time, whatever the row order.
     """
     rows, n_lines = _read_rows(path)
     phi, theta, beam, mode, value = (rows[f] for f in _ROW.names)
     code = np.full(len(rows), -1, dtype=np.int8)
-    for i, name in enumerate(MODES):
-        code[mode == name.encode()] = i
+    words = mode.view("(2,)u8")  # -1, plus m where MODES[m - 1] matches
+    for i in range(0, len(rows), _BLOCK):
+        lo, hi = words[i:i + _BLOCK].T
+        for m, w in enumerate(_MODE_WORDS, 1):
+            code[i:i + _BLOCK] += ((lo == w[0]) & (hi == w[1])) * np.int8(m)
     odd = np.flatnonzero(code < 0)  # padded or unknown: strip the distinct
     names, name_of = np.unique(mode[odd], return_inverse=True)
     code[odd] = np.array([MODES.index(n.strip()) if n.strip() in MODES
@@ -209,12 +230,14 @@ def parse_scan_csv(path) -> ScanData:
              (np.isfinite(phi) & np.isfinite(theta), code >= 0, beam >= 0)]
     first.append(len(rows))
     end = min(first)
-    phi_keys, phi_of = _angle_keys(phi[:end])
+    phi_keys, point = _angle_keys(phi[:end])
     theta_keys, theta_of = _angle_keys(theta[:end])
-    beams = np.unique(beam[:end])
-    series_of = code[:end].astype(np.int64)  # widened before it can wrap
-    series_of *= len(beams)
-    series_of += np.searchsorted(beams, beam[:end])
+    n_points = len(theta_keys) * len(phi_keys)
+    point += theta_of * len(phi_keys)
+    del theta_of
+    beams, series_of = _index(beam[:end])
+    # the int8 code is widened before it can wrap
+    series_of += np.multiply(code[:end], len(beams), dtype=np.int64)
     present = np.bincount(series_of) > 0
     series = np.flatnonzero(present)
     series_of = (np.cumsum(present) - 1)[series_of]
@@ -222,17 +245,15 @@ def parse_scan_csv(path) -> ScanData:
     # One series-major key per row, ascending in write_scan_csv's row
     # order. Where no lattice can fit (see below), the points are numbered
     # first, so the key stays below len(rows)**2 and cannot wrap.
-    n_points = len(theta_keys) * len(phi_keys)
-    point = theta_of * len(phi_keys) + phi_of
-    del theta_of, phi_of
     if len(series) * n_points > 2 * len(rows):
-        points = np.unique(point)
-        point, n_points = np.searchsorted(points, point), len(points)
+        points, point = _index(point)
+        n_points = len(points)
     key = series_of * n_points
     key += point
     del point, series_of
     ranked = np.sort(key) if np.any(key[1:] <= key[:-1]) else key
     repeat = bool(np.any(ranked[1:] == ranked[:-1]))
+    del ranked
     if repeat or end < n_lines:
         lines, numbers = _data_lines(_read_text(path))
         if repeat:  # the earliest second row of a point, and its first
@@ -254,6 +275,7 @@ def parse_scan_csv(path) -> ScanData:
     # flat index of its (series, theta key, phi key) cell.
     flat = np.full(len(series) * n_points, np.nan)
     flat[key] = value
+    del key
     cube = np.full((len(series), len(thetas), len(phis)), np.nan)
     cube[:, theta_idx[:, None], phi_idx] = flat.reshape(
         len(series), len(theta_keys), len(phi_keys))

@@ -37,6 +37,11 @@ def _f(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
+        np.column_stack([xs, ys]).ravel().tolist())
+
+
 def _ramp_colors(t: np.ndarray) -> np.ndarray:
     """``#rrggbb`` of each ``t`` on the ramp, ``t`` clipped to [0, 1]."""
     pos = np.clip(t, 0.0, 1.0) * (len(_RAMP) - 1)
@@ -191,8 +196,8 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
         tick += x_step
     for idx, (label, cdf) in enumerate(curves):
         color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
-        pts = [(max(min(x, xhi), xlo), y) for x, y in _thin_steps(cdf)]
-        path = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in pts)
+        xs, ys = np.array(_thin_steps(cdf)).reshape(-1, 2).T
+        path = _points(sx(np.clip(xs, xlo, xhi)), sy(ys))
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         ly = mt + 16 + 16 * idx
@@ -203,9 +208,7 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
                    f'font-size="11">{html.escape(label, quote=False)}</text>')
     if gaussian is not None:
         xs = np.linspace(xlo, xhi, 201)
-        ys = gaussian.cdf(xs)
-        path = " ".join(f"{_f(sx(float(x)))},{_f(sy(float(y)))}"
-                        for x, y in zip(xs, ys))
+        path = _points(sx(xs), sy(gaussian.cdf(xs)))
         out.append(f'<polyline points="{path}" fill="none" stroke="#000000" '
                    'stroke-width="1.2" stroke-dasharray="6 3"/>')
         ly = mt + 16 + 16 * len(curves)

@@ -1,5 +1,6 @@
 """Scan archive parsing and writing."""
 
+import codecs
 import contextlib
 import csv
 import io
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamblock import scanio
 from beamblock.cli import run_cli
 from beamblock.errors import DataError
 from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
@@ -269,6 +271,10 @@ class TestParse:
          "could not convert string to float: '\"180.0\"'"),
         (",1,freespace,-41", ",1,   freespace    ,-41",
          "mode field is 16 characters or wider"),
+        # mode fields are compared as two 8-byte words
+        (",1,freespace,-41", ",1,freespacex,-41", "unknown mode 'freespacex'"),
+        ("180.0,45.0,1,", "\ufeff180.0,45.0,1,",
+         "could not convert string to float: '\\ufeff180.0'"),
     ])
     def test_refused_forms_cite_line(self, tmp_path, old, new, reason):
         lines = SMALL_CSV.splitlines()
@@ -277,6 +283,20 @@ class TestParse:
         with pytest.raises(DataError) as err:
             parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n"))
         assert str(err.value).startswith(f"line 7: {reason}")
+
+    def test_byte_order_mark_before_header_skipped(self, tmp_path):
+        # as spreadsheet "CSV UTF-8" exports begin
+        assert run_cli(["synth", "--scenario", "s1_patch_portrait_hard",
+                        "--out", str(tmp_path)]) == 0
+        plain = tmp_path / "scan.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        _same_scan(parse_scan_csv(marked), parse_scan_csv(plain))
+        lines = marked.read_bytes().split(b"\n")
+        lines[6] = codecs.BOM_UTF8 + lines[6]  # a mark elsewhere is refused
+        marked.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=r"^line 7: could not convert"):
+            parse_scan_csv(marked)
 
     def test_undecodable_file_is_a_data_error(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -319,6 +339,14 @@ class TestParse:
             parse_scan_csv(_write(tmp_path, SMALL_CSV + extra))
         assert "inferred grid" in str(err.value)
 
+
+class TestParseSmallBlocks(TestParse):
+    """TestParse with rows keyed three at a time, so that block edges fall
+    inside each file."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(scanio, "_BLOCK", 3)
 
 
 def _same_scan(a, b):
@@ -366,13 +394,26 @@ class TestParseScale:
 
     def test_duplicate_cites_same_lines_in_either_order(self, stress_archives,
                                                         tmp_path):
+        # one faulty row of each kind on physical line 150002
+        faults = [
+            (None, "duplicate point, first at line 70002"),
+            ("0.0,90.0,0,absorber,-50.0", "unknown mode 'absorber'"),
+            ("0.0,90.0,0,freespace       ,-50.0",
+             "mode field is 16 characters or wider"),
+            ("0.0,90.0,-1,freespace,-50.0", "beam_id must be >= 0"),
+            ("0.0,nan,0,freespace,-50.0", "non-finite angle"),
+            ("0.0,90.0,0,freespace,n/a",
+             "could not convert string to float: 'n/a'"),
+        ]
         for path in stress_archives:
             header, *rows = path.read_text().splitlines(True)
-            rows.insert(150_000, rows[70_000])  # physical lines 150002, 70002
-            with pytest.raises(DataError) as err:
-                parse_scan_csv(_write(tmp_path, header + "".join(rows)))
-            assert str(err.value) == ("line 150002: duplicate point, "
-                                      "first at line 70002")
+            for row, message in faults:
+                bad = rows[70_000] if row is None else row + "\n"
+                text = header + "".join(rows[:150_000] + [bad]
+                                        + rows[150_000:])
+                with pytest.raises(DataError) as err:
+                    parse_scan_csv(_write(tmp_path, text))
+                assert str(err.value) == f"line 150002: {message}", path
 
     def test_many_beams_with_large_ids_read_back(self, tmp_path):
         # 3 modes x 300 beams overflows an 8-bit series code, and ids near
