@@ -17,8 +17,7 @@ from .scanio import ScanData, parse_scan_csv, write_scan_csv
 from .scenario import (Scenario, build_patterns, list_bundled, load_bundled,
                        load_scenario, scenario_metadata)
 from .synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
-                    apply_blockage_mask, array_factor_db, eirp_at,
-                    steering_weights, synth_pattern_set)
+                    apply_blockage_mask, steering_weights, synth_pattern_set)
 
 __version__ = "0.1.0"
 

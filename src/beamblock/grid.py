@@ -155,6 +155,17 @@ class WeightField:
         object.__setattr__(self, "weights", w)
 
 
+def point_prefixes(grid: AngularGrid, mask: np.ndarray) -> list[str]:
+    """``"phi,theta,"`` of each point where the boolean ``mask`` holds,
+    theta-major, with ``repr(float)`` angles: how the rows of the scan and
+    region archives start. No prefix holds a '%', so callers may use them
+    in templates."""
+    phis = [f"{x!r}," for x in grid.phi.tolist()]
+    return [p + t for t, row in zip([f"{x!r}," for x in grid.theta.tolist()],
+                                    mask.tolist())
+            for p, keep in zip(phis, row) if keep]
+
+
 def solid_angle_weights(grid: AngularGrid) -> WeightField:
     """sin(theta) area weights on the lattice, normalized over valid points.
 

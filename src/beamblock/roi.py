@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import AngularGrid, Pattern, WeightField, fraction_of_sphere
+from .grid import (AngularGrid, Pattern, WeightField, fraction_of_sphere,
+                   point_prefixes)
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,8 @@ def roi_improvement(base: RoIMask, enhanced: RoIMask,
 
 def write_roi_csv(mask: RoIMask, path) -> None:
     """Dump a region as one `phi,theta,in_roi` row per grid point."""
-    grid = mask.grid
-    phis = [repr(float(phi)) for phi in grid.phi]
+    points = point_prefixes(mask.grid, np.ones(mask.grid.shape, dtype=bool))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("phi,theta,in_roi\n")
-        for theta, row in zip(grid.theta.tolist(),
-                              mask.mask.astype(int).tolist()):
-            fh.write("".join([f"{phi},{theta!r},{m}\n"
-                              for phi, m in zip(phis, row)]))
+        fh.write(("%d\n".join(points) + "%d\n")
+                 % tuple(mask.mask.ravel().tolist()))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import AngularGrid, Pattern, PatternSet
+from .grid import AngularGrid, Pattern, PatternSet, point_prefixes
 
 MODES = ("freespace", "phantom", "true_hand")
 
@@ -306,23 +306,37 @@ def write_scan_csv(path, data) -> None:
     """Write a scan archive deterministically.
 
     ``data`` is a ScanData or a mapping mode -> PatternSet. Rows are ordered
-    by mode, beam, theta, phi ascending; only valid points are written;
-    angles carry ``repr(float)`` and values six decimal places.
+    by mode, beam as given, then theta and phi ascending; only valid points
+    are written; angles carry ``repr(float)`` and values six decimal places.
+    An archive that would not read back as given is refused with DataError
+    before the file is opened: no mode, an unknown mode, modes on different
+    grids, or beam ids that are not one distinct integer in [0, 2**63) per
+    beam.
     """
     modes, beam_ids = ((data.modes, data.beam_ids)
                        if isinstance(data, ScanData) else (data, {}))
     if not set(modes) <= set(MODES):
         raise DataError(f"unknown mode {min(set(modes) - set(MODES))!r}")
+    if not modes:
+        raise DataError("no mode to write")
+    grid = next(iter(modes.values())).grid
+    if any(pset.grid != grid for pset in modes.values()):
+        raise DataError("all modes must share one grid")
+    ids = {mode: tuple(beam_ids.get(mode) or range(len(pset)))
+           for mode, pset in modes.items()}
+    for mode, pset in modes.items():
+        if (len(ids[mode]) != len(pset)
+                or not all(isinstance(b, (int, np.integer)) and 0 <= b < 2**63
+                           for b in ids[mode])
+                or len(set(ids[mode])) < len(pset)):
+            raise DataError(f"{mode}: beam_ids must be {len(pset)} distinct "
+                            "integers in [0, 2**63)")
+    points = point_prefixes(grid, grid.valid)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for mode in sorted(modes):
-            grid = modes[mode].grid
-            phis = [repr(float(x)) for x in grid.phi]
-            thetas = [repr(float(x)) for x in grid.theta]
-            # %(b)s takes the beam; no repr(float) or mode holds a '%'
-            rows = "".join([f"{phis[j]},{thetas[i]},%(b)s,{mode},%%.6f\n"
-                            for i, j in np.argwhere(grid.valid).tolist()])
-            ids = beam_ids.get(mode) or range(len(modes[mode]))
-            for beam, pattern in zip(ids, modes[mode]):
-                fh.write(rows % {"b": beam} % tuple(
+            for beam, pattern in zip(ids[mode], modes[mode]):
+                # one %.6f per point; neither a prefix nor the tail holds '%'
+                tail = f"{beam:d},{mode},%.6f\n"
+                fh.write((tail.join(points) + tail) % tuple(
                     pattern.values[grid.valid].tolist()))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import FLOOR_DB, AngularGrid, Pattern, PatternSet
+from .grid import AngularGrid, Pattern, PatternSet
 
 # Patch element power-rolloff exponent; q = 1 gives the ~90 deg element
 # half-power beamwidth the synthetic codebooks are calibrated around.
@@ -106,27 +106,10 @@ def _steering_phasors(config: ArrayConfig, u) -> np.ndarray:
                         * np.arange(config.n_elements)))
 
 
-def _array_factor_db(config: ArrayConfig, weights: np.ndarray,
-                     phasors: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights)
-    if w.shape != (config.n_elements,):
-        raise ConfigError("weights length must match n_elements")
-    if np.any(np.abs(w) > 1.0 + 1e-9):
-        raise ConfigError("weight magnitudes must be <= 1")
-    total = np.abs((w * phasors).sum(axis=-1))
+def _array_factor_db(weights: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    total = np.abs((weights * phasors).sum(axis=-1))
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(total)
-
-
-def array_factor_db(config: ArrayConfig, weights: np.ndarray,
-                    angle_off_boresight) -> np.ndarray:
-    """Array factor in dB on the scan plane, angle in degrees.
-
-    Exact nulls clamp to the floor sentinel instead of -inf.
-    """
-    u = np.sin(np.deg2rad(np.asarray(angle_off_boresight, dtype=float)))
-    return np.maximum(_array_factor_db(config, weights,
-                                       _steering_phasors(config, u)), FLOOR_DB)
 
 
 def _direction_cosines(config: ArrayConfig, phi_deg, theta_deg):
@@ -134,12 +117,6 @@ def _direction_cosines(config: ArrayConfig, phi_deg, theta_deg):
                          - config.boresight_phi + 180.0) % 360.0 - 180.0)
     sin_t = np.sin(np.deg2rad(np.asarray(theta_deg, dtype=float)))
     return sin_t * np.cos(dphi_r), sin_t * np.sin(dphi_r)
-
-
-def element_gain_db(config: ArrayConfig, phi_deg, theta_deg) -> np.ndarray:
-    """Element power gain in dBi at broadcastable (phi, theta) arrays."""
-    return _element_gain_db(config,
-                            *_direction_cosines(config, phi_deg, theta_deg))
 
 
 def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
@@ -152,15 +129,6 @@ def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
             roll = 1.0 - u * u
             return np.where(roll > 0, peak + 20.0 * np.log10(roll), -np.inf)
     return np.full(np.shape(cos_psi), float(peak))
-
-
-def eirp_at(config: ArrayConfig, weights: np.ndarray, phi_deg,
-            theta_deg) -> np.ndarray:
-    """EIRP in dBm at arbitrary angles, without the floor clamp."""
-    cos_psi, u = _direction_cosines(config, phi_deg, theta_deg)
-    base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
-    return base + _array_factor_db(config, weights,
-                                   _steering_phasors(config, u))
 
 
 def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
@@ -176,7 +144,7 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     phasors = _steering_phasors(config, u_set)
     return PatternSet(patterns=tuple(
         Pattern.from_values(grid, base + _array_factor_db(
-            config, steering_weights(config, beam), phasors)[at])
+            steering_weights(config, beam), phasors)[at])
         for beam in beams))
 
 

@@ -25,8 +25,9 @@ from beamblock.roi import (improvement_from_percent, matched_r1_for_r5,
 from beamblock.coverage import lost_percentages
 from beamblock.report import write_report
 from beamblock.scenario import list_bundled, load_bundled
-from beamblock.synth import (ArrayConfig, BeamSpec, MaskRegion, eirp_at,
+from beamblock.synth import (ArrayConfig, BeamSpec, MaskRegion,
                              steering_weights)
+from synth_oracle import eirp_at
 
 SMALL_GRID = AngularGrid(phi=np.array([0.0, 90.0, 180.0, 270.0]),
                          theta=np.array([45.0, 90.0, 135.0]),

