@@ -22,8 +22,7 @@ PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
 
 def overlay_best_beam(pset: PatternSet) -> Pattern:
     """Pointwise maximum EIRP over the codebook's beams."""
-    return Pattern.from_values(pset.grid,
-                               np.max([p.values for p in pset], axis=0))
+    return Pattern(pset.grid, pset.values.max(axis=0))
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,20 @@ def fraction_of_sphere(mask, weights: WeightField) -> float:
     return 100.0 * float(weights.weights[m].sum())
 
 
+def _cleaned(grid: AngularGrid, values, ndim: int) -> np.ndarray:
+    """A read-only float copy of ``values``, a field on ``grid`` (ndim 2)
+    or a stack of them (ndim 3), NaN at invalid points and clamped up to
+    ``FLOOR_DB``; DataError if a valid point is not finite."""
+    v = np.array(values, dtype=float, order="C")
+    if v.ndim != ndim or v.shape[-2:] != grid.shape:
+        raise ConfigError("values shape must match the grid")
+    v[..., ~grid.valid] = np.nan
+    v[v < FLOOR_DB] = FLOOR_DB
+    if np.any(~np.isfinite(v) & grid.valid):
+        raise DataError("non-finite value at a valid grid point")
+    return _as_readonly(v)
+
+
 @dataclass(frozen=True)
 class Pattern:
     """A scalar dB field on a grid: EIRP (dBm) or blockage loss (dB).
@@ -218,14 +232,7 @@ class Pattern:
     @classmethod
     def from_values(cls, grid: AngularGrid, values: np.ndarray) -> "Pattern":
         """Clamp to the floor, blank invalid points, and wrap."""
-        v = np.array(values, dtype=float)
-        if v.shape != grid.shape:
-            raise ConfigError("values shape must match the grid")
-        v[~grid.valid] = np.nan
-        v[v < FLOOR_DB] = FLOOR_DB
-        if np.any(~np.isfinite(v) & grid.valid):
-            raise DataError("non-finite value at a valid grid point")
-        return cls(grid=grid, values=v)
+        return cls(grid=grid, values=_cleaned(grid, values, 2))
 
     def max_value(self) -> float:
         return float(np.nanmax(self.values[self.grid.valid]))
@@ -233,25 +240,30 @@ class Pattern:
 
 @dataclass(frozen=True)
 class PatternSet:
-    """One pattern per codebook beam, all on the same grid."""
+    """One pattern per codebook beam: ``values`` is a read-only (n_beams,
+    n_theta, n_phi) copy, cleaned as ``Pattern.from_values`` cleans one, and
+    ``beam_ids`` the distinct integers in [0, 2**63) that a scan archive
+    names the beams by, 0..n-1 by default. Iteration yields read-only
+    ``Pattern`` views of the beams."""
 
-    patterns: tuple[Pattern, ...]
+    grid: AngularGrid
+    values: np.ndarray
+    beam_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not self.patterns:
+        v = _cleaned(self.grid, self.values, 3)
+        if not len(v):
             raise ConfigError("a pattern set needs at least one beam")
-        g = self.patterns[0].grid
-        for p in self.patterns[1:]:
-            if p.grid != g:
-                raise DataError("all beam patterns must share one grid")
-        object.__setattr__(self, "patterns", tuple(self.patterns))
-
-    @property
-    def grid(self) -> AngularGrid:
-        return self.patterns[0].grid
+        ids = tuple(range(len(v)) if self.beam_ids is None else self.beam_ids)
+        if not all(isinstance(b, (int, np.integer)) and 0 <= b < 2**63
+                   for b in ids) or not len(v) == len(ids) == len(set(ids)):
+            raise DataError(f"beam_ids must be {len(v)} distinct integers in "
+                            "[0, 2**63)")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "beam_ids", tuple(map(int, ids)))
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.values)
 
     def __iter__(self):
-        return iter(self.patterns)
+        return (Pattern(grid=self.grid, values=v) for v in self.values)

@@ -25,9 +25,10 @@ class Study:
 
     ``modes`` maps mode names (``freespace``, ``true_hand``, ...) to
     PatternSets on one grid, as returned by ``build_patterns`` or
-    ``parse_scan_csv(...).modes``. The sin(theta) weights are computed on
-    construction; each mode's best-beam overlay and full-sphere CDF on first
-    use, then reused.
+    ``parse_scan_csv(...).modes``; beam ids play no part. The sin(theta)
+    weights are computed on construction; each mode's best-beam overlay (a
+    maximum over the beam axis) and full-sphere CDF on first use, then
+    reused.
     """
 
     def __init__(self, modes: dict):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import AngularGrid, Pattern, PatternSet, point_prefixes
+from .grid import AngularGrid, PatternSet, point_prefixes
 
 MODES = ("freespace", "phantom", "true_hand")
 
@@ -27,11 +27,9 @@ CSV_HEADER = ("phi", "theta", "beam_id", "mode", "value_dbm")
 
 @dataclass(frozen=True)
 class ScanData:
-    """Parsed archive: per-mode pattern sets on one shared grid."""
+    """Parsed archive: a mapping mode -> PatternSet, all on one grid."""
 
-    grid: AngularGrid
     modes: dict
-    beam_ids: dict
 
 
 # A mode field longer than 15 characters, padding included, fills the
@@ -167,21 +165,24 @@ def _index(x: np.ndarray, keyed=np.asarray):
 
 
 def _angle_keys(x: np.ndarray):
-    """Sorted distinct round(v, 9) of ``x`` and each value's index among
-    them; ``round`` runs on each block's distinct values only."""
+    """Sorted distinct round(v, 9) of ``x``, the angle the first row of each
+    wrote, and each value's index among them; ``round`` runs on each
+    block's distinct values only."""
     keys, of = _index(x, lambda d: np.array([round(v, 9)
                                              for v in d.tolist()]))
-    zero = np.flatnonzero(keys == 0)
-    if zero.size:  # 0.0 or -0.0: the key of the first row that rounds to 0
-        keys[zero] = round(float(x[np.argmax(of == zero[0])]), 9)
-    return keys.tolist(), of
+    first = np.full(len(keys), len(x))
+    for i in range(0, len(x), _BLOCK):
+        block = of[i:i + _BLOCK]
+        np.minimum.at(first, block, np.arange(i, i + len(block)))
+    return keys.tolist(), x[first].tolist(), of
 
 
-def _lattice_axis(keys: list, name: str, max_points: int):
-    """Axis over the sorted ``keys`` stepped by their smallest gap, with
-    unnamed lattice values filling the gaps, and each key's index on it."""
+def _lattice_axis(keys: list, angles: list, name: str, max_points: int):
+    """Axis over the sorted ``keys`` stepped by their smallest gap, holding
+    each key's ``angles`` entry with unnamed lattice values filling the
+    gaps, and each key's index on it."""
     if len(keys) < 2:
-        return np.array(keys), np.zeros(len(keys), dtype=int)
+        return np.array(angles), np.zeros(len(keys), dtype=int)
     lo, hi = keys[0], keys[-1]
     n = (hi - lo) / float(np.diff(keys).min())  # not finite if hi - lo is
     if np.isfinite(n) and round(n) < max_points:
@@ -190,7 +191,7 @@ def _lattice_axis(keys: list, name: str, max_points: int):
         idx = np.rint(pos).astype(int)
         if np.all(np.abs(pos - idx) <= 1e-6):
             axis = lo + (hi - lo) / n * np.arange(n + 1)
-            axis[idx] = keys
+            axis[idx] = angles
             return axis, idx
     raise DataError(f"inferred grid is invalid: {name} values fit no "
                     f"uniform lattice of at most {max_points} points")
@@ -207,7 +208,9 @@ def parse_scan_csv(path) -> ScanData:
     line and the rows before it are read and checked first, and an error
     cites the physical line of the first faulty row, blank lines counted.
     A UTF-8 byte-order mark before the header is skipped. Keys are computed
-    one block of rows at a time, whatever the row order.
+    one block of rows at a time, whatever the row order. Each mode present
+    becomes one PatternSet, its beams in ascending id order; each axis holds,
+    per 9-decimal angle key, the angle the first row with that key wrote.
     """
     rows, n_lines = _read_rows(path)
     phi, theta, beam, mode, value = (rows[f] for f in _ROW.names)
@@ -230,8 +233,8 @@ def parse_scan_csv(path) -> ScanData:
              (np.isfinite(phi) & np.isfinite(theta), code >= 0, beam >= 0)]
     first.append(len(rows))
     end = min(first)
-    phi_keys, point = _angle_keys(phi[:end])
-    theta_keys, theta_of = _angle_keys(theta[:end])
+    phi_keys, phi_angles, point = _angle_keys(phi[:end])
+    theta_keys, theta_angles, theta_of = _angle_keys(theta[:end])
     n_points = len(theta_keys) * len(phi_keys)
     point += theta_of * len(phi_keys)
     del theta_of
@@ -268,8 +271,8 @@ def parse_scan_csv(path) -> ScanData:
     # Each series must fill at least half of the lattice grid, so the
     # array below holds at most two values per row of the file.
     cells = 2 * len(rows) // len(series)
-    phis, phi_idx = _lattice_axis(phi_keys, "phi", cells)
-    thetas, theta_idx = _lattice_axis(theta_keys, "theta",
+    phis, phi_idx = _lattice_axis(phi_keys, phi_angles, "phi", cells)
+    thetas, theta_idx = _lattice_axis(theta_keys, theta_angles, "theta",
                                       cells // len(phis))
     # A lattice fits, so the points were not renumbered: the key is the
     # flat index of its (series, theta key, phi key) cell.
@@ -279,6 +282,7 @@ def parse_scan_csv(path) -> ScanData:
     cube = np.full((len(series), len(thetas), len(phis)), np.nan)
     cube[:, theta_idx[:, None], phi_idx] = flat.reshape(
         len(series), len(theta_keys), len(phi_keys))
+    del flat
     count = (~np.isnan(cube)).sum(axis=0)
     valid = count == len(series)
     partial = (count > 0) & ~valid
@@ -292,29 +296,24 @@ def parse_scan_csv(path) -> ScanData:
     except ConfigError as exc:
         raise DataError(f"inferred grid is invalid: {exc}") from exc
 
-    patterns, beam_ids = {}, {}
-    for s, values in zip(series.tolist(), cube):
-        name = MODES[s // len(beams)]
-        patterns.setdefault(name, []).append(
-            Pattern.from_values(grid, values))
-        beam_ids[name] = beam_ids.get(name, ()) + (int(beams[s % len(beams)]),)
-    return ScanData(grid=grid, beam_ids=beam_ids, modes={
-        m: PatternSet(patterns=tuple(p)) for m, p in patterns.items()})
+    # series are mode-major: one slice of the cube per mode
+    parts = np.flatnonzero(np.diff(series // len(beams))) + 1
+    return ScanData(modes={
+        MODES[s[0] // len(beams)]: PatternSet(grid, values,
+                                              beams[s % len(beams)].tolist())
+        for s, values in zip(np.split(series, parts), np.split(cube, parts))})
 
 
-def write_scan_csv(path, data) -> None:
+def write_scan_csv(path, modes) -> None:
     """Write a scan archive deterministically.
 
-    ``data`` is a ScanData or a mapping mode -> PatternSet. Rows are ordered
-    by mode, beam as given, then theta and phi ascending; only valid points
-    are written; angles carry ``repr(float)`` and values six decimal places.
-    An archive that would not read back as given is refused with DataError
-    before the file is opened: no mode, an unknown mode, modes on different
-    grids, or beam ids that are not one distinct integer in [0, 2**63) per
-    beam.
+    ``modes`` maps mode -> PatternSet, and each row names its beam by the
+    set's ``beam_ids``. Rows are ordered by mode, beam in the set's order,
+    then theta and phi ascending; only valid points are written; angles
+    carry ``repr(float)`` and values six decimal places. An archive that
+    would not read back as given is refused with DataError before the file
+    is opened: no mode, an unknown mode, or modes on different grids.
     """
-    modes, beam_ids = ((data.modes, data.beam_ids)
-                       if isinstance(data, ScanData) else (data, {}))
     if not set(modes) <= set(MODES):
         raise DataError(f"unknown mode {min(set(modes) - set(MODES))!r}")
     if not modes:
@@ -322,21 +321,11 @@ def write_scan_csv(path, data) -> None:
     grid = next(iter(modes.values())).grid
     if any(pset.grid != grid for pset in modes.values()):
         raise DataError("all modes must share one grid")
-    ids = {mode: tuple(beam_ids.get(mode) or range(len(pset)))
-           for mode, pset in modes.items()}
-    for mode, pset in modes.items():
-        if (len(ids[mode]) != len(pset)
-                or not all(isinstance(b, (int, np.integer)) and 0 <= b < 2**63
-                           for b in ids[mode])
-                or len(set(ids[mode])) < len(pset)):
-            raise DataError(f"{mode}: beam_ids must be {len(pset)} distinct "
-                            "integers in [0, 2**63)")
     points = point_prefixes(grid, grid.valid)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for mode in sorted(modes):
-            for beam, pattern in zip(ids[mode], modes[mode]):
+        for mode, pset in sorted(modes.items()):
+            for beam, values in zip(pset.beam_ids, pset.values[:, grid.valid]):
                 # one %.6f per point; neither a prefix nor the tail holds '%'
                 tail = f"{beam:d},{mode},%.6f\n"
-                fh.write((tail.join(points) + tail) % tuple(
-                    pattern.values[grid.valid].tolist()))
+                fh.write((tail.join(points) + tail) % tuple(values.tolist()))

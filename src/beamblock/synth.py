@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import AngularGrid, Pattern, PatternSet
+from .grid import AngularGrid, PatternSet
 
 # Patch element power-rolloff exponent; q = 1 gives the ~90 deg element
 # half-power beamwidth the synthetic codebooks are calibrated around.
@@ -142,10 +142,9 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     u_set, at = np.unique(u.ravel(), return_inverse=True)
     at = at.reshape(u.shape)
     phasors = _steering_phasors(config, u_set)
-    return PatternSet(patterns=tuple(
-        Pattern.from_values(grid, base + _array_factor_db(
-            steering_weights(config, beam), phasors)[at])
-        for beam in beams))
+    af_db = np.array([_array_factor_db(steering_weights(config, beam), phasors)
+                      for beam in beams])
+    return PatternSet(grid, base + np.take(af_db, at, axis=1))
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,5 @@ class BlockageMask:
 
 def apply_blockage_mask(free: PatternSet, mask: BlockageMask) -> PatternSet:
     """Subtract the mask's delta field from every beam pattern."""
-    delta = mask.delta_field(free.grid)
-    blocked = tuple(Pattern.from_values(p.grid, p.values - delta)
-                    for p in free)
-    return PatternSet(patterns=blocked)
+    return PatternSet(free.grid, free.values - mask.delta_field(free.grid),
+                      free.beam_ids)

@@ -42,18 +42,18 @@ def oracle_percentile(values, weights, p):
 class TestOverlay:
     def test_single_beam_identity(self, tiny_grid):
         pat = _pattern(tiny_grid, np.arange(8.0).reshape(2, 4))
-        over = overlay_best_beam(PatternSet(patterns=[pat]))
+        over = overlay_best_beam(PatternSet(tiny_grid, [pat.values]))
         assert np.array_equal(over.values, pat.values)
 
     def test_pointwise_max_and_index(self, tiny_grid):
         lo = _pattern(tiny_grid, np.zeros((2, 4)))
         hi = _pattern(tiny_grid, np.full((2, 4), 3.0))
-        over = overlay_best_beam(PatternSet(patterns=[lo, hi]))
+        over = overlay_best_beam(PatternSet(tiny_grid, [lo.values, hi.values]))
         assert np.allclose(over.values, 3.0)
 
     def test_matches_bruteforce_max(self, patch_set, full_grid):
         over = overlay_best_beam(patch_set)
-        stack = np.stack([p.values for p in patch_set.patterns])
+        stack = patch_set.values
         rng = np.random.default_rng(5)
         for _ in range(20):
             i = rng.integers(0, full_grid.theta.size)
@@ -63,7 +63,7 @@ class TestOverlay:
     def test_invalid_points_flagged(self):
         grid = with_invalid_band(make_grid(5.0, 5.0, 175.0), 5.0, 10.0)
         pat = Pattern.from_values(grid, np.zeros(grid.valid.shape))
-        over = overlay_best_beam(PatternSet(patterns=[pat]))
+        over = overlay_best_beam(PatternSet(grid, [pat.values]))
         assert np.isnan(over.values[:2]).all()
         assert (over.values[2:] == 0.0).all()
 
@@ -96,7 +96,7 @@ class TestWeightedCDF:
         assert cdf.cdf_at(-10.0) == pytest.approx(1.0)
 
     def test_monotone_and_normalized(self, patch_set, full_grid):
-        cdf = weighted_cdf(patch_set.patterns[0],
+        cdf = weighted_cdf(Pattern(full_grid, patch_set.values[0]),
                            solid_angle_weights(full_grid))
         assert np.all(np.diff(cdf.values) >= 0)
         assert np.all(np.diff(cdf.cum_weights) >= 0)
@@ -106,7 +106,8 @@ class TestWeightedCDF:
         weights = solid_angle_weights(full_grid)
         mask = full_grid.theta[:, None] < 90.0
         mask = np.broadcast_to(mask, full_grid.valid.shape)
-        cdf = weighted_cdf(patch_set.patterns[0], weights, mask=mask)
+        cdf = weighted_cdf(Pattern(full_grid, patch_set.values[0]), weights,
+                           mask=mask)
         assert abs(cdf.cum_weights[-1] - 1.0) < 1e-9
 
     def test_grid_mismatch_rejected(self, tiny_grid, full_grid):
@@ -135,7 +136,7 @@ class TestCoverageAbove:
 
     def test_complements_cdf(self, patch_set, full_grid):
         weights = solid_angle_weights(full_grid)
-        pat = patch_set.patterns[0]
+        pat = Pattern(full_grid, patch_set.values[0])
         cdf = weighted_cdf(pat, weights)
         for t in (-80.0, -60.0, -45.0, -30.0):
             cov = coverage_above(pat, weights, t)
@@ -171,7 +172,7 @@ class TestPercentiles:
     def test_galois_connection(self, patch_set, full_grid):
         """Coverage at the p-th percentile value is at least p."""
         weights = solid_angle_weights(full_grid)
-        pat = patch_set.patterns[0]
+        pat = Pattern(full_grid, patch_set.values[0])
         cdf = weighted_cdf(pat, weights)
         for p in PROBE_PERCENTILES:
             v = percentile_value(cdf, p)
@@ -223,8 +224,8 @@ class TestCoverageLost:
 
     @staticmethod
     def _row(free, blocked, threshold):
-        study = Study({"freespace": PatternSet(patterns=[free]),
-                       "true_hand": PatternSet(patterns=[blocked])})
+        study = Study({"freespace": PatternSet(free.grid, [free.values]),
+                       "true_hand": PatternSet(free.grid, [blocked.values])})
         return study_summary(study, "true_hand", [threshold],
                              [50.0])["thresholds"][0]
 

@@ -8,6 +8,7 @@ from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
                             fraction_of_sphere, make_grid,
                             solid_angle_weights, uniform_weights,
                             with_invalid_band)
+from beamblock.scanio import write_scan_csv
 
 WEIGHT_SUM_TOL = 1e-12
 FRACTION_TOL = 1e-9
@@ -240,13 +241,59 @@ class TestPattern:
 
 
 class TestPatternSet:
-    def test_mixed_grids_rejected(self, tiny_grid):
-        other = make_grid(45.0, 45.0, 135.0)
-        a = Pattern.from_values(tiny_grid, np.zeros((2, 4)))
-        b = Pattern.from_values(other, np.zeros((3, 8)))
-        with pytest.raises(DataError):
-            PatternSet(patterns=[a, b])
+    def test_values_cleaned_once_and_beams_viewed(self):
+        grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
+        values = np.zeros((2, 4, 2)).transpose(2, 0, 1)  # beam innermost
+        values[1, 1, 2] = -np.inf
+        pset = PatternSet(grid, values)
+        values[0, 1, 0] = 5.0  # the set holds a copy
+        assert pset.beam_ids == (0, 1) and len(pset) == 2
+        # C order, so that a beam's points and a max over beams are
+        # contiguous reads
+        assert pset.values.flags.c_contiguous
+        assert not pset.values.flags.writeable
+        assert np.isnan(pset.values[:, 0]).all()
+        assert pset.values[1, 1, 2] == FLOOR_DB and pset.values[0, 1, 0] == 0
+        for pattern, beam in zip(pset, pset.values, strict=True):
+            assert pattern.grid is grid
+            assert np.shares_memory(pattern.values, beam)
+            assert not pattern.values.flags.writeable
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            PatternSet(patterns=[])
+    def test_numpy_integer_ids_kept_as_ints(self, tiny_grid):
+        pset = PatternSet(tiny_grid, np.zeros((2, 2, 4)),
+                          np.array([7, 2**63 - 1], dtype=np.uint64))
+        assert pset.beam_ids == (7, 2**63 - 1)
+        assert all(type(b) is int for b in pset.beam_ids)
+
+    def test_non_finite_valid_value_rejected(self, tiny_grid):
+        values = np.zeros((2, 2, 4))
+        values[1, 0, 3] = np.inf
+        with pytest.raises(DataError, match="non-finite value"):
+            PatternSet(tiny_grid, values)
+
+    @pytest.mark.parametrize("shape", [
+        pytest.param((2, 3, 4), id="wrong-shape"),
+        pytest.param((2, 4), id="2-D"),
+        pytest.param((1, 1, 2, 4), id="4-D")])
+    def test_values_not_beams_by_grid_rejected(self, tiny_grid, shape):
+        with pytest.raises(ConfigError, match="values shape must match"):
+            PatternSet(tiny_grid, np.zeros(shape))
+
+    def test_empty_rejected(self, tiny_grid):
+        with pytest.raises(ConfigError, match="at least one beam"):
+            PatternSet(tiny_grid, np.zeros((0, 2, 4)))
+
+    @pytest.mark.parametrize("ids", [
+        pytest.param((3,), id="fewer"), pytest.param((3, 4, 5), id="more"),
+        pytest.param((1, 1), id="repeated"),
+        pytest.param((0, -1), id="negative"),
+        pytest.param((0, 2**63), id="too-large"),
+        pytest.param((0, 1.0), id="float")])
+    def test_bad_beam_ids_rejected(self, tiny_grid, tmp_path, ids):
+        # refused when the set is built, so no archive can carry them
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError, match=r"beam_ids must be 2 distinct "
+                           r"integers in \[0, 2\*\*63\)"):
+            write_scan_csv(path, {"freespace": PatternSet(
+                tiny_grid, np.zeros((2, 2, 4)), ids)})
+        assert not path.exists()

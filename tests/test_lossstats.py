@@ -190,8 +190,8 @@ class TestGaussianFit:
 class TestStudySummary:
     def _sets(self, grid, free_vals, blocked_vals):
         return Study({
-            "freespace": PatternSet(patterns=[_pattern(grid, free_vals)]),
-            "true_hand": PatternSet(patterns=[_pattern(grid, blocked_vals)])})
+            "freespace": PatternSet(grid, [free_vals]),
+            "true_hand": PatternSet(grid, [blocked_vals])})
 
     def test_unblocked_study_is_all_zero(self, full_grid):
         rng = np.random.default_rng(73)

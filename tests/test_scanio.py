@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from beamblock import scanio
 from beamblock.cli import run_cli
 from beamblock.errors import DataError
-from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
+from beamblock.grid import PatternSet, make_grid, with_invalid_band
 from beamblock.scanio import (CSV_HEADER, MODES, ScanData, parse_scan_csv,
                               write_scan_csv)
 from beamblock.scenario import build_patterns, scenario_from_dict
@@ -47,13 +47,12 @@ class TestParse:
         data = parse_scan_csv(_write(tmp_path, SMALL_CSV))
         assert isinstance(data, ScanData)
         assert list(data.modes) == ["freespace"]
-        assert data.beam_ids["freespace"] == (0, 1)
         pset = data.modes["freespace"]
-        assert len(pset.patterns) == 2
-        np.testing.assert_allclose(pset.patterns[0].values,
+        assert pset.beam_ids == (0, 1) and len(pset) == 2
+        np.testing.assert_allclose(pset.values[0],
                                    [[-50.0, -51.0], [-52.0, -53.0]])
-        np.testing.assert_allclose(data.grid.phi, [0.0, 180.0])
-        np.testing.assert_allclose(data.grid.theta, [45.0, 135.0])
+        np.testing.assert_allclose(pset.grid.phi, [0.0, 180.0])
+        np.testing.assert_allclose(pset.grid.theta, [45.0, 135.0])
 
     def test_duplicate_row_cites_lines(self, tmp_path):
         text = SMALL_CSV + "0.0,45.0,0,freespace,-50.000000\n"
@@ -73,9 +72,10 @@ class TestParse:
         lines = [l for l in SMALL_CSV.splitlines()
                  if not l.startswith("180.0,135.0")]
         data = parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n"))
-        assert not data.grid.valid[1, 1]
-        assert data.grid.valid.sum() == 3
-        assert np.isnan(data.modes["freespace"].patterns[0].values[1, 1])
+        pset = data.modes["freespace"]
+        assert not pset.grid.valid[1, 1]
+        assert pset.grid.valid.sum() == 3
+        assert np.isnan(pset.values[0, 1, 1])
 
     def test_unknown_mode_rejected(self, tmp_path):
         text = SMALL_CSV.replace("freespace", "absorber")
@@ -137,8 +137,9 @@ class TestParse:
         assert run_cli(["synth", "--scenario", str(path),
                         "--out", str(tmp_path)]) == 0
         data = parse_scan_csv(tmp_path / "scan.csv")
-        assert data.grid == scenario_from_dict(d).grid
-        assert not data.grid.valid[data.grid.theta == 90.0].any()
+        grid = data.modes["freespace"].grid
+        assert grid == scenario_from_dict(d).grid
+        assert not grid.valid[grid.theta == 90.0].any()
 
     def test_off_lattice_axis_rejected(self, tmp_path):
         # the smallest gap (10) makes a 15..55 lattice that 30 is off
@@ -198,7 +199,7 @@ class TestParse:
         lines[3:3] = ["", " ", "\t"]
         data = parse_scan_csv(_write(tmp_path, "\n".join(lines) + "\n\n"))
         np.testing.assert_array_equal(
-            data.modes["freespace"].patterns[1].values,
+            data.modes["freespace"].values[1],
             [[-40.0, -41.0], [-42.0, -43.0]])
 
     def test_duplicate_in_shuffled_file_cites_physical_lines(self, tmp_path):
@@ -215,19 +216,19 @@ class TestParse:
         text = SMALL_CSV.replace(",freespace,", ", freespace  ,")
         text = text.replace("phi,theta,", " phi , theta,", 1)
         data = parse_scan_csv(_write(tmp_path, text))
-        assert data.beam_ids == {"freespace": (0, 1)}
+        assert data.modes["freespace"].beam_ids == (0, 1)
 
     def test_non_contiguous_beam_ids_kept(self, tmp_path):
         text = SMALL_CSV.replace(",1,freespace,", ",5,freespace,")
         data = parse_scan_csv(_write(tmp_path, text))
-        assert data.beam_ids["freespace"] == (0, 5)
-        assert data.modes["freespace"].patterns[1].values[0, 0] == -40.0
+        assert data.modes["freespace"].beam_ids == (0, 5)
+        assert data.modes["freespace"].values[1, 0, 0] == -40.0
 
     def test_infinite_values(self, tmp_path):
         # -inf is floored like any value below the floor; +inf is refused
         data = parse_scan_csv(_write(tmp_path, SMALL_CSV.replace(
             "-51.000000", "-inf")))
-        assert data.modes["freespace"].patterns[0].values[0, 1] == -200.0
+        assert data.modes["freespace"].values[0, 0, 1] == -200.0
         with pytest.raises(DataError, match="non-finite value"):
             parse_scan_csv(_write(tmp_path, SMALL_CSV.replace(
                 "-51.000000", "inf")))
@@ -291,7 +292,7 @@ class TestParse:
         plain = tmp_path / "scan.csv"
         marked = tmp_path / "marked.csv"
         marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
-        _same_scan(parse_scan_csv(marked), parse_scan_csv(plain))
+        _same_scan(parse_scan_csv(marked).modes, parse_scan_csv(plain).modes)
         lines = marked.read_bytes().split(b"\n")
         lines[6] = codecs.BOM_UTF8 + lines[6]  # a mark elsewhere is refused
         marked.write_bytes(b"\n".join(lines))
@@ -328,7 +329,7 @@ class TestParse:
             rows[i] = "-" + rows[i]
         data = parse_scan_csv(_write(tmp_path, "\n".join(
             [",".join(CSV_HEADER)] + rows) + "\n"))
-        assert math.copysign(1.0, data.grid.phi[0]) == sign
+        assert math.copysign(1.0, data.modes["freespace"].grid.phi[0]) == sign
 
     def test_lattice_larger_than_file_rejected(self, tmp_path):
         # 45, 45.5 and 135 lie on one 0.5-degree lattice of 181 points, more
@@ -350,11 +351,13 @@ class TestParseSmallBlocks(TestParse):
 
 
 def _same_scan(a, b):
-    assert a.grid == b.grid and a.beam_ids == b.beam_ids
-    assert list(a.modes) == list(b.modes)
-    for mode in a.modes:
-        for pa, pb in zip(a.modes[mode], b.modes[mode], strict=True):
-            np.testing.assert_array_equal(pa.values, pb.values)
+    """``a`` and ``b`` map the same modes, in the same order, to sets on
+    equal grids with equal beam ids and values."""
+    assert list(a) == list(b)
+    for mode in a:
+        assert a[mode].grid == b[mode].grid
+        assert a[mode].beam_ids == b[mode].beam_ids
+        np.testing.assert_array_equal(a[mode].values, b[mode].values)
 
 
 @pytest.fixture(scope="module")
@@ -389,7 +392,7 @@ class TestParseScale:
         assert peak <= 5 * path.stat().st_size
 
     def test_row_order_does_not_matter(self, stress_archives):
-        ordered, shuffled = (parse_scan_csv(p) for p in stress_archives)
+        ordered, shuffled = (parse_scan_csv(p).modes for p in stress_archives)
         _same_scan(ordered, shuffled)
 
     def test_duplicate_cites_same_lines_in_either_order(self, stress_archives,
@@ -421,14 +424,12 @@ class TestParseScale:
         grid = make_grid(90.0, 45.0, 135.0)
         rng = np.random.default_rng(62)
         ids = tuple(2**62 + 2**40 * k + 7 for k in range(300))
-        modes = {mode: PatternSet(patterns=tuple(
-            Pattern.from_values(grid, rng.integers(-90, 0, grid.shape) / 4)
-            for _ in ids)) for mode in MODES}
-        data = ScanData(grid=grid, modes=modes,
-                        beam_ids={mode: ids for mode in MODES})
+        modes = {mode: PatternSet(grid, rng.integers(-90, 0, (len(ids),)
+                                                     + grid.shape) / 4, ids)
+                 for mode in MODES}
         path = tmp_path / "beams.csv"
-        write_scan_csv(path, data)
-        _same_scan(parse_scan_csv(path), data)
+        write_scan_csv(path, modes)
+        _same_scan(parse_scan_csv(path).modes, modes)
 
 
 class TestWrite:
@@ -436,19 +437,15 @@ class TestWrite:
         grid = make_grid(90.0, 45.0, 135.0)
         rng = np.random.default_rng(107)
         steps = rng.integers(-60 * 10 ** 6, 0, size=(2, 2, 4))
-        pats = [Pattern.from_values(grid, steps[i] / 10 ** 6)
-                for i in range(2)]
-        return grid, PatternSet(patterns=pats)
+        return grid, PatternSet(grid, steps / 10 ** 6)
 
     def test_round_trip(self, tmp_path):
         grid, pset = self._data()
         path = tmp_path / "out.csv"
         write_scan_csv(path, {"freespace": pset})
-        back = parse_scan_csv(path)
-        assert back.grid == grid
-        got = back.modes["freespace"]
-        for a, b in zip(pset.patterns, got.patterns):
-            np.testing.assert_allclose(a.values, b.values, atol=5e-7)
+        got = parse_scan_csv(path).modes["freespace"]
+        assert got.grid == grid
+        np.testing.assert_allclose(got.values, pset.values, atol=5e-7)
 
     def test_byte_identical_rewrites(self, tmp_path):
         _, pset = self._data()
@@ -473,9 +470,9 @@ class TestWrite:
 
     def test_only_valid_points_written(self, tmp_path):
         grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
-        pat = Pattern.from_values(grid, np.zeros((2, 4)))
         path = tmp_path / "out.csv"
-        write_scan_csv(path, {"freespace": PatternSet(patterns=[pat])})
+        write_scan_csv(path, {"freespace": PatternSet(grid, np.zeros((1, 2,
+                                                                      4)))})
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 4  # header + one valid theta row
 
@@ -496,40 +493,25 @@ class TestWrite:
                                                              tmp_path):
         grid, pset = self._data()
         banded = with_invalid_band(grid, 45.0, 45.0)
-        other = PatternSet(patterns=[Pattern.from_values(banded, p.values)
-                                     for p in pset])
+        other = PatternSet(banded, pset.values)
         self._refused(tmp_path, {"freespace": pset, "phantom": other},
                       "all modes must share one grid")
 
     def test_no_mode_rejected_before_opening(self, tmp_path):
         self._refused(tmp_path, {}, "no mode to write")
 
-    @pytest.mark.parametrize("ids", [
-        pytest.param((3,), id="fewer"), pytest.param((3, 4, 5), id="more"),
-        pytest.param((1, 1), id="repeated"),
-        pytest.param((0, -1), id="negative"),
-        pytest.param((0, 2**63), id="too-large"),
-        pytest.param((0, 1.0), id="float")])
-    def test_bad_beam_ids_rejected_before_opening(self, tmp_path, ids):
-        grid, pset = self._data()
-        data = ScanData(grid=grid, modes={"freespace": pset},
-                        beam_ids={"freespace": ids})
-        self._refused(tmp_path, data, "freespace: beam_ids must be 2 "
-                      r"distinct integers in \[0, 2\*\*63\)")
-
     def test_modes_tuple_is_closed(self):
         assert MODES == ("freespace", "phantom", "true_hand")
 
 
-def _csv_writer_archive(modes, beam_ids):
+def _csv_writer_archive(modes):
     """The archive as the row-by-row csv.writer loop wrote it."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for mode in sorted(modes):
         grid = modes[mode].grid
-        ids = beam_ids.get(mode) or range(len(modes[mode]))
-        for beam, pattern in zip(ids, modes[mode]):
+        for beam, pattern in zip(modes[mode].beam_ids, modes[mode]):
             for it, theta in enumerate(grid.theta):
                 for ip, phi in enumerate(grid.phi):
                     if grid.valid[it, ip]:
@@ -550,28 +532,44 @@ def test_writer_bytes_match_csv_writer_loop(tmp_path):
     grid = with_invalid_band(make_grid(7.2, 3.6, 176.4), 80.0, 100.0)
     assert repr(float(grid.theta[3])) == "25.200000000000003"
     rng = np.random.default_rng(11)
-    modes = {}
+    values = {}
     for mode in ("true_hand", "freespace", "phantom"):
-        pats = []
-        for _ in range(2):
-            values = rng.uniform(-80.0, 20.0, grid.shape)
-            values.flat[rng.choice(values.size, len(SPECIAL_VALUES),
-                                   replace=False)] = SPECIAL_VALUES
-            pats.append(Pattern.from_values(grid, values))
-        modes[mode] = PatternSet(patterns=tuple(pats))
-    beam_ids = {"freespace": (0, 5), "phantom": (2, 3), "true_hand": (0, 1)}
-    for data, ids in ((modes, {}),
-                      (ScanData(grid=grid, modes=modes, beam_ids=beam_ids),
-                       beam_ids)):
+        values[mode] = rng.uniform(-80.0, 20.0, (2,) + grid.shape)
+        for beam in values[mode]:
+            beam.flat[rng.choice(beam.size, len(SPECIAL_VALUES),
+                                 replace=False)] = SPECIAL_VALUES
+    for ids in ({}, {"freespace": (0, 5), "phantom": (2, 3),
+                     "true_hand": (0, 1)}):
+        modes = {mode: PatternSet(grid, v, ids.get(mode))
+                 for mode, v in values.items()}
         path = tmp_path / "out.csv"
-        write_scan_csv(path, data)
-        assert path.read_bytes() == _csv_writer_archive(modes, ids).encode()
+        write_scan_csv(path, modes)
+        assert path.read_bytes() == _csv_writer_archive(modes).encode()
+
+
+@pytest.mark.parametrize("step,ids", [
+    # 93.60000000000001 is on the 7.2-degree lattice; its 9-decimal key
+    # is 93.6
+    pytest.param(7.2, None, id="long-repr-angles"),
+    pytest.param(22.5, (3, 7, 12), id="beam-ids-3-7-12")])
+def test_parse_then_write_is_byte_identical(tmp_path, step, ids):
+    grid = make_grid(step, step / 2, 180.0 - step / 2)
+    values = np.random.default_rng(7).uniform(-80.0, 20.0,
+                                              (3,) + grid.shape)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_scan_csv(first, {"freespace": PatternSet(grid, values, ids),
+                           "true_hand": PatternSet(grid, values - 9.0, ids)})
+    back = parse_scan_csv(first).modes
+    assert all(pset.grid == grid for pset in back.values())
+    assert back["true_hand"].beam_ids == (ids or (0, 1, 2))
+    write_scan_csv(second, back)
+    assert second.read_bytes() == first.read_bytes()
 
 
 @st.composite
 def _archive(draw):
-    """A mapping mode -> PatternSet on a drawn grid, or a ScanData of it
-    with drawn beam ids, and the ids the archive must carry.
+    """A mapping mode -> PatternSet on a drawn grid, each set with drawn
+    beam ids or the default 0..n-1.
 
     Steps include long-repr ones (7.2 * 13 is 93.60000000000001). A band
     leaves valid the first and last theta rows, two adjacent rows and at
@@ -589,49 +587,49 @@ def _archive(draw):
         hi = draw(st.integers(lo, min(n_theta - 2, lo + n_theta // 2 - 1)))
         grid = with_invalid_band(grid, grid.theta[lo], grid.theta[hi])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    modes, ids = {}, {}
+    modes = {}
     for mode in draw(st.permutations(MODES))[:draw(st.integers(1, 3))]:
         n_beams = draw(st.integers(1, 3))
         values = rng.uniform(-80.0, 20.0, (n_beams,) + grid.shape)
         special = rng.random(values.shape) < 0.3
         values[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
-        modes[mode] = PatternSet(patterns=tuple(
-            Pattern.from_values(grid, v) for v in values))
-        ids[mode] = tuple(draw(st.lists(
+        ids = draw(st.lists(
             st.integers(0, 2**63 - 1) | st.integers(2**63 - 9, 2**63 - 1),
-            min_size=n_beams, max_size=n_beams, unique=True))
-            if draw(st.booleans()) else range(n_beams))
-    if draw(st.booleans()):
-        return ScanData(grid=grid, modes=modes, beam_ids=ids), ids
-    return modes, {mode: tuple(range(len(p))) for mode, p in modes.items()}
+            min_size=n_beams, max_size=n_beams, unique=True)
+            | st.none())
+        modes[mode] = PatternSet(grid, values, ids)
+    return modes
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_archive())
-def test_fuzz_writer_bytes_and_read_back(archive):
-    data, ids = archive
-    modes = data.modes if isinstance(data, ScanData) else data
-    grid = next(iter(modes.values())).grid
+def test_fuzz_writer_bytes_and_read_back(modes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scan.csv"
-        write_scan_csv(path, data)
-        assert path.read_bytes() == _csv_writer_archive(modes, ids).encode()
-        back = parse_scan_csv(path)
-    # the parse keys angles by round(v, 9), so 93.60000000000001 reads
-    # back as 93.6
-    np.testing.assert_array_equal(back.grid.valid, grid.valid)
-    for got, want in ((back.grid.phi, grid.phi),
-                      (back.grid.theta, grid.theta)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-    # beams read back in ascending id order, each with its own values
-    assert back.beam_ids == {mode: tuple(sorted(ids[mode]))
-                             for mode in sorted(modes)}
-    for mode in sorted(modes):
-        wrote = dict(zip(ids[mode], modes[mode]))
-        for beam, pattern in zip(back.beam_ids[mode], back.modes[mode],
-                                 strict=True):
-            np.testing.assert_allclose(pattern.values, wrote[beam].values,
-                                       rtol=0, atol=5e-7 + 1e-12)
+        write_scan_csv(path, modes)
+        wrote = path.read_bytes()
+        back = parse_scan_csv(path).modes
+        write_scan_csv(path, back)
+        rewrote = path.read_bytes()
+    assert wrote == _csv_writer_archive(modes).encode()
+    assert list(back) == sorted(modes)
+    for mode, pset in back.items():
+        grid, want = pset.grid, modes[mode].grid
+        np.testing.assert_array_equal(grid.valid, want.valid)
+        # an angle some row names reads back exactly; one filled across an
+        # interior band is a lattice value within 1e-9
+        for got, axis, named in ((grid.phi, want.phi, want.valid.any(0)),
+                                 (grid.theta, want.theta, want.valid.any(1))):
+            np.testing.assert_array_equal(got[named], axis[named])
+            np.testing.assert_allclose(got, axis, rtol=0, atol=1e-9)
+        # beams read back in ascending id order, each with its own values
+        ids = modes[mode].beam_ids
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        assert pset.beam_ids == tuple(ids[i] for i in order)
+        np.testing.assert_allclose(pset.values, modes[mode].values[order],
+                                   rtol=0, atol=5e-7 + 1e-12)
+    if all(list(p.beam_ids) == sorted(p.beam_ids) for p in modes.values()):
+        assert rewrote == wrote
 
 
 # SMALL_CSV plus a true_hand copy 100 dB down, which `stats` accepts

@@ -153,7 +153,7 @@ class TestBundled:
         modes = build_patterns(scenario)
         assert "freespace" in modes and "true_hand" in modes
         for pset in modes.values():
-            assert len(pset.patterns) == len(scenario.beams)
+            assert len(pset) == len(scenario.beams)
         names = _bundled_json(name)["models"]["names"]
         assert list(scenario.models) == names
         assert all(isinstance(m, BlockageModel)

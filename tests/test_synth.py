@@ -127,7 +127,7 @@ class TestElementModels:
         config = ArrayConfig(n_elements=1, element_kind="isotropic",
                              tx_power_dbm=4.0, element_peak_gain_dbi=0.0)
         pats = synth_pattern_set(config, [BeamSpec(scan_deg=0.0)], grid)
-        np.testing.assert_allclose(pats.patterns[0].values[grid.valid], 4.0,
+        np.testing.assert_allclose(pats.values[0][grid.valid], 4.0,
                                    atol=1e-9)
 
     def test_patch_peak_at_boresight(self):
@@ -172,13 +172,13 @@ class TestElementModels:
 
 class TestSynthPatternSet:
     def test_one_pattern_per_beam(self, patch_set, patch_beams):
-        assert len(patch_set.patterns) == len(patch_beams) == 3
+        assert len(patch_set) == len(patch_beams) == 3
 
     def test_scan_zero_symmetric_about_boresight(self, full_grid,
                                                  patch_config):
         pats = synth_pattern_set(patch_config, [BeamSpec(scan_deg=0.0)],
                                  full_grid)
-        vals = pats.patterns[0].values
+        vals = pats.values[0]
         center = int(np.argmin(np.abs(full_grid.phi - 180.0)))
         for k in range(1, 36):
             left = vals[:, (center - k) % 72]
@@ -190,10 +190,10 @@ class TestSynthPatternSet:
                              phase_bits=3, tx_power_dbm=-30.0,
                              element_peak_gain_dbi=5.0, boresight_phi=180.0)
         four = synth_pattern_set(patch_config, [BeamSpec(scan_deg=0.0)],
-                                 full_grid).patterns[0]
+                                 full_grid)
         one = synth_pattern_set(single, [BeamSpec(scan_deg=0.0)],
-                                full_grid).patterns[0]
-        gain = four.max_value() - one.max_value()
+                                full_grid)
+        gain = float(np.nanmax(four.values) - np.nanmax(one.values))
         assert abs(gain - 20 * np.log10(4)) < 0.3
 
     def test_empty_codebook_rejected(self, full_grid, patch_config):
@@ -202,14 +202,14 @@ class TestSynthPatternSet:
 
     def test_back_hemisphere_floored(self, patch_set, full_grid):
         back = np.abs((full_grid.phi - 0.0 + 180.0) % 360.0 - 180.0) < 85.0
-        vals = patch_set.patterns[0].values[:, back]
+        vals = patch_set.values[0][:, back]
         assert (vals == FLOOR_DB).all()
 
     def test_scanned_dipole_widths_documented(self, full_grid, dipole_set):
         """Boresight beam sits in the low 40s; scanned beams land below 40."""
         widths = []
         theta_row = int(np.argmin(np.abs(full_grid.theta - 90.0)))
-        for pat in dipole_set.patterns:
+        for pat in dipole_set:
             vals = pat.values[theta_row]
             order = np.argsort((full_grid.phi - 180.0 + 180.0) % 360.0 - 180.0)
             # fall back to a fine eirp_at sweep instead of the coarse grid
@@ -298,13 +298,13 @@ class TestMaskRegions:
         region = MaskRegion(phi_lo=0.0, phi_hi=360.0, theta_lo=2.0,
                             theta_hi=178.0, delta_db=30.0, edge_taper_deg=0.0)
         blocked = apply_blockage_mask(patch_set, BlockageMask((region,)))
-        for before, after in zip(patch_set.patterns, blocked.patterns):
+        for before, after in zip(patch_set, blocked):
             expected = np.maximum(before.values - 30.0, FLOOR_DB)
             np.testing.assert_array_equal(after.values, expected)
 
     def test_empty_mask_is_identity(self, patch_set):
         blocked = apply_blockage_mask(patch_set, BlockageMask(()))
-        for before, after in zip(patch_set.patterns, blocked.patterns):
+        for before, after in zip(patch_set, blocked):
             assert np.array_equal(before.values, after.values,
                                   equal_nan=True)
 
@@ -314,9 +314,10 @@ class TestMaskRegions:
         from beamblock.grid import PatternSet
         region = MaskRegion(phi_lo=42.5, phi_hi=77.5, theta_lo=52.5,
                             theta_hi=97.5, delta_db=-6.0, edge_taper_deg=0.0)
-        out = apply_blockage_mask(PatternSet(patterns=[base]),
+        out = apply_blockage_mask(PatternSet(full_grid, [base.values], (4,)),
                                   BlockageMask((region,)))
-        vals = out.patterns[0].values
+        assert out.beam_ids == (4,)
+        vals = out.values[0]
         inside = ((full_grid.phi[None, :] > 42.5)
                   & (full_grid.phi[None, :] < 77.5)
                   & (full_grid.theta[:, None] > 52.5)
@@ -334,10 +335,10 @@ class TestMaskRegions:
                             theta_hi=150.0, delta_db=12.5, edge_taper_deg=0.0)
         anti = MaskRegion(phi_lo=150.0, phi_hi=210.0, theta_lo=60.0,
                           theta_hi=150.0, delta_db=-12.5, edge_taper_deg=0.0)
-        once = apply_blockage_mask(PatternSet(patterns=[base]),
+        once = apply_blockage_mask(PatternSet(full_grid, [base.values]),
                                    BlockageMask((region,)))
         restored = apply_blockage_mask(once, BlockageMask((anti,)))
-        assert np.array_equal(restored.patterns[0].values, base.values,
+        assert np.array_equal(restored.values[0], base.values,
                               equal_nan=True)
 
     def test_border_membership_is_half(self, full_grid):
