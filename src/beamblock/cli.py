@@ -7,6 +7,7 @@ configuration, 1 bad input data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -208,7 +209,11 @@ def _add_input_args(p) -> None:
                    help="scenario JSON path or bundled scenario name")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``beamblock`` argument parser, built on first use and shared by
+    every later ``run_cli`` call in the process. Parsing leaves it as it
+    was, and it reads ``sys.stderr`` and ``COLUMNS`` only when it prints."""
     parser = argparse.ArgumentParser(
         prog="beamblock",
         description="Spherical beam-pattern blockage analysis")
@@ -282,9 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -198,6 +198,12 @@ def fraction_of_sphere(mask, weights: WeightField) -> float:
     return 100.0 * float(weights.weights[m].sum())
 
 
+def _values_key(values: np.ndarray) -> bytes:
+    """Bytes equal for any two same-shape arrays that ``np.array_equal(...,
+    equal_nan=True)`` calls equal: one NaN, and 0.0 for -0.0."""
+    return np.where(np.isnan(values), np.nan, values + 0.0).tobytes()
+
+
 def _cleaned(grid: AngularGrid, values, ndim: int) -> np.ndarray:
     """A read-only float copy of ``values``, a field on ``grid`` (ndim 2)
     or a stack of them (ndim 3), NaN at invalid points and clamped up to
@@ -237,6 +243,15 @@ class Pattern:
     def max_value(self) -> float:
         return float(np.nanmax(self.values[self.grid.valid]))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(
+            self.values, other.values, equal_nan=True)
+
+    def __hash__(self):  # frozen dataclass would try to hash an array
+        return hash((self.grid, _values_key(self.values)))
+
 
 @dataclass(frozen=True)
 class PatternSet:
@@ -264,6 +279,15 @@ class PatternSet:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PatternSet):
+            return NotImplemented
+        return (self.grid == other.grid and self.beam_ids == other.beam_ids
+                and np.array_equal(self.values, other.values, equal_nan=True))
+
+    def __hash__(self):  # frozen dataclass would try to hash an array
+        return hash((self.grid, self.beam_ids, _values_key(self.values)))
 
     def __iter__(self):
         return (Pattern(grid=self.grid, values=v) for v in self.values)

@@ -82,12 +82,17 @@ def _select(loss: Pattern, roi: RoIMask,
 
 
 def _weighted_moments(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    # In units of a power of two at least half the largest |v|, no square
+    # overflows, even for huge finite values; scaling by a power of two is
+    # exact, so ordinary values keep the bits of the unscaled sums.
+    unit = 2.0 ** (math.frexp(float(np.max(np.abs(v))))[1] - 1)
+    s = v / unit
     # pivot keeps a constant field at variance 0.0 exactly
-    pivot = float(v[0])
-    x = v - pivot
+    pivot = float(s[0])
+    x = s - pivot
     mean_x = float(np.dot(w, x))
     var = float(np.dot(w, (x - mean_x) ** 2))
-    return pivot + mean_x, float(np.sqrt(var))
+    return (pivot + mean_x) * unit, math.sqrt(var) * unit
 
 
 def _weighted_median(v: np.ndarray, w: np.ndarray) -> float:

@@ -92,6 +92,16 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                             for r in body["percentiles"]],
         }
 
+    # The CDF figures refuse an unplottable range, so they come first too.
+    title = scenario.title
+    eirp_svg = cdf_svg([(mode, study.cdf(mode)) for mode, _ in _MODE_LABELS
+                        if mode in study.modes],
+                       f"{title}: sphere coverage CDF", "best-beam EIRP (dBm)")
+    loss_svg = cdf_svg([("loss over R5", weighted_cdf(loss, weights,
+                                                      mask=enhanced))],
+                       f"{title}: blockage loss CDF", "blockage loss (dB)",
+                       gaussian=fit)
+
     # Made only now, so a data error above leaves no empty directory.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -128,20 +138,11 @@ def write_report(scenario: Scenario, out_dir) -> dict:
 
     write_scan_csv(out / "scan.csv", study.modes)
 
-    title = scenario.title
-    curves = []
     for mode, label in _MODE_LABELS:
         if mode in study.modes:
             (out / f"overlay_{mode}.svg").write_text(heatmap_svg(
                 study.overlay(mode),
                 f"{title}: {label} best-beam EIRP (dBm)"), encoding="utf-8")
-            curves.append((mode, study.cdf(mode)))
-    (out / "eirp_cdf.svg").write_text(
-        cdf_svg(curves, f"{title}: sphere coverage CDF",
-                "best-beam EIRP (dBm)"), encoding="utf-8")
-    loss_curve = [("loss over R5", weighted_cdf(loss, weights,
-                                                mask=enhanced))]
-    (out / "loss_cdf.svg").write_text(
-        cdf_svg(loss_curve, f"{title}: blockage loss CDF",
-                "blockage loss (dB)", gaussian=fit), encoding="utf-8")
+    (out / "eirp_cdf.svg").write_text(eirp_svg, encoding="utf-8")
+    (out / "loss_cdf.svg").write_text(loss_svg, encoding="utf-8")
     return payload

@@ -12,6 +12,7 @@ import html
 import numpy as np
 
 from .coverage import WeightedCDF
+from .errors import DataError
 from .grid import FLOOR_DB, Pattern
 
 # Anchor colors approximating the familiar dark-blue-to-yellow ramp.
@@ -31,6 +32,7 @@ _HEX = np.array([f"{k:02x}" for k in range(256)])
 _INVALID_FILL = "#d9d9d9"
 _FONT = 'font-family="DejaVu Sans, sans-serif"'
 _SPAN_DB = 40.0  # depth of the heatmap color scale below its peak
+_MAX_TICKS = 1000  # x ticks of a CDF plot, so a huge finite range is refused
 
 
 def _f(x: float) -> str:
@@ -161,6 +163,17 @@ def _x_range(curves) -> tuple[float, float]:
     return (lo, hi if hi > lo else lo + 5.0)
 
 
+def _x_ticks(xlo: float, xhi: float) -> list[float]:
+    """Tick values every 5 dB (10 dB past a 60 dB range) from ``xlo`` to
+    ``xhi``; DataError when the range is empty or needs over _MAX_TICKS."""
+    x_step = 5.0 if xhi - xlo <= 60 else 10.0
+    n = (xhi - xlo) / x_step  # NaN or inf fails the check too
+    if not 0 < n <= _MAX_TICKS:
+        raise DataError(f"cannot plot a CDF from {xlo:g} to {xhi:g} in "
+                        f"{x_step:g} dB ticks")
+    return [xlo + k * x_step for k in range(int(n) + 1)]
+
+
 def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
     """Weighted CDF step curves; optionally one dashed Gaussian overlay.
 
@@ -185,15 +198,12 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
                    f'y2="{_f(y)}" stroke="#cccccc"/>')
         out.append(f'<text x="{_f(ml - 6)}" y="{_f(y + 4)}" {_FONT} '
                    f'font-size="11" text-anchor="end">{frac:g}</text>')
-    x_step = 5.0 if xhi - xlo <= 60 else 10.0
-    tick = xlo
-    while tick <= xhi + 1e-9:
+    for tick in _x_ticks(xlo, xhi):
         x = sx(tick)
         out.append(f'<line x1="{_f(x)}" y1="{_f(mt + plot_h)}" x2="{_f(x)}" '
                    f'y2="{_f(mt + plot_h + 5)}" stroke="#000000"/>')
         out.append(f'<text x="{_f(x)}" y="{_f(mt + plot_h + 18)}" {_FONT} '
                    f'font-size="11" text-anchor="middle">{tick:g}</text>')
-        tick += x_step
     for idx, (label, cdf) in enumerate(curves):
         color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
         xs, ys = np.array(_thin_steps(cdf)).reshape(-1, 2).T

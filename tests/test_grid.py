@@ -239,6 +239,21 @@ class TestPattern:
         with pytest.raises(ConfigError):
             Pattern.from_values(tiny_grid, np.zeros((3, 4)))
 
+    def test_equality_and_hash(self):
+        grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
+        values = np.arange(8.0).reshape(2, 4)
+        a = Pattern.from_values(grid, values)
+        b = Pattern.from_values(grid, values.copy())
+        # NaN at the invalid points equals NaN, as -0.0 equals 0.0
+        assert np.isnan(a.values[0]).all()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        zero, neg_zero = (Pattern(grid, np.full((2, 4), z))
+                          for z in (0.0, -0.0))
+        assert zero == neg_zero and hash(zero) == hash(neg_zero)
+        assert a != Pattern.from_values(grid, values + 1.0)
+        assert a != Pattern.from_values(make_grid(90.0, 45.0, 135.0), values)
+        assert a.__eq__(values) is NotImplemented
+
 
 class TestPatternSet:
     def test_values_cleaned_once_and_beams_viewed(self):
@@ -258,6 +273,17 @@ class TestPatternSet:
             assert pattern.grid is grid
             assert np.shares_memory(pattern.values, beam)
             assert not pattern.values.flags.writeable
+
+    def test_equality_and_hash(self):
+        grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
+        values = np.arange(16.0).reshape(2, 2, 4)
+        a = PatternSet(grid, values, (3, 7))
+        b = PatternSet(grid, values.copy(), (3, 7))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != PatternSet(grid, values)  # ids 0, 1
+        assert a != PatternSet(grid, values + 1.0, (3, 7))
+        assert a != PatternSet(make_grid(90.0, 45.0, 135.0), values, (3, 7))
+        assert a != next(iter(a))
 
     def test_numpy_integer_ids_kept_as_ints(self, tiny_grid):
         pset = PatternSet(tiny_grid, np.zeros((2, 2, 4)),

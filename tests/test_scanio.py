@@ -1,7 +1,6 @@
 """Scan archive parsing and writing."""
 
 import codecs
-import contextlib
 import csv
 import io
 import json
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamblock import scanio
@@ -23,6 +22,7 @@ from beamblock.grid import PatternSet, make_grid, with_invalid_band
 from beamblock.scanio import (CSV_HEADER, MODES, ScanData, parse_scan_csv,
                               write_scan_csv)
 from beamblock.scenario import build_patterns, scenario_from_dict
+from cli_run import run_captured, strict_json
 
 SMALL_CSV = """phi,theta,beam_id,mode,value_dbm
 0.0,45.0,0,freespace,-50.000000
@@ -641,7 +641,7 @@ _FIELD_TEXT = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "1_0", "-1",
                      " freespace ", "true_hand", "phantom", "", '"0.0"',
                      "99999999999999999999", "90.0", "1e308", "-1e308",
-                     "\x00", "\x1c1"]))
+                     "1e18", "-1e18", "1e300", "-1e300", "\x00", "\x1c1"]))
 
 
 @st.composite
@@ -665,25 +665,30 @@ def _corrupted_scan(draw):
 
 
 def _stats_on(text):
-    """Exit code and stderr of ``stats --scan`` on an archive ``text``."""
+    """Exit code, stdout and stderr of ``stats --scan`` on an archive
+    ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scan.csv"
         path.write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            code = run_cli(["stats", "--scan", str(path), "--delta5", "-60"])
-    return code, err.getvalue()
+        return run_captured(["stats", "--scan", str(path), "--delta5", "-60"])
 
 
 def test_stats_on_fuzz_base_succeeds():
-    assert _stats_on("\n".join([",".join(CSV_HEADER)] + FUZZ_ROWS)) == (0, "")
+    code, out, err = _stats_on("\n".join([",".join(CSV_HEADER)] + FUZZ_ROWS))
+    assert (code, err) == (0, "")
+    strict_json(out)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_corrupted_scan())
+# a huge finite free-space value once overflowed the loss moments
+@example("\n".join([",".join(CSV_HEADER), "0.0,45.0,0,freespace,1e300"]
+                   + FUZZ_ROWS[1:]) + "\n")
 def test_fuzz_stats_on_corrupted_scan(text):
-    code, err = _stats_on(text)
+    code, out, err = _stats_on(text)
     assert code in (0, 1, 2)
     if code:
         assert err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        strict_json(out)

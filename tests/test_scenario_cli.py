@@ -1,5 +1,6 @@
 """Scenario loading, bundled studies, and the command-line interface."""
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -30,6 +31,7 @@ from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
                                 load_scenario, scenario_from_dict,
                                 scenario_metadata)
 from beamblock.synth import BeamSpec
+from cli_run import run_captured as _run, strict_json
 
 BUNDLED = ("s1_patch_portrait_hard", "s2_patch_portrait_loose",
            "s3_dipole_portrait_hard", "s4_dipole_portrait_loose",
@@ -77,14 +79,6 @@ def _replaced(doc, path, value):
         node = node[key]
     node[path[-1]] = value
     return out
-
-
-def _run(argv):
-    """run_cli with stdout and stderr captured: (code, out, err)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestScenarioValidation:
@@ -486,6 +480,82 @@ class TestCli:
             assert sizes == [n_distinct]
 
 
+HELP_ARGVS = [["-h"]] + [[command, "-h"] for command in
+                         ("synth", "overlay", "cdf", "roi", "stats",
+                          "compare", "report", "scenarios")]
+
+
+class TestParserReuse:
+    """run_cli parses with one parser per process; no call leaks into the
+    next."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_parser(self):
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_many_calls_build_the_parser_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        for argv in [["scenarios"], ["stats"], ["-h"], ["cdf", "-h"]] * 5:
+            _run(argv)
+        # the top-level parser and its eight subcommands, once each
+        assert len(built) == 9
+
+    def test_flags_fall_back_to_defaults(self):
+        plain = ["roi", "--scenario", "s1_patch_portrait_hard"]
+        first = _run(plain)
+        assert first[0] == 0
+        assert _run(plain + ["--roi-kind", "r4", "--delta1", "3",
+                             "--delta4", "-50"])[0] == 0
+        assert _run(plain) == first
+
+    def test_usage_error_then_valid_call(self):
+        code, out, err = _run(["compare", "--scan", "a.csv",
+                               "--scenario", "s1_patch_portrait_hard"])
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err
+        code, out, err = _run(["compare", "--scenario",
+                               "s1_patch_portrait_hard"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["delta5_dbm"] == -35.0
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_bytes_repeat_and_follow_columns(self, monkeypatch, argv,
+                                                  columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        first = _run(argv)
+        assert first[0] == 0 and first[1].startswith("usage: beamblock")
+        assert _run(argv) == first
+        # the same bytes as a parser built just now, at this width
+        fresh = cli.build_parser.__wrapped__()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        assert first[1] == out.getvalue()
+
+    def test_usage_error_follows_stderr_and_columns(self, monkeypatch):
+        texts = set()
+        for columns in ("40", "200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = _run(["stats", "--delta5", "x"])
+            assert code == 2 and out == ""
+            assert err.startswith("usage: beamblock stats")
+            assert err.endswith("error: argument --delta5: invalid "
+                                "finite_float value: 'x'\n")
+            texts.add(err)
+        assert len(texts) == 2
+
+
 # Each malformed value, applied to s1, is a one-line exit-2 error naming its
 # scenario block, raised at load (before any synthesis or output).
 S1_MALFORMED = [
@@ -525,6 +595,8 @@ S1_MALFORMED = [
     # a non-finite step would build a NaN theta axis
     (("grid", "theta_step"), math.nan, "grid"),
     (("grid", "theta_step"), math.inf, "grid"),
+    # the steering phases would overflow to inf, then NaN
+    (("array", "spacing"), 1e308, "array"),
 ]
 # A fixed pair takes exactly two items: no item is dropped or made up.
 S1_BAD_PAIRS = [
@@ -696,7 +768,8 @@ def _json_paths(node, path=()):
 
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
-    st.sampled_from([-1, 0, 0.5, 7.5, math.nan, math.inf, -math.inf]),
+    st.sampled_from([-1, 0, 0.5, 7.5, math.nan, math.inf, -math.inf,
+                     1e18, -1e18, 1e300, -1e300, 1e308]),
     st.text(max_size=3))
 _VALUES = st.one_of(_LEAVES, st.lists(_LEAVES, max_size=2),
                     st.dictionaries(st.text(max_size=3), _LEAVES,
@@ -722,21 +795,21 @@ def _mutated_minimal(draw):
     return _replaced(MINIMAL, path, value)
 
 
-def _strict_json(text):
-    """``text`` parsed as RFC 8259 JSON: NaN and Infinity are refused."""
-    def refuse(token):
-        raise ValueError(f"non-finite JSON token {token}")
-    return json.loads(text, parse_constant=refuse)
-
-
-# Non-finite thresholds and delta5_dbm, which the derandomized draws miss.
-_NON_FINITE = [_replaced(MINIMAL, path, value)
-               for path in (("thresholds_dbm", 0), ("delta5_dbm",))
-               for value in (math.nan, math.inf, -math.inf)]
+# Non-finite thresholds and delta5_dbm, and huge finite values where they
+# once overflowed synthesis, the loss moments or the CDF plot's ticks: the
+# derandomized draws miss them all.
+_EXAMPLES = [_replaced(MINIMAL, path, value)
+             for path in (("thresholds_dbm", 0), ("delta5_dbm",))
+             for value in (math.nan, math.inf, -math.inf)] + [
+    _replaced(MINIMAL, path, value) for path, value in (
+        (("array", "spacing"), 1e308),
+        (("array", "tx_power_dbm"), 1e308),
+        (("array", "element_peak_gain_dbi"), 1e18),
+        (("masks", "true_hand", 0, "delta_db"), -1e300))]
 
 
 def _with_examples(test):
-    for doc in reversed(_NON_FINITE):
+    for doc in reversed(_EXAMPLES):
         test = example(doc)(test)
     return test
 
@@ -745,6 +818,8 @@ def _check_exit(code, err):
     assert code in (0, 1, 2)
     if code:
         assert err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        assert err == ""
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -757,7 +832,7 @@ def test_fuzz_stats_on_mutated_scenario(doc):
         code, out, err = _run(["stats", "--scenario", str(path)])
     _check_exit(code, err)
     if code == 0:
-        _strict_json(out)
+        strict_json(out)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -772,9 +847,82 @@ def test_fuzz_report_on_mutated_scenario(doc):
                              "--out", str(out)])
         _check_exit(code, err)
         if code == 0:
-            _strict_json((out / "summary.json").read_text())
+            strict_json((out / "summary.json").read_text())
         else:
             assert not out.exists()
+        for svg in out.glob("*.svg"):
+            ET.parse(svg)
+
+
+def _beamblock(*args):
+    """The beamblock command in a fresh process, with a time limit, so that
+    a hang fails and warnings print as a user sees them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "beamblock.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _huge_value_archive(path):
+    """A valid 24-row archive (4 phi x 3 theta x 2 modes, one beam) whose
+    one free-space value at (0, 45) is 1e300 dBm."""
+    rows = ["phi,theta,beam_id,mode,value_dbm"]
+    for mode, drop in (("freespace", 0.0), ("true_hand", 10.0)):
+        for theta in (45.0, 90.0, 135.0):
+            for phi in (0.0, 90.0, 180.0, 270.0):
+                value = 1e300 if rows[1:] == [] else -15.0 - drop - phi / 90
+                rows.append(f"{phi!r},{theta!r},0,{mode},{value!r}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+class TestHugeFiniteValues:
+    """Huge finite dB values end in one error line or in valid files, fast,
+    with nothing else on stderr."""
+
+    def test_cdf_plot_refuses_the_range(self, tmp_path):
+        svg = tmp_path / "x.svg"
+        assert _beamblock("cdf", "--scan",
+                          str(_huge_value_archive(tmp_path / "a.csv")),
+                          "--out", str(svg)) == (
+            1, "", "error: cannot plot a CDF from -30 to 1e+300 in 10 dB "
+                   "ticks\n")
+        assert not svg.exists()
+
+    def test_stats_writes_finite_moments(self, tmp_path):
+        code, out, err = _beamblock(
+            "stats", "--scan", str(_huge_value_archive(tmp_path / "a.csv")))
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        for label in ("r1_matched", "r5"):
+            assert payload[label]["n_points"] == 12
+            assert 1e299 < payload[label]["std_db"] < 1e300
+        assert payload["gaussian_fit"]["sigma"] == payload["r5"]["std_db"]
+
+    def test_report_refuses_an_unplottable_range(self, tmp_path):
+        # every EIRP rounds to 1e308, so the CDF range is empty
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps(_replaced(
+            _bundled_json("s1_patch_portrait_hard"),
+            ("array", "tx_power_dbm"), 1e308)))
+        out = tmp_path / "rep"
+        assert _beamblock("report", "--scenario", str(path),
+                          "--out", str(out)) == (
+            1, "", "error: cannot plot a CDF from 1e+308 to 1e+308 in 5 dB "
+                   "ticks\n")
+        assert not out.exists()
+
+    def test_report_with_huge_gain_is_well_formed(self, tmp_path):
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps(_replaced(
+            _bundled_json("s1_patch_portrait_hard"),
+            ("array", "element_peak_gain_dbi"), 1e18)))
+        out = tmp_path / "rep"
+        assert _beamblock("report", "--scenario", str(path),
+                          "--out", str(out)) == (
+            0, f"report written to {out}\n", "")
+        strict_json((out / "summary.json").read_text())
         for svg in out.glob("*.svg"):
             ET.parse(svg)
 
