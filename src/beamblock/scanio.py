@@ -12,8 +12,8 @@ points absent from only some series are an error.
 
 from __future__ import annotations
 
-import io
-import warnings
+import codecs
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +47,21 @@ _MODE_WORDS = np.array([m.encode() for m in MODES], "S16").view("(2,)u8")
 _BLOCK = 1 << 16
 
 
-def _is_clean(path) -> bool:
-    """Whether the file is ASCII without any of ``_REFUSED`` after a UTF-8
-    byte-order mark, checked in 8 MB chunks so that no copy of it is held."""
-    with open(path, "rb") as fh:
-        fh.seek(3 if fh.read(3) == "\ufeff".encode() else 0)
-        while chunk := fh.read(1 << 23):
-            if not chunk.isascii() or any(c in chunk
-                                          for c in _REFUSED.encode()):
-                return False
-    return True
+def _max_rows(path) -> int:
+    """One plus the line breaks, a bound on the rows; a file that is not
+    UTF-8 is a DataError here, before any line is checked."""
+    n, decode = 1, codecs.getincrementaldecoder("utf-8")().decode
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                decode(chunk)
+                n += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+                if b"\r" in chunk:  # CR LF once, unless a chunk splits it
+                    n += chunk.count(b"\r") - chunk.count(b"\r\n")
+        decode(b"", True)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"scan file is not text: {exc}") from exc
+    return n
 
 
 def _check_header(line: str) -> None:
@@ -64,35 +69,19 @@ def _check_header(line: str) -> None:
         raise DataError(f"expected header {','.join(CSV_HEADER)}")
 
 
-def _read_text(path) -> str:
-    """The file after its checked header line, decoded as UTF-8-SIG."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            header, text = fh.readline(), fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"scan file is not text: {exc}") from exc
-    _check_header(header)
-    return text
+_LOADTXT = dict(delimiter=",", comments=None, dtype=_ROW, ndmin=1)
 
 
-_LOADTXT = dict(delimiter=",", comments=None, dtype=_ROW, ndmin=1,
-                encoding="utf-8")
-
-
-def _loadtxt(text: str) -> np.ndarray:
-    """Rows of the CSV ``text``; ValueError for a line loadtxt refuses or
+def _loadtxt(lines: list) -> np.ndarray:
+    """Rows of the CSV ``lines``; ValueError for a line loadtxt refuses or
     would misread: non-ASCII (numpy 2.4 crashes on some of it in an integer
     field) or one of ``_REFUSED``."""
+    text = "".join(lines)
     if not text.isascii() or any(c in text for c in _REFUSED):
         raise ValueError("unsupported character")
-    return np.loadtxt(io.StringIO(text), **_LOADTXT)
-
-
-def _data_lines(text: str):
-    """The non-blank lines of ``text`` and their physical line numbers."""
-    lines = text.split("\n")
-    keep = [i for i, line in enumerate(lines) if line.strip()]
-    return [lines[i] for i in keep], np.array(keep, dtype=int) + 2
+    if not text or text.isspace():  # which loadtxt would warn of
+        return np.zeros(0, _ROW)
+    return np.loadtxt(lines, **_LOADTXT)
 
 
 def _first_refused(lines: list) -> int:
@@ -101,11 +90,20 @@ def _first_refused(lines: list) -> int:
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            _loadtxt("\n".join(lines[lo:mid + 1]))
+            _loadtxt(lines[lo:mid + 1])
             lo = mid + 1
         except ValueError:
             hi = mid
     return lo
+
+
+def _line(path, k: int):
+    """The physical number and text of data line ``k``, counted from 0 over
+    the lines that are not blank."""
+    with open(path, encoding="utf-8-sig") as fh:
+        data = (x for x in enumerate(fh, 1) if not x[1].isspace())
+        number, line = next(itertools.islice(data, k + 1, None))
+    return number, line.removesuffix("\n")
 
 
 def _fault(line: str, kind: int) -> str:
@@ -128,26 +126,24 @@ def _fault(line: str, kind: int) -> str:
 
 
 def _read_rows(path):
-    """The rows read and the number of data lines; a refused line, if any,
-    is the first line after the rows."""
-    if _is_clean(path):
-        with open(path, encoding="utf-8-sig") as fh:
-            _check_header(fh.readline())
+    """The rows read, about 256 KB of lines at a time, and the number of
+    data lines read: a refused line, if any, is the last, after the rows.
+    loadtxt skips empty lines; other blank lines make it refuse a batch."""
+    rows, n, refused = np.empty(_max_rows(path), _ROW), 0, False
+    with open(path, encoding="utf-8-sig") as fh:
+        _check_header(fh.readline())
+        while not refused and (batch := fh.readlines(1 << 18)):
             try:
-                with warnings.catch_warnings():  # a blank file is refused
-                    warnings.filterwarnings("ignore", "loadtxt: input "
-                                            "contained no data")
-                    rows = np.loadtxt(fh, **_LOADTXT)
-                if len(rows):
-                    return rows, len(rows)
+                read = _loadtxt(batch)
             except ValueError:  # a refused line, or one of white space only
-                pass
-    lines = _data_lines(_read_text(path))[0]
-    if not lines:
+                lines = [line for line in batch if not line.isspace()]
+                bad = _first_refused(lines)
+                read, refused = _loadtxt(lines[:bad]), bad < len(lines)
+            rows[n:n + len(read)] = read
+            n += len(read)
+    if not (n or refused):
         raise DataError("scan file contains no data rows")
-    bad = _first_refused(lines)
-    return (_loadtxt("\n".join(lines[:bad])) if bad
-            else np.zeros(0, _ROW)), len(lines)
+    return rows[:n], n + refused
 
 
 def _index(x: np.ndarray, keyed=np.asarray):
@@ -200,13 +196,13 @@ def _lattice_axis(keys: list, angles: list, name: str, max_points: int):
 def parse_scan_csv(path) -> ScanData:
     """Read a scan archive, inferring the grid and validity mask.
 
-    The bytes are checked in 8 MB chunks first. If all are ASCII without
-    NUL or \\x1c-\\x1f, one ``np.loadtxt`` call streams the rows after the
-    header from the open file, so memory grows with the 48-byte rows and
-    not with the text. The text is read whole only on the error path: if
-    the check or loadtxt refuses a line, bisection finds the first such
-    line and the rows before it are read and checked first, and an error
-    cites the physical line of the first faulty row, blank lines counted.
+    One pass counts the line breaks, which bound the rows, and refuses a
+    file that is not UTF-8. Then whole lines are read in batches of about
+    256 KB, each parsed by one ``np.loadtxt`` call into the one row array,
+    so memory grows with the 48-byte rows and not with the text. A batch
+    that is refused is bisected, and the rows before its first refused
+    line are checked first. An error cites the physical line of the first
+    faulty row, blank lines counted, found by one more streaming pass.
     A UTF-8 byte-order mark before the header is skipped. Keys are computed
     one block of rows at a time, whatever the row order. Each mode present
     becomes one PatternSet, its beams in ascending id order; each axis holds,
@@ -257,16 +253,15 @@ def parse_scan_csv(path) -> ScanData:
     ranked = np.sort(key) if np.any(key[1:] <= key[:-1]) else key
     repeat = bool(np.any(ranked[1:] == ranked[:-1]))
     del ranked
-    if repeat or end < n_lines:
-        lines, numbers = _data_lines(_read_text(path))
-        if repeat:  # the earliest second row of a point, and its first
-            order = np.argsort(key, kind="stable")
-            same = np.flatnonzero(np.diff(key[order]) == 0)
-            j = same[np.argmin(order[same + 1])]
-            raise DataError(f"line {numbers[order[j + 1]]}: duplicate point, "
-                            f"first at line {numbers[order[j]]}")
-        raise DataError(f"line {numbers[end]}: "
-                        f"{_fault(lines[end], first.index(end))}")
+    if repeat:  # the earliest second row of a point, and its first
+        order = np.argsort(key, kind="stable")
+        same = np.flatnonzero(np.diff(key[order]) == 0)
+        j = same[np.argmin(order[same + 1])]
+        raise DataError(f"line {_line(path, order[j + 1])[0]}: duplicate "
+                        f"point, first at line {_line(path, order[j])[0]}")
+    if end < n_lines:
+        number, line = _line(path, end)
+        raise DataError(f"line {number}: {_fault(line, first.index(end))}")
 
     # Each series must fill at least half of the lattice grid, so the
     # array below holds at most two values per row of the file.

@@ -118,10 +118,6 @@ def scenario_from_dict(d: dict) -> Scenario:
                                     if k in ("n_elements", "phase_bits")
                                     else _finite(v))
                                 for k, v in d["array"].items()})
-        # steering phases reach 360 * spacing * (n_elements - 1) degrees
-        if not math.isfinite(360.0 * config.spacing * config.n_elements):
-            raise ValueError(f"spacing {config.spacing:g} overflows the "
-                             f"phase ramp of {config.n_elements} elements")
 
         block = "beams"
         beams = []

@@ -18,6 +18,7 @@ distinct u of the lattice and gathers it back onto the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,11 @@ class ArrayConfig:
             raise ConfigError("n_elements must be >= 1")
         if not self.spacing > 0:
             raise ConfigError("spacing must be positive (wavelengths)")
+        # steering phases reach 360 * spacing * (n_elements - 1) degrees
+        ramp = 360.0 * float(self.spacing) * int(self.n_elements)
+        if not math.isfinite(ramp):
+            raise ConfigError(f"bad array: spacing {self.spacing:g} overflows "
+                              f"the phase ramp of {self.n_elements} elements")
         if self.element_kind not in _ELEMENT_KINDS:
             raise ConfigError(f"element_kind must be one of {_ELEMENT_KINDS}")
         if not 0 <= self.phase_bits <= 8:

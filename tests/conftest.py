@@ -1,20 +1,9 @@
-"""Shared fixtures and small helpers for the test suite."""
+"""Shared fixtures for the test suite."""
 
-import numpy as np
 import pytest
 
-from beamblock.grid import AngularGrid, Pattern, PatternSet, make_grid
+from beamblock.grid import PatternSet, make_grid
 from beamblock.synth import ArrayConfig, BeamSpec, synth_pattern_set
-
-
-def dyadic(rng, shape, lo=-60.0, hi=10.0):
-    """Random values on a 2^-10 lattice so add/subtract round-trips exactly."""
-    steps = rng.integers(int(lo * 1024), int(hi * 1024), size=shape)
-    return steps.astype(float) / 1024.0
-
-
-def pattern_on(grid: AngularGrid, values) -> Pattern:
-    return Pattern.from_values(grid, np.asarray(values, dtype=float))
 
 
 @pytest.fixture(scope="session")

@@ -39,8 +39,15 @@ def test_checker_sees_an_unused_import():
     assert _unused_imports(source) == ["line 1: json", "line 3: pi"]
 
 
+def _is_fixture(node) -> bool:
+    """Whether ``node`` is decorated as a pytest fixture, which pytest
+    passes by parameter name rather than a module loading it."""
+    return any("fixture" in ast.unparse(d) for d in node.decorator_list)
+
+
 def _dead_definitions(sources: dict) -> list[tuple[str, str]]:
-    """Top-level functions and classes that no module loads by name.
+    """Top-level functions and classes, fixtures aside, that no module
+    loads by name.
 
     ``sources`` maps module names to their source; a definition counts as
     used when any module reads it as a name or as an attribute. Returns
@@ -50,7 +57,8 @@ def _dead_definitions(sources: dict) -> list[tuple[str, str]]:
     for module, source in sources.items():
         tree = ast.parse(source)
         defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not _is_fixture(node)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -70,3 +78,20 @@ def test_checker_sees_a_dead_definition():
                        "\n\nclass Dead:\n    pass\n",
                "b.py": "import a\na.used()\n"}
     assert _dead_definitions(sources) == [("a.py", "dead"), ("a.py", "Dead")]
+
+
+def test_no_dead_conftest_helpers():
+    # a plain helper in conftest.py is shared only if a test module loads it
+    tests = Path(__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(tests.glob("*.py"))}
+    assert [name for module, name in _dead_definitions(sources)
+            if module == "conftest.py"] == []
+
+
+def test_checker_skips_fixtures():
+    source = ("import pytest\n\n\n@pytest.fixture\ndef grid():\n    pass\n"
+              "\n\n@pytest.fixture(scope='session')\ndef beams():\n    pass\n"
+              "\n\ndef helper():\n    pass\n")
+    assert _dead_definitions({"conftest.py": source}) == [
+        ("conftest.py", "helper")]

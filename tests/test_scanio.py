@@ -7,6 +7,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -377,19 +378,63 @@ def stress_archives(tmp_path_factory):
     return ordered, shuffled
 
 
-class TestParseScale:
-    def test_memory_is_bounded_by_the_rows(self, stress_archives):
-        # the rows take 48 bytes each, about 1.4 times their text; a copy of
-        # the whole text (4 bytes per character) would exceed the bound
-        path = stress_archives[1]
-        tracemalloc.start()
+def _traced_peak(parse):
+    """What ``parse()`` returns or raises, and its peak traced memory."""
+    tracemalloc.start()
+    try:
         try:
-            data = parse_scan_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            out = parse()
+        except DataError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParseScale:
+    def test_memory_is_bounded_by_the_rows(self, stress_archives, tmp_path):
+        # the rows take 48 bytes each, about 1.4 times their text; a copy of
+        # the whole text (4 bytes per character) would exceed the bound, on
+        # the error path too
+        path = stress_archives[1]
+        data, peak = _traced_peak(lambda: parse_scan_csv(path))
         assert sum(map(len, data.modes.values())) == 12
         assert peak <= 5 * path.stat().st_size
+        bad = _write(tmp_path, path.read_text() + "0.0,1.0,0,freespace,n/a\n")
+        err, peak = _traced_peak(lambda: parse_scan_csv(bad))
+        assert str(err) == ("line 192242: could not convert string to "
+                            "float: 'n/a'")
+        assert peak <= 5 * bad.stat().st_size
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_line_numbers_across_batches(self, stress_archives, tmp_path,
+                                         newline):
+        # rows are read about 256 KB at a time: a blank line in the first
+        # batch, a batch of empty lines only, and a fault many batches on
+        header, *rows = stress_archives[1].read_text().splitlines(True)
+        rows[998:998] = [" \t\n"]  # physical line 1000
+        rows[100_000:100_000] = ["\n"] * 300_000
+        faults = [
+            ("0.0,90.0,0,freespace,n/a\n",
+             "line 450003: could not convert string to float: 'n/a'"),
+            (rows[70_000],
+             "line 450003: duplicate point, first at line 70002"),
+        ]
+        path = tmp_path / "scan.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path.write_bytes((header + "".join(rows)).replace(
+                "\n", newline).encode())
+            _same_scan(parse_scan_csv(path).modes,
+                       parse_scan_csv(stress_archives[0]).modes)
+            for row, message in faults:
+                path.write_bytes((header + "".join(
+                    rows[:450_001] + [row] + rows[450_001:])).replace(
+                        "\n", newline).encode())
+                with pytest.raises(DataError) as err:
+                    parse_scan_csv(path)
+                assert str(err.value) == message
 
     def test_row_order_does_not_matter(self, stress_archives):
         ordered, shuffled = (parse_scan_csv(p).modes for p in stress_archives)

@@ -1,5 +1,7 @@
 """Synthetic array patterns: steering, quantization, element models, masks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,16 @@ class TestValidation:
             ArrayConfig(n_elements=0)
         with pytest.raises(ConfigError):
             ArrayConfig(spacing=0.0)
+
+    @pytest.mark.parametrize("spacing", [1e308, np.float64(1e306)])
+    def test_overflowing_phase_ramp_refused_without_warning(self, spacing):
+        # 360 * spacing * n_elements is not finite: refused before numpy
+        # could warn of an overflow in the steering phases
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="overflows the phase ramp "
+                               "of 4 elements"):
+                ArrayConfig(spacing=spacing)
 
     def test_phase_bits_range(self):
         with pytest.raises(ConfigError):
