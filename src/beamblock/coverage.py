@@ -29,8 +29,8 @@ def overlay_best_beam(pset: PatternSet) -> Pattern:
 class WeightedCDF:
     """Weighted empirical distribution of a dB field.
 
-    ``values`` ascending; ``cum_weights[i]`` is the total mass at or below
-    ``values[i]`` and ends at 1.
+    ``values`` finite and ascending; ``cum_weights[i]`` is the total mass
+    at or below ``values[i]``, finite, ascending and ending at 1.
     """
 
     values: np.ndarray
@@ -41,8 +41,12 @@ class WeightedCDF:
         c = np.asarray(self.cum_weights, dtype=float)
         if v.ndim != 1 or v.shape != c.shape or v.size == 0:
             raise DataError("values and cum_weights must be matching 1-D")
+        if not (np.isfinite(v).all() and np.isfinite(c).all()):
+            raise DataError("values and cum_weights must be finite")
         if np.any(np.diff(v) < 0):
             raise DataError("values must be ascending")
+        if np.any(np.diff(c) < 0):
+            raise DataError("cumulative weights must be ascending")
         if abs(float(c[-1]) - 1.0) > 1e-9:
             raise DataError("cumulative weights must end at 1")
         object.__setattr__(self, "values", v)

@@ -204,11 +204,13 @@ def _values_key(values: np.ndarray) -> bytes:
     return np.where(np.isnan(values), np.nan, values + 0.0).tobytes()
 
 
-def _cleaned(grid: AngularGrid, values, ndim: int) -> np.ndarray:
+def _cleaned(grid: AngularGrid, values, ndim: int,
+             copy: bool = True) -> np.ndarray:
     """A read-only float copy of ``values``, a field on ``grid`` (ndim 2)
     or a stack of them (ndim 3), NaN at invalid points and clamped up to
-    ``FLOOR_DB``; DataError if a valid point is not finite."""
-    v = np.array(values, dtype=float, order="C")
+    ``FLOOR_DB``; DataError if a valid point is not finite. Without
+    ``copy``, a C-ordered float ``values`` is cleaned in place."""
+    v = (np.array if copy else np.asarray)(values, dtype=float, order="C")
     if v.ndim != ndim or v.shape[-2:] != grid.shape:
         raise ConfigError("values shape must match the grid")
     v[..., ~grid.valid] = np.nan
@@ -266,7 +268,20 @@ class PatternSet:
     beam_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        v = _cleaned(self.grid, self.values, 3)
+        self._set_values(_cleaned(self.grid, self.values, 3))
+
+    @classmethod
+    def _adopt(cls, grid: AngularGrid, values: np.ndarray,
+               beam_ids=None) -> "PatternSet":
+        """The set of ``values``, a fresh float array that its caller
+        holds no other use for: cleaned in place, not copied."""
+        pset = cls.__new__(cls)
+        object.__setattr__(pset, "grid", grid)
+        object.__setattr__(pset, "beam_ids", beam_ids)
+        pset._set_values(_cleaned(grid, values, 3, copy=False))
+        return pset
+
+    def _set_values(self, v: np.ndarray) -> None:
         if not len(v):
             raise ConfigError("a pattern set needs at least one beam")
         ids = tuple(range(len(v)) if self.beam_ids is None else self.beam_ids)

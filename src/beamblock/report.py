@@ -133,8 +133,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                        [f"{v:.4f}" for v in list(r.values())[1:]])
 
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     write_scan_csv(out / "scan.csv", study.modes)
 

@@ -48,20 +48,24 @@ _BLOCK = 1 << 16
 
 
 def _max_rows(path) -> int:
-    """One plus the line breaks, a bound on the rows; a file that is not
-    UTF-8 is a DataError here, before any line is checked."""
-    n, decode = 1, codecs.getincrementaldecoder("utf-8")().decode
+    """A bound on the rows: one plus the line breaks, or plus a quarter of
+    the commas, as every row read has four, whichever is less; a file that
+    is not UTF-8 is a DataError here, before any line is checked."""
+    breaks, commas = 0, 0
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
         with open(path, "rb") as fh:
             while chunk := fh.read(1 << 20):
                 decode(chunk)
-                n += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+                byte = np.frombuffer(chunk, np.uint8)
+                breaks += np.count_nonzero(byte == ord("\n"))
+                commas += np.count_nonzero(byte == ord(","))
                 if b"\r" in chunk:  # CR LF once, unless a chunk splits it
-                    n += chunk.count(b"\r") - chunk.count(b"\r\n")
+                    breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
         decode(b"", True)
     except UnicodeDecodeError as exc:
         raise DataError(f"scan file is not text: {exc}") from exc
-    return n
+    return min(breaks, commas // 4) + 1
 
 
 def _check_header(line: str) -> None:
@@ -196,13 +200,14 @@ def _lattice_axis(keys: list, angles: list, name: str, max_points: int):
 def parse_scan_csv(path) -> ScanData:
     """Read a scan archive, inferring the grid and validity mask.
 
-    One pass counts the line breaks, which bound the rows, and refuses a
-    file that is not UTF-8. Then whole lines are read in batches of about
-    256 KB, each parsed by one ``np.loadtxt`` call into the one row array,
-    so memory grows with the 48-byte rows and not with the text. A batch
-    that is refused is bisected, and the rows before its first refused
-    line are checked first. An error cites the physical line of the first
-    faulty row, blank lines counted, found by one more streaming pass.
+    One pass counts the line breaks and commas, which bound the rows, and
+    refuses a file that is not UTF-8. Then whole lines are read in batches
+    of about 256 KB, each parsed by one ``np.loadtxt`` call into the one
+    row array, so memory grows with the 48-byte rows and not with the
+    text. A batch that is refused is bisected, and the rows before its
+    first refused line are checked first. An error cites the physical line
+    of the first faulty row, blank lines counted, found by one more
+    streaming pass.
     A UTF-8 byte-order mark before the header is skipped. Keys are computed
     one block of rows at a time, whatever the row order. Each mode present
     becomes one PatternSet, its beams in ascending id order; each axis holds,
@@ -294,8 +299,8 @@ def parse_scan_csv(path) -> ScanData:
     # series are mode-major: one slice of the cube per mode
     parts = np.flatnonzero(np.diff(series // len(beams))) + 1
     return ScanData(modes={
-        MODES[s[0] // len(beams)]: PatternSet(grid, values,
-                                              beams[s % len(beams)].tolist())
+        MODES[s[0] // len(beams)]: PatternSet._adopt(
+            grid, values, beams[s % len(beams)].tolist())
         for s, values in zip(np.split(series, parts), np.split(cube, parts))})
 
 

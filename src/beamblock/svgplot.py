@@ -84,11 +84,16 @@ def heatmap_svg(pattern: Pattern, title: str) -> str:
     t = ((finite - vmin) / (vmax - vmin) if vmax > vmin
          else np.ones(finite.size))
     fills[grid.valid] = _ramp_colors(t)
-    xs = [f'<rect x="{_f(ml + ip * cell)}" y="' for ip in range(n_p)]
+    # one join per row of cells: each cell's x and end are fixed, its y
+    # and fill are set per row
+    parts = [""] * (4 * n_p)
+    parts[0::4] = [f'<rect x="{_f(ml + ip * cell)}" y="' for ip in range(n_p)]
+    parts[3::4] = ['"/>\n'] * (n_p - 1) + ['"/>']
+    size = f'" width="{_f(cell)}" height="{_f(cell)}" fill="'
     for it, row in enumerate(fills.tolist()):
-        tail = (f'{_f(mt + it * cell)}" width="{_f(cell)}" '
-                f'height="{_f(cell)}" fill="')
-        out.extend([x + tail + fill + '"/>' for x, fill in zip(xs, row)])
+        parts[1::4] = [_f(mt + it * cell) + size] * n_p
+        parts[2::4] = row
+        out.append("".join(parts))
     out.append(f'<rect x="{_f(ml)}" y="{_f(mt)}" width="{_f(plot_w)}" '
                f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>')
     # axis ticks: phi every 60 deg, theta every 30 deg
@@ -136,19 +141,36 @@ def heatmap_svg(pattern: Pattern, title: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _thin_steps(cdf: WeightedCDF) -> list[tuple[float, float]]:
-    """Step-curve vertices, decimated for plot size but deterministic."""
-    pts = []
-    last_x, last_y = None, 0.0
-    values = cdf.values.tolist()
-    for i, (x, y) in enumerate(zip(values, cdf.cum_weights.tolist())):
-        if last_x is not None and x - last_x < 0.05 and y - last_y < 0.002 \
-                and i < len(values) - 1:
-            continue
-        pts.append((x, last_y))
-        pts.append((x, y))
-        last_x, last_y = x, y
-    return pts
+def _first_reach(a: np.ndarray, step: float) -> np.ndarray:
+    """For each i, the first j with ``a[j] - a[i] >= step`` in floats, or
+    len(a). ``a`` is ascending and finite, so that difference never falls
+    as j grows: the first j with ``a[j] >= a[i] + step`` is moved past or
+    back over whole runs of equal values until the test holds at j and
+    fails before it."""
+    n = len(a)
+    with np.errstate(over="ignore"):
+        j = np.searchsorted(a, a + step)
+        while (low := (j < n) & (a[np.minimum(j, n - 1)] - a < step)).any():
+            j[low] = np.searchsorted(a, a[j[low]], side="right")
+        # j > i now, as a[i] - a[i] < step
+        while (high := a[j - 1] - a >= step).any():
+            j[high] = np.searchsorted(a, a[j[high] - 1])
+    return j
+
+
+def _kept(cdf: WeightedCDF) -> list[int]:
+    """Indices of the step-curve samples drawn: the first, the last, and
+    each sample at least 0.05 in value or 0.002 in mass past the last kept
+    one, so the plot stays small but deterministic."""
+    last = len(cdf.values) - 1
+    nxt = np.minimum(np.minimum(_first_reach(cdf.values, 0.05),
+                                _first_reach(cdf.cum_weights, 0.002)),
+                     last).tolist()
+    kept, k = [0], 0
+    while k < last:
+        k = nxt[k]
+        kept.append(k)
+    return kept
 
 
 def _x_range(curves) -> tuple[float, float]:
@@ -206,8 +228,17 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
                    f'font-size="11" text-anchor="middle">{tick:g}</text>')
     for idx, (label, cdf) in enumerate(curves):
         color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
-        xs, ys = np.array(_thin_steps(cdf)).reshape(-1, 2).T
-        path = _points(sx(np.clip(xs, xlo, xhi)), sy(ys))
+        kept = _kept(cdf)
+        m = len(kept)
+        xs = sx(np.clip(cdf.values[kept], xlo, xhi))
+        ys = sy(np.concatenate(([0.0], cdf.cum_weights[kept])))
+        # vertices x_k,y_(k-1) x_k,y_k: each coordinate formatted once
+        text = ("%.2f " * (2 * m + 1) % tuple(xs.tolist() + ys.tolist())
+                ).split()
+        args = [""] * (4 * m)
+        args[0::4] = args[2::4] = text[:m]
+        args[1::4], args[3::4] = text[m:-1], text[m + 1:]
+        path = " ".join(["%s,%s %s,%s"] * m) % tuple(args)
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         ly = mt + 16 + 16 * idx

@@ -150,7 +150,9 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     phasors = _steering_phasors(config, u_set)
     af_db = np.array([_array_factor_db(steering_weights(config, beam), phasors)
                       for beam in beams])
-    return PatternSet(grid, base + np.take(af_db, at, axis=1))
+    cube = np.take(af_db, at, axis=1)
+    cube += base
+    return PatternSet._adopt(grid, cube)
 
 
 @dataclass(frozen=True)
@@ -228,5 +230,6 @@ class BlockageMask:
 
 def apply_blockage_mask(free: PatternSet, mask: BlockageMask) -> PatternSet:
     """Subtract the mask's delta field from every beam pattern."""
-    return PatternSet(free.grid, free.values - mask.delta_field(free.grid),
-                      free.beam_ids)
+    return PatternSet._adopt(free.grid,
+                             free.values - mask.delta_field(free.grid),
+                             free.beam_ids)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beamblock.coverage import (coverage_above, lost_percentages,
-                                overlay_best_beam, percentile_value,
-                                weighted_cdf)
+from beamblock.coverage import (WeightedCDF, coverage_above,
+                                lost_percentages, overlay_best_beam,
+                                percentile_value, weighted_cdf)
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import (AngularGrid, Pattern, PatternSet, make_grid,
                             solid_angle_weights, uniform_weights,
@@ -114,6 +114,22 @@ class TestWeightedCDF:
         pat = _pattern(tiny_grid, np.zeros((2, 4)))
         with pytest.raises(DataError):
             weighted_cdf(pat, solid_angle_weights(full_grid))
+
+    @pytest.mark.parametrize("values, cum_weights", [
+        ([0.0, np.nan], [0.5, 1.0]),
+        ([-np.inf, 0.0], [0.5, 1.0]),
+        ([0.0, np.inf], [0.5, 1.0]),
+        ([1.0, 0.0], [0.5, 1.0]),
+        ([0.0, 1.0, 2.0], [0.5, 0.4, 1.0]),
+        ([0.0, 1.0], [1.5, 1.0]),
+        ([0.0, 1.0], [np.nan, 1.0]),
+        ([0.0, 1.0], [-np.inf, 1.0]),
+        ([0.0], [np.nan]),
+    ])
+    def test_refuses_what_the_docstring_rules_out(self, values,
+                                                  cum_weights):
+        with pytest.raises(DataError):
+            WeightedCDF(np.array(values), np.array(cum_weights))
 
 
 class TestCoverageAbove:

@@ -274,6 +274,20 @@ class TestPatternSet:
             assert np.shares_memory(pattern.values, beam)
             assert not pattern.values.flags.writeable
 
+    def test_caller_array_stays_writable_and_unchanged(self):
+        # C-ordered floats, which the producers' private _adopt cleans in
+        # place: the public constructor still copies them
+        grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
+        values = np.full((2, 2, 4), -300.0)
+        values[1, 1, 2] = 7.0
+        before = values.copy()
+        pset = PatternSet(grid, values, (4, 1))
+        assert values.flags.writeable
+        assert not np.shares_memory(values, pset.values)
+        np.testing.assert_array_equal(values, before)
+        adopted = PatternSet._adopt(grid, values, (4, 1))
+        assert adopted == pset and np.shares_memory(values, adopted.values)
+
     def test_equality_and_hash(self):
         grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
         values = np.arange(16.0).reshape(2, 2, 4)

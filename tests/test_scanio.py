@@ -406,6 +406,16 @@ class TestParseScale:
                             "float: 'n/a'")
         assert peak <= 5 * bad.stat().st_size
 
+    def test_blank_lines_do_not_size_the_rows(self, tmp_path):
+        # 8 rows after 2,000,000 empty lines: the row array is sized by the
+        # commas, four per row, not at 48 bytes per line break
+        header, rows = SMALL_CSV.split("\n", 1)
+        path = _write(tmp_path, header + "\n" * 2_000_001 + rows)
+        data, peak = _traced_peak(lambda: parse_scan_csv(path))
+        _same_scan(data.modes, parse_scan_csv(_write(tmp_path, SMALL_CSV,
+                                                     "small.csv")).modes)
+        assert peak <= 5 * path.stat().st_size
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
                              ids=["lf", "crlf", "cr"])
     def test_line_numbers_across_batches(self, stress_archives, tmp_path,

@@ -1,12 +1,17 @@
-"""Heatmap renderer bytes against the scalar per-cell renderer."""
+"""Figure bytes against scalar renderers: the heatmap per cell, the CDF
+step curve per sample."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamblock import svgplot
-from beamblock.grid import Pattern, make_grid, with_invalid_band
+from beamblock.coverage import WeightedCDF
+from beamblock.errors import DataError
+from beamblock.grid import FLOOR_DB, Pattern, make_grid, with_invalid_band
 from beamblock.svgplot import (_FONT, _INVALID_FILL, _RAMP, _f, _svg_open,
-                               heatmap_svg)
+                               cdf_svg, heatmap_svg)
 
 
 def _ramp_color(t: float) -> str:
@@ -131,3 +136,79 @@ def test_heatmap_bytes_match_scalar_renderer(values):
     for k, (line, expected) in enumerate(zip(got, want)):
         assert line == expected, f"line {k}"  # a short report, not a diff
     assert len(got) == len(want)
+
+
+def _thin_steps(cdf):
+    """Step-curve vertices of the kept samples, one sample at a time: the
+    first and last, and each at least 0.05 in value or 0.002 in mass past
+    the last kept one."""
+    pts = []
+    last_x, last_y = None, 0.0
+    values = cdf.values.tolist()
+    for i, (x, y) in enumerate(zip(values, cdf.cum_weights.tolist())):
+        if last_x is not None and x - last_x < 0.05 and y - last_y < 0.002 \
+                and i < len(values) - 1:
+            continue
+        pts.append((x, last_y))
+        pts.append((x, y))
+        last_x, last_y = x, y
+    return pts
+
+
+def _scalar_polyline(cdf, xlo, xhi):
+    """The points of cdf_svg's curve for ``cdf``, two floats per vertex."""
+    return " ".join(
+        f"{62.0 + (min(max(x, xlo), xhi) - xlo) / (xhi - xlo) * 560.0:.2f},"
+        f"{36.0 + (1.0 - y) * 340.0:.2f}" for x, y in _thin_steps(cdf))
+
+
+@st.composite
+def _cdfs(draw):
+    """Ascending values on a grid of 0.05 or 0.01 dB, some across 0, so
+    differences land on and around 0.05 in floats, with ties, an optional
+    FLOOR_DB run and +-1e300 ends; integer weights with zero runs over a
+    total that is often 500, so mass steps land on and around 0.002."""
+    n = draw(st.integers(1, 120))
+    unit = draw(st.sampled_from([0.05, 0.01, 0.15, 1.0]))
+    base = draw(st.sampled_from([0.0, -17.3, 41.05, FLOOR_DB])
+                | st.floats(-0.1, 0.1))
+    ks = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    values = np.sort(base + unit * np.array(ks, dtype=float))
+    values[:draw(st.integers(0, n // 2))] = FLOOR_DB
+    values.sort()
+    if draw(st.booleans()):
+        values[0] = -1e300
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        values[-1] = 1e300
+    w = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 5]),
+                               min_size=n, max_size=n)), dtype=float)
+    if w.sum() == 0:
+        w[-1] = 1.0
+    if draw(st.booleans()):  # mass in units of 1/500
+        w = np.floor(w / w.sum() * 500.0)
+        w[-1] += 500.0 - w.sum()
+    c = np.cumsum(w)
+    return WeightedCDF(values, c / c[-1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_cdfs())
+@example(WeightedCDF(np.array([3.0]), np.array([1.0])))
+@example(WeightedCDF(np.array([0.1, 0.15, 0.2, 0.25]),  # steps of 0.05-
+                     np.array([0.25, 0.5, 0.75, 1.0])))
+@example(WeightedCDF(np.array([1.0, 1.0, 1.0]),  # 0.002 in floats
+                     np.cumsum([0.998, 0.001, 0.001])))
+@example(WeightedCDF(np.array([-0.03, 0.02, 0.021]),  # 0.02 - -0.03 is
+                     np.array([0.5, 0.5005, 1.0])))  # 0.05, -0.03 + 0.05 more
+def test_cdf_curve_matches_scalar_decimation(cdf):
+    kept = svgplot._kept(cdf)
+    assert _thin_steps(cdf)[1::2] == list(zip(
+        cdf.values[kept].tolist(), cdf.cum_weights[kept].tolist()))
+    xlo, xhi = svgplot._x_range([("a", cdf)])
+    try:
+        svg = cdf_svg([("a", cdf)], "t", "x")
+    except DataError:  # an empty x range, or one of over 1,000 ticks
+        assert not 0 < xhi - xlo <= 10.0 * svgplot._MAX_TICKS
+        return
+    line = next(x for x in svg.split("\n") if x.startswith("<polyline"))
+    assert line.split('"')[1] == _scalar_polyline(cdf, xlo, xhi)
