@@ -21,7 +21,7 @@ from .models import comparison_dict, compare_models, model_preset
 from .roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2, roi_r3,
                   roi_r4, roi_r5, write_roi_csv)
 from .report import CONVENTIONS, write_report
-from .scanio import parse_scan_csv, write_scan_csv
+from .scanio import MODES, parse_scan_csv, write_scan_csv
 from .scenario import (Scenario, build_patterns, list_bundled, load_bundled,
                        load_scenario, scenario_metadata)
 from .svgplot import cdf_svg, heatmap_svg
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlay", help="best-beam overlay heatmap SVG")
     _add_input_args(p)
-    p.add_argument("--mode", default="freespace")
+    p.add_argument("--mode", default="freespace", choices=MODES)
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=_cmd_overlay)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import Pattern, PatternSet, WeightField, fraction_of_sphere
+from .grid import (Pattern, PatternSet, WeightField, _ArrayRecord,
+                   fraction_of_sphere)
 
 PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
                          "sample value v with weighted mass(value >= v) "
@@ -22,15 +23,18 @@ PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
 
 def overlay_best_beam(pset: PatternSet) -> Pattern:
     """Pointwise maximum EIRP over the codebook's beams."""
-    return Pattern(pset.grid, pset.values.max(axis=0))
+    best = pset.values.max(axis=0)
+    best.setflags(write=False)
+    return Pattern(pset.grid, best)
 
 
-@dataclass(frozen=True)
-class WeightedCDF:
+@dataclass(frozen=True, eq=False)
+class WeightedCDF(_ArrayRecord):
     """Weighted empirical distribution of a dB field.
 
     ``values`` finite and ascending; ``cum_weights[i]`` is the total mass
-    at or below ``values[i]``, finite, ascending and ending at 1.
+    at or below ``values[i]``, finite, ascending and ending at 1. Compares
+    and hashes by value, -0.0 equal to 0.0; copies a writable input array.
     """
 
     values: np.ndarray
@@ -49,8 +53,7 @@ class WeightedCDF:
             raise DataError("cumulative weights must be ascending")
         if abs(float(c[-1]) - 1.0) > 1e-9:
             raise DataError("cumulative weights must end at 1")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "cum_weights", c)
+        self._keep(values=v, cum_weights=c)
 
     def cdf_at(self, x):
         """Weighted mass of samples <= x; a float, or an array for one."""
@@ -82,6 +85,8 @@ def weighted_cdf(pattern: Pattern, weights: WeightField,
     order = np.argsort(v, kind="stable")
     v = v[order]
     c = np.cumsum(w[order]) / total
+    v.setflags(write=False)
+    c.setflags(write=False)
     return WeightedCDF(values=v, cum_weights=c)
 
 

@@ -9,7 +9,7 @@ this package then ignores them on both sides of the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,10 +22,35 @@ FLOOR_DB = -200.0
 _STEP_TOL = 1e-9
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr)
-    out.setflags(write=False)
-    return out
+class _ArrayRecord:
+    """Base of every ``@dataclass(frozen=True, eq=False)`` holding numpy
+    arrays: each is stored read-only, a writable input as a copy, so no
+    constructor freezes or aliases a caller's array. Records of one type
+    are equal when every ``compare=True`` field is, arrays by
+    ``np.array_equal(..., equal_nan=True)``; the hash agrees."""
+
+    def _keep(self, **values) -> None:
+        """Set the named fields, arrays stored read-only."""
+        for name, value in values.items():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                value = value.copy()
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def _compared(self) -> list:
+        return [getattr(self, f.name) for f in fields(self) if f.compare]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+            else a == b for a, b in zip(self._compared(), other._compared()))
+
+    def __hash__(self):  # an array as float bytes, one NaN, 0.0 for -0.0
+        return hash(tuple(np.where(v != v, np.nan, v + 0.0).tobytes()
+                          if isinstance(v, np.ndarray) else v
+                          for v in self._compared()))
 
 
 def _check_axis(values: np.ndarray, name: str, lo: float, hi: float,
@@ -43,27 +68,26 @@ def _check_axis(values: np.ndarray, name: str, lo: float, hi: float,
             raise ConfigError(f"{name} axis steps must be uniform")
 
 
-@dataclass(frozen=True)
-class AngularGrid:
-    """Uniform (phi, theta) lattice with a shared validity mask."""
+@dataclass(frozen=True, eq=False)
+class AngularGrid(_ArrayRecord):
+    """Uniform (phi, theta) lattice with a shared validity mask. Compares
+    and hashes by value, -0.0 equal to 0.0; copies a writable input array."""
 
     phi: np.ndarray
     theta: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        phi = _as_readonly(np.asarray(self.phi, dtype=float))
-        theta = _as_readonly(np.asarray(self.theta, dtype=float))
+        phi = np.asarray(self.phi, dtype=float)
+        theta = np.asarray(self.theta, dtype=float)
         _check_axis(phi, "phi", 0.0, 360.0, lo_open=False, hi_open=True)
         _check_axis(theta, "theta", 0.0, 180.0, lo_open=True, hi_open=True)
-        valid = _as_readonly(np.asarray(self.valid, dtype=bool))
+        valid = np.asarray(self.valid, dtype=bool)
         if valid.shape != (theta.size, phi.size):
             raise ConfigError("valid mask shape must be (n_theta, n_phi)")
         if not valid.any():
             raise ConfigError("grid must contain at least one valid point")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "valid", valid)
+        self._keep(phi=phi, theta=theta, valid=valid)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -76,17 +100,6 @@ class AngularGrid:
     @property
     def theta_step(self) -> float:
         return float(self.theta[1] - self.theta[0]) if self.theta.size > 1 else 180.0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AngularGrid):
-            return NotImplemented
-        return (np.array_equal(self.phi, other.phi)
-                and np.array_equal(self.theta, other.theta)
-                and np.array_equal(self.valid, other.valid))
-
-    def __hash__(self):  # frozen dataclass would try to hash arrays
-        return hash((self.phi.tobytes(), self.theta.tobytes(),
-                     self.valid.tobytes()))
 
 
 def make_grid(phi_step: float, theta_min: float, theta_max: float,
@@ -136,23 +149,23 @@ def with_invalid_band(grid: AngularGrid, theta_lo: float,
     return AngularGrid(phi=grid.phi, theta=grid.theta, valid=valid)
 
 
-@dataclass(frozen=True)
-class WeightField:
-    """Per-point solid-angle weights; zero at invalid points, sum of 1."""
+@dataclass(frozen=True, eq=False)
+class WeightField(_ArrayRecord):
+    """Per-point solid-angle weights; zero at invalid points, sum of 1.
+    Compares and hashes by value; copies a writable input array."""
 
     grid: AngularGrid
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_readonly(np.asarray(self.weights, dtype=float))
+        w = np.asarray(self.weights, dtype=float)
         if w.shape != self.grid.shape:
             raise ConfigError("weights shape must match the grid")
         if np.any(w < 0) or np.any(w[~self.grid.valid] != 0):
             raise ConfigError("weights must be >= 0 and zero at invalid points")
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(float(w.sum()) - 1.0) <= 1e-9:  # NaN too
             raise ConfigError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+        self._keep(weights=w)
 
 
 def point_prefixes(grid: AngularGrid, mask: np.ndarray) -> list[str]:
@@ -172,9 +185,9 @@ def solid_angle_weights(grid: AngularGrid) -> WeightField:
     Uniform steps make the cell area proportional to sin(theta) alone; the
     phi and theta step sizes cancel in the normalization.
     """
-    w = np.sin(np.deg2rad(grid.theta))[:, None] * np.ones(grid.shape)
-    w = np.where(grid.valid, w, 0.0)
-    w = w / w.sum()
+    w = np.where(grid.valid, np.sin(np.deg2rad(grid.theta))[:, None], 0.0)
+    w /= w.sum()
+    w.setflags(write=False)
     return WeightField(grid=grid, weights=w)
 
 
@@ -198,12 +211,6 @@ def fraction_of_sphere(mask, weights: WeightField) -> float:
     return 100.0 * float(weights.weights[m].sum())
 
 
-def _values_key(values: np.ndarray) -> bytes:
-    """Bytes equal for any two same-shape arrays that ``np.array_equal(...,
-    equal_nan=True)`` calls equal: one NaN, and 0.0 for -0.0."""
-    return np.where(np.isnan(values), np.nan, values + 0.0).tobytes()
-
-
 def _cleaned(grid: AngularGrid, values, ndim: int,
              copy: bool = True) -> np.ndarray:
     """A read-only float copy of ``values``, a field on ``grid`` (ndim 2)
@@ -217,25 +224,27 @@ def _cleaned(grid: AngularGrid, values, ndim: int,
     v[v < FLOOR_DB] = FLOOR_DB
     if np.any(~np.isfinite(v) & grid.valid):
         raise DataError("non-finite value at a valid grid point")
-    return _as_readonly(v)
+    v.setflags(write=False)
+    return v
 
 
-@dataclass(frozen=True)
-class Pattern:
+@dataclass(frozen=True, eq=False)
+class Pattern(_ArrayRecord):
     """A scalar dB field on a grid: EIRP (dBm) or blockage loss (dB).
 
     Values are NaN at invalid points. Anything below ``FLOOR_DB`` has been
-    clamped to it.
+    clamped to it. Compares and hashes by value, NaN equal to NaN and -0.0
+    to 0.0; copies a writable input array.
     """
 
     grid: AngularGrid
     values: np.ndarray
 
     def __post_init__(self):
-        v = _as_readonly(np.asarray(self.values, dtype=float))
+        v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ConfigError("values shape must match the grid")
-        object.__setattr__(self, "values", v)
+        self._keep(values=v)
 
     @classmethod
     def from_values(cls, grid: AngularGrid, values: np.ndarray) -> "Pattern":
@@ -245,23 +254,15 @@ class Pattern:
     def max_value(self) -> float:
         return float(np.nanmax(self.values[self.grid.valid]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(
-            self.values, other.values, equal_nan=True)
 
-    def __hash__(self):  # frozen dataclass would try to hash an array
-        return hash((self.grid, _values_key(self.values)))
-
-
-@dataclass(frozen=True)
-class PatternSet:
+@dataclass(frozen=True, eq=False)
+class PatternSet(_ArrayRecord):
     """One pattern per codebook beam: ``values`` is a read-only (n_beams,
     n_theta, n_phi) copy, cleaned as ``Pattern.from_values`` cleans one, and
     ``beam_ids`` the distinct integers in [0, 2**63) that a scan archive
     names the beams by, 0..n-1 by default. Iteration yields read-only
-    ``Pattern`` views of the beams."""
+    ``Pattern`` views of the beams. Compares and hashes by value, NaN equal
+    to NaN and -0.0 to 0.0."""
 
     grid: AngularGrid
     values: np.ndarray
@@ -276,8 +277,7 @@ class PatternSet:
         """The set of ``values``, a fresh float array that its caller
         holds no other use for: cleaned in place, not copied."""
         pset = cls.__new__(cls)
-        object.__setattr__(pset, "grid", grid)
-        object.__setattr__(pset, "beam_ids", beam_ids)
+        pset._keep(grid=grid, beam_ids=beam_ids)
         pset._set_values(_cleaned(grid, values, 3, copy=False))
         return pset
 
@@ -289,20 +289,10 @@ class PatternSet:
                    for b in ids) or not len(v) == len(ids) == len(set(ids)):
             raise DataError(f"beam_ids must be {len(v)} distinct integers in "
                             "[0, 2**63)")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "beam_ids", tuple(map(int, ids)))
+        self._keep(values=v, beam_ids=tuple(map(int, ids)))
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PatternSet):
-            return NotImplemented
-        return (self.grid == other.grid and self.beam_ids == other.beam_ids
-                and np.array_equal(self.values, other.values, equal_nan=True))
-
-    def __hash__(self):  # frozen dataclass would try to hash an array
-        return hash((self.grid, self.beam_ids, _values_key(self.values)))
 
     def __iter__(self):
         return (Pattern(grid=self.grid, values=v) for v in self.values)

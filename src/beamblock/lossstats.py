@@ -17,7 +17,9 @@ from .coverage import (WeightedCDF, coverage_above, lost_percentages,
                        overlay_best_beam, percentile_value, weighted_cdf)
 from .errors import DataError
 from .grid import Pattern, WeightField, solid_angle_weights
-from .roi import RoIMask, matched_r1_for_r5, roi_improvement, roi_r5
+from .roi import (RoIMask, _check_pair, matched_r1_for_r5, roi_improvement,
+                  roi_r5)
+from .scanio import MODES
 
 
 class Study:
@@ -32,6 +34,8 @@ class Study:
     """
 
     def __init__(self, modes: dict):
+        if not modes:
+            raise DataError(f"input provides none of {', '.join(MODES)}")
         self.modes = dict(modes)
         self.weights = solid_angle_weights(next(iter(modes.values())).grid)
         self._overlays = {}
@@ -53,8 +57,7 @@ class Study:
 
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
     """Pointwise free minus blocked, in dB."""
-    if free.grid != blocked.grid:
-        raise DataError("free and blocked patterns must share one grid")
+    _check_pair(free, blocked)
     return Pattern.from_values(free.grid, free.values - blocked.values)
 
 

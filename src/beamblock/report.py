@@ -138,10 +138,12 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     write_scan_csv(out / "scan.csv", study.modes)
 
     for mode, label in _MODE_LABELS:
+        path = out / f"overlay_{mode}.svg"
         if mode in study.modes:
-            (out / f"overlay_{mode}.svg").write_text(heatmap_svg(
-                study.overlay(mode),
-                f"{title}: {label} best-beam EIRP (dBm)"), encoding="utf-8")
+            path.write_text(heatmap_svg(study.overlay(mode), f"{title}: "
+                            f"{label} best-beam EIRP (dBm)"), encoding="utf-8")
+        else:  # a reused directory keeps no stale heatmap
+            path.unlink(missing_ok=True)
     (out / "eirp_cdf.svg").write_text(eirp_svg, encoding="utf-8")
     (out / "loss_cdf.svg").write_text(loss_svg, encoding="utf-8")
     return payload

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import (AngularGrid, Pattern, WeightField, fraction_of_sphere,
-                   point_prefixes)
+from .grid import (AngularGrid, Pattern, WeightField, _ArrayRecord,
+                   fraction_of_sphere, point_prefixes)
 
 
-@dataclass(frozen=True)
-class RoIMask:
-    """Boolean region on a grid, tagged with the law that produced it."""
+@dataclass(frozen=True, eq=False)
+class RoIMask(_ArrayRecord):
+    """Boolean region on a grid's valid points, tagged with the law that
+    produced it. Compares and hashes by grid, mask and kind."""
 
     grid: AngularGrid
     mask: np.ndarray
@@ -38,9 +39,7 @@ class RoIMask:
         m = np.asarray(self.mask, dtype=bool)
         if m.shape != self.grid.shape:
             raise DataError("mask shape must match the grid")
-        m = m & self.grid.valid
-        m.setflags(write=False)
-        object.__setattr__(self, "mask", m)
+        self._keep(mask=m & self.grid.valid)
 
     def coverage(self, weights: WeightField) -> float:
         return fraction_of_sphere(self, weights)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from beamblock.coverage import WeightedCDF
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
-                            fraction_of_sphere, make_grid,
+                            WeightField, fraction_of_sphere, make_grid,
                             solid_angle_weights, uniform_weights,
                             with_invalid_band)
+from beamblock.roi import RoIMask
 from beamblock.scanio import write_scan_csv
 
 WEIGHT_SUM_TOL = 1e-12
@@ -156,6 +158,13 @@ class TestSolidAngleWeights:
         mid = np.argmin(np.abs(full_grid.theta - 90.0))
         assert np.all(np.diff(row[:mid + 1]) > 0)
         assert np.all(np.diff(row[mid:]) < 0)
+
+    @pytest.mark.parametrize("bad,message", [
+        (-0.25, ">= 0"), (0.125, "sum to 1"), (np.nan, "sum to 1")])
+    def test_weight_field_refuses_bad_weights(self, bad, message):
+        weights = np.array([[0.0] * 4, [0.5, bad, 0.25, 0.25]])
+        with pytest.raises(ConfigError, match=message):
+            WeightField(_grid(), weights)
 
     def test_uniform_weights_equal_at_valid(self):
         grid = with_invalid_band(make_grid(5.0, 5.0, 175.0), 5.0, 10.0)
@@ -337,3 +346,76 @@ class TestPatternSet:
             write_scan_csv(path, {"freespace": PatternSet(
                 tiny_grid, np.zeros((2, 2, 4)), ids)})
         assert not path.exists()
+
+
+def _grid(phi0=0.0):
+    """2 x 4 lattice from fresh arrays, phi from ``phi0`` (its sign kept
+    at zero) in 90-degree steps, its first theta row invalid."""
+    return AngularGrid(phi=phi0 + np.array([-0.0, 90.0, 180.0, 270.0]),
+                       theta=np.array([45.0, 135.0]),
+                       valid=np.array([[False] * 4, [True] * 4]))
+
+
+def _rows(x, top):
+    """(2, 4) field: the invalid row all ``top``, the valid row holding
+    ``x`` first and summing to 1."""
+    return np.array([[top] * 4, [x, 0.5 - x, 0.25, 0.25]])
+
+
+# Each record built from fresh arrays with ``x`` in one float slot, and an
+# ``x`` that makes a different record. Pattern and PatternSet hold NaN at
+# the invalid row.
+RECORDS = {
+    "AngularGrid": (_grid, 10.0),
+    "WeightField": (lambda x: WeightField(_grid(), _rows(x, 0.0)), 0.125),
+    "Pattern": (lambda x: Pattern(_grid(), _rows(x, np.nan)), 0.125),
+    "PatternSet": (lambda x: PatternSet(_grid(), [_rows(x, 0.0)] * 2, (5, 9)),
+                   0.125),
+    "WeightedCDF": (lambda x: WeightedCDF(np.array([x, 1.0, 2.0]),
+                                          np.array([0.25, 0.5, 1.0])), 0.5),
+    "RoIMask": (lambda x: RoIMask(_grid(x), np.ones((2, 4), bool), "R1",
+                                  {"delta1": x}), 10.0),
+}
+
+
+class TestArrayRecords:
+    @pytest.mark.parametrize("make,other", RECORDS.values(), ids=RECORDS)
+    def test_value_equality_and_matching_hash(self, make, other):
+        a, b = make(0.0), make(0.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        if isinstance(a, (Pattern, PatternSet)):
+            assert np.isnan(a.values).any()
+        neg_zero = make(-0.0)
+        assert a == neg_zero and hash(a) == hash(neg_zero)
+        assert a != make(other)
+        for kind, (make_kind, _) in RECORDS.items():
+            assert (a == make_kind(0.0)) is (kind == type(a).__name__)
+
+    def test_same_fields_of_another_record_type_differ(self):
+        weights = WeightField(_grid(), _rows(0.0, 0.0))
+        assert Pattern(weights.grid, weights.weights) != weights
+
+    @pytest.mark.parametrize("make,arrays", [
+        pytest.param(AngularGrid, lambda: [
+            np.array([0.0, 90.0, 180.0, 270.0]), np.array([45.0, 135.0]),
+            np.ones((2, 4), bool)], id="AngularGrid"),
+        pytest.param(lambda w: WeightField(_grid(), w),
+                     lambda: [_rows(0.0, 0.0)], id="WeightField"),
+        pytest.param(lambda v: Pattern(_grid(), v),
+                     lambda: [_rows(0.0, np.nan)], id="Pattern"),
+        pytest.param(lambda v: PatternSet(_grid(), v),
+                     lambda: [np.stack([_rows(0.0, 0.0)] * 2)],
+                     id="PatternSet"),
+        pytest.param(WeightedCDF, lambda: [np.array([0.0, 1.0]),
+                                           np.array([0.5, 1.0])],
+                     id="WeightedCDF"),
+        pytest.param(lambda m: RoIMask(_grid(), m, "R1"),
+                     lambda: [np.ones((2, 4), bool)], id="RoIMask")])
+    def test_caller_arrays_neither_frozen_nor_aliased(self, make, arrays):
+        mine = arrays()
+        record = make(*mine)
+        twin = make(*(a.copy() for a in mine))
+        for a in mine:
+            assert a.flags.writeable
+            a[...] = ~a if a.dtype == bool else a + 1.0
+        assert record == twin

@@ -95,3 +95,46 @@ def test_checker_skips_fixtures():
               "\n\ndef helper():\n    pass\n")
     assert _dead_definitions({"conftest.py": source}) == [
         ("conftest.py", "helper")]
+
+
+def _unshared_array_records(source: str) -> list[str]:
+    """Dataclasses with an ``np.ndarray`` field that are not declared
+    ``eq=False`` on ``_ArrayRecord``, the one base that stores arrays
+    read-only and compares and hashes them by value."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d for d in node.decorator_list
+                      if "dataclass" in ast.unparse(d)]
+        if not decorators or not any(
+                isinstance(s, ast.AnnAssign)
+                and "np.ndarray" in ast.unparse(s.annotation)
+                for s in node.body):
+            continue
+        eq_false = any(k.arg == "eq" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False
+                       for d in decorators if isinstance(d, ast.Call)
+                       for k in d.keywords)
+        if not (eq_false and any(ast.unparse(b) == "_ArrayRecord"
+                                 for b in node.bases)):
+            bad.append(node.name)
+    return bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_array_dataclasses_share_one_record_base(path):
+    assert _unshared_array_records(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_an_array_dataclass_off_the_base():
+    source = ("@dataclass(frozen=True, eq=False)\n"
+              "class Good(_ArrayRecord):\n    a: np.ndarray\n\n"
+              "@dataclass(frozen=True)\n"
+              "class HandWritten(_ArrayRecord):\n    a: np.ndarray\n\n"
+              "@dataclass(frozen=True, eq=False)\n"
+              "class NoBase:\n    grid: Grid\n    a: np.ndarray | None\n\n"
+              "@dataclass(frozen=True)\n"
+              "class Scalars:\n    x: float\n\n"
+              "class Plain:\n    a: np.ndarray\n")
+    assert _unshared_array_records(source) == ["HandWritten", "NoBase"]

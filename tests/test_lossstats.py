@@ -273,6 +273,11 @@ class TestStudy:
         assert study.overlay("freespace") is study.overlay("freespace")
         assert study.cdf("freespace") is study.cdf("freespace")
 
+    def test_no_modes_is_data_error(self):
+        with pytest.raises(DataError, match="input provides none of "
+                           "freespace, phantom, true_hand"):
+            Study({})
+
     def test_missing_mode_is_data_error(self, patch_set):
         study = Study({"freespace": patch_set})
         with pytest.raises(DataError) as err:

@@ -330,6 +330,31 @@ class TestCli:
                            "roi_improvement_pct"]
         assert len(rows) == 2
 
+    def test_reused_report_directory_holds_only_the_new_bundle(self,
+                                                                tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for name, out in (("s5_patch_landscape_intermediate", reused),
+                          ("s1_patch_portrait_hard", reused),
+                          ("s1_patch_portrait_hard", fresh)):
+            assert run_cli(["report", "--scenario", name,
+                            "--out", str(out)]) == 0
+        assert ({p.name: p.read_bytes() for p in reused.iterdir()}
+                == {p.name: p.read_bytes() for p in fresh.iterdir()})
+
+    def test_overlay_mode_outside_modes_is_usage_error(self, tmp_path):
+        code, _, err = _run(["overlay", "--scenario", "s1_patch_portrait_hard",
+                             "--mode", "absorber",
+                             "--out", str(tmp_path / "o.svg")])
+        assert code == 2 and "invalid choice: 'absorber'" in err
+
+    def test_overlay_mode_the_input_lacks_is_data_error(self, tmp_path):
+        code, _, err = _run(["overlay", "--scenario", "s1_patch_portrait_hard",
+                             "--mode", "phantom",
+                             "--out", str(tmp_path / "o.svg")])
+        assert (code, err) == (1, "error: input provides no phantom mode; "
+                                  "have freespace, true_hand\n")
+        assert not (tmp_path / "o.svg").exists()
+
     def test_exit_code_usage_errors(self):
         assert run_cli([]) == 2
         assert run_cli(["no-such-command"]) == 2
