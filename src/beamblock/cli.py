@@ -155,10 +155,11 @@ def _cmd_stats(args) -> int:
     loss = loss_field(free, blocked)
     base = matched_r1_for_r5(free, args.delta5)
     enhanced = roi_r5(free, blocked, args.delta5)
-    out = {label: None if region.params.get("empty") else
-           asdict(loss_stats(loss, region, study.weights))
-           for label, region in (("r1_matched", base), ("r5", enhanced))}
-    out["gaussian_fit"] = asdict(gaussian_fit(loss, enhanced, study.weights))
+    stats = {label: None if region.params.get("empty") else
+             loss_stats(loss, region, study.weights)
+             for label, region in (("r1_matched", base), ("r5", enhanced))}
+    out = {label: s and asdict(s) for label, s in stats.items()}
+    out["gaussian_fit"] = asdict(gaussian_fit(stats["r5"]))
     out["delta5_dbm"] = args.delta5
     out["conventions"] = CONVENTIONS
     _emit(out, args.out)

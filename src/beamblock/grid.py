@@ -57,6 +57,8 @@ def _check_axis(values: np.ndarray, name: str, lo: float, hi: float,
                 lo_open: bool, hi_open: bool) -> None:
     if values.ndim != 1 or values.size == 0:
         raise ConfigError(f"{name} axis must be a non-empty 1-D array")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{name} axis must be finite")
     if np.any(np.diff(values) <= 0):
         raise ConfigError(f"{name} axis must be strictly ascending")
     v0, v1 = float(values[0]), float(values[-1])
@@ -248,8 +250,13 @@ class Pattern(_ArrayRecord):
 
     @classmethod
     def from_values(cls, grid: AngularGrid, values: np.ndarray) -> "Pattern":
-        """Clamp to the floor, blank invalid points, and wrap."""
+        """Clamp to the floor, blank invalid points, and wrap a copy."""
         return cls(grid=grid, values=_cleaned(grid, values, 2))
+
+    @classmethod
+    def _adopt(cls, grid: AngularGrid, values: np.ndarray) -> "Pattern":
+        """``from_values`` of a fresh float array, cleaned in place."""
+        return cls(grid=grid, values=_cleaned(grid, values, 2, copy=False))
 
     def max_value(self) -> float:
         return float(np.nanmax(self.values[self.grid.valid]))

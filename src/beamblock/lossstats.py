@@ -58,7 +58,7 @@ class Study:
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
     """Pointwise free minus blocked, in dB."""
     _check_pair(free, blocked)
-    return Pattern.from_values(free.grid, free.values - blocked.values)
+    return Pattern._adopt(free.grid, free.values - blocked.values)
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,10 @@ class GaussianFit:
         return 0.5 * _erfc(-((x - self.mu) / self.sigma) / math.sqrt(2.0))
 
 
-def gaussian_fit(loss: Pattern, roi: RoIMask,
-                 weights: WeightField) -> GaussianFit:
-    """Gaussian with the region's weighted mean and std."""
-    v, w = _select(loss, roi, weights)
-    mean, std = _weighted_moments(v, w)
-    return GaussianFit(mu=mean, sigma=std)
+def gaussian_fit(stats: LossStats) -> GaussianFit:
+    """Gaussian with the mean and std of ``stats``, a region's weighted
+    ``loss_stats``, whose moments it reuses."""
+    return GaussianFit(mu=stats.mean_db, sigma=stats.std_db)
 
 
 def _range(rows: list, key: str) -> list | None:

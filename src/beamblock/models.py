@@ -81,7 +81,7 @@ def apply_model(free: Pattern, model: BlockageModel) -> Pattern:
         if not (grid.theta[0] <= r.theta_lo and r.theta_hi <= grid.theta[-1]):
             raise DataError("model region lies outside the grid")
         delta = BlockageMask(regions=(r,)).delta_field(grid)
-    return Pattern.from_values(grid, free.values - delta)
+    return Pattern._adopt(grid, free.values - delta)
 
 
 @dataclass(frozen=True)

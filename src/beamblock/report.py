@@ -59,14 +59,18 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     free = study.overlay("freespace")
     hand = study.overlay("true_hand")
 
+    uweights = uniform_weights(scenario.grid)
     base = matched_r1_for_r5(free, scenario.delta5_dbm)
     enhanced = roi_r5(free, hand, scenario.delta5_dbm)
     loss = loss_field(free, hand)
-    fit = gaussian_fit(loss, enhanced, weights)
+    stats = {label: None if region.params.get("empty") else
+             {"weighted": loss_stats(loss, region, weights),
+              "unweighted": loss_stats(loss, region, uweights)}
+             for label, region in (("r1_matched", base), ("r5", enhanced))}
+    fit = gaussian_fit(stats["r5"]["weighted"])
     comparison = compare_models(free, {"true_hand": hand,
                                        **scenario.models},
                                 enhanced, weights)
-    uweights = uniform_weights(scenario.grid)
 
     meta = scenario_metadata(scenario)
     payload = {
@@ -74,11 +78,8 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                          n_beams=len(scenario.beams)),
         "conventions": CONVENTIONS,
         **summary,
-        "roi_loss_stats": {
-            label: None if region.params.get("empty") else
-            {"weighted": asdict(loss_stats(loss, region, weights)),
-             "unweighted": asdict(loss_stats(loss, region, uweights))}
-            for label, region in (("r1_matched", base), ("r5", enhanced))},
+        "roi_loss_stats": {label: block and {k: asdict(v) for k, v in
+                           block.items()} for label, block in stats.items()},
         "gaussian_fit": asdict(fit),
         "models": comparison_dict(comparison),
     }

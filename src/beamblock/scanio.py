@@ -304,13 +304,50 @@ def parse_scan_csv(path) -> ScanData:
         for s, values in zip(np.split(series, parts), np.split(cube, parts))})
 
 
+def _bytes(texts, width: int = 0) -> np.ndarray:
+    """The ASCII ``texts`` as rows of at least ``width`` NUL-padded bytes."""
+    a = np.array(texts, f"S{max([width, *map(len, texts)])}")
+    return a.view(np.uint8).reshape(len(a), a.itemsize)
+
+
+# '%.6f\n' of |x| < 1000 as three 4-byte words, each NUL-padded: the signed
+# integer part, then ".ddd" and "ddd\n" of the six decimals
+_INT, _HI, _LO = (np.array(words, "S4").view(np.uint32) for words in (
+    [f"{sign}{i}" for sign in ("", "-") for i in range(1000)],
+    [f".{i:03d}" for i in range(1000)], [f"{i:03d}\n" for i in range(1000)]))
+
+
+def _value_text(v: np.ndarray) -> np.ndarray:
+    """``'%.6f\\n' % x`` of each x in ``v``, as rows of NUL-padded bytes.
+
+    '%.6f' rounds the exact |x| * 10**6 to an integer, ties to even. The
+    float product p = |x| * 1e6 is that value rounded to nearest, so the two
+    lie on one side of every half-integer (floats below 2**52 hold each):
+    unless |p - rint(p)|, an exact difference, is 0.5, rint(p) is the
+    integer. Those p, and |x| >= 1000, go through '%.6f' itself, widening
+    the rows to the longest text. -0.0 gives "-0.000000", as '%.6f' does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.abs(v) * 1e6
+        r = np.rint(p)
+        fast = (np.abs(p - r) < 0.5) & (r < 1e9)
+    units, frac = np.divmod(np.where(fast, r, 0).astype(np.uint32), 10**6)
+    hi, lo = np.divmod(frac, 1000)
+    words = np.stack([_INT[units + 1000 * np.signbit(v)], _HI[hi], _LO[lo]], 1)
+    slow = np.flatnonzero(~fast)
+    texts = _bytes(["%.6f\n" % y for y in v[slow].tolist()], 12)
+    rows = np.pad(words.view(np.uint8), [(0, 0), (0, texts.shape[1] - 12)])
+    rows[slow] = texts
+    return rows
+
+
 def write_scan_csv(path, modes) -> None:
     """Write a scan archive deterministically.
 
     ``modes`` maps mode -> PatternSet, and each row names its beam by the
     set's ``beam_ids``. Rows are ordered by mode, beam in the set's order,
     then theta and phi ascending; only valid points are written; angles
-    carry ``repr(float)`` and values six decimal places. An archive that
+    carry ``repr(float)`` and values exactly ``'%.6f'``. An archive that
     would not read back as given is refused with DataError before the file
     is opened: no mode, an unknown mode, or modes on different grids.
     """
@@ -321,11 +358,12 @@ def write_scan_csv(path, modes) -> None:
     grid = next(iter(modes.values())).grid
     if any(pset.grid != grid for pset in modes.values()):
         raise DataError("all modes must share one grid")
-    points = point_prefixes(grid, grid.valid)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
+    points = _bytes(point_prefixes(grid, grid.valid))
+    with open(path, "wb") as fh:
+        fh.write((",".join(CSV_HEADER) + "\n").encode())
         for mode, pset in sorted(modes.items()):
-            for beam, values in zip(pset.beam_ids, pset.values[:, grid.valid]):
-                # one %.6f per point; neither a prefix nor the tail holds '%'
-                tail = f"{beam:d},{mode},%.6f\n"
-                fh.write((tail.join(points) + tail) % tuple(values.tolist()))
+            for beam, values in zip(pset.beam_ids, pset.values):
+                tag = _bytes([f"{beam:d},{mode},"])
+                rows = np.hstack([points, tag.repeat(len(points), 0),
+                                  _value_text(values[grid.valid])])
+                fh.write(rows[rows != 0])

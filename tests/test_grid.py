@@ -84,6 +84,16 @@ class TestAngularGridValidation:
             AngularGrid(phi=np.array([0.0]), theta=np.array([0.0, 90.0]),
                         valid=np.ones((2, 1), dtype=bool))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("name", ["phi", "theta"])
+    def test_non_finite_axis_rejected(self, name, at, bad):
+        axes = {"phi": np.array([0.0, 90.0, 180.0, 270.0]),
+                "theta": np.array([45.0, 90.0, 135.0])}
+        axes[name][at] = bad
+        with pytest.raises(ConfigError, match=f"{name} axis must be finite"):
+            AngularGrid(valid=np.ones((3, 4), dtype=bool), **axes)
+
     def test_valid_mask_shape_checked(self):
         with pytest.raises(ConfigError):
             AngularGrid(phi=np.array([0.0, 180.0]),
@@ -403,6 +413,8 @@ class TestArrayRecords:
                      lambda: [_rows(0.0, 0.0)], id="WeightField"),
         pytest.param(lambda v: Pattern(_grid(), v),
                      lambda: [_rows(0.0, np.nan)], id="Pattern"),
+        pytest.param(lambda v: Pattern.from_values(_grid(), v),
+                     lambda: [_rows(0.0, 0.0)], id="Pattern.from_values"),
         pytest.param(lambda v: PatternSet(_grid(), v),
                      lambda: [np.stack([_rows(0.0, 0.0)] * 2)],
                      id="PatternSet"),

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from beamblock.cli import run_cli
 from beamblock.coverage import coverage_above
 from beamblock.errors import DataError
 from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
@@ -61,6 +63,25 @@ class TestLossField:
         blocked = _pattern(full_grid, steps_b / 1024.0)
         loss = loss_field(free, blocked)
         assert np.array_equal(loss.values + blocked.values, free.values)
+
+    def test_fresh_difference_cleaned_in_place(self):
+        # a 1-degree grid with an invalid band; losses below the floor
+        grid = with_invalid_band(make_grid(1.0, 1.0, 179.0), 80.0, 100.0)
+        rng = np.random.default_rng(53)
+        free = _pattern(grid, rng.uniform(-80.0, 20.0, grid.shape))
+        blocked = _pattern(grid, rng.uniform(-80.0, 250.0, grid.shape))
+        tracemalloc.start()
+        try:
+            loss = loss_field(free, blocked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = Pattern.from_values(grid, free.values - blocked.values)
+        assert (loss.values == FLOOR_DB).any()
+        assert loss.values.tobytes() == want.values.tobytes()
+        assert not loss.values.flags.writeable
+        # the difference and its boolean masks, not a copy of it besides
+        assert peak < 1.5 * loss.values.nbytes
 
     def test_grid_mismatch_rejected(self, tiny_grid, full_grid):
         a = _pattern(tiny_grid, np.zeros((2, 4)))
@@ -149,7 +170,7 @@ class TestGaussianFit:
         weights = solid_angle_weights(tiny_grid)
         loss = _pattern(tiny_grid, rng.uniform(0, 30, size=(2, 4)))
         stats = loss_stats(loss, _full_roi(loss), weights)
-        fit = gaussian_fit(loss, _full_roi(loss), weights)
+        fit = gaussian_fit(stats)
         assert fit.mu == stats.mean_db
         assert fit.sigma == stats.std_db
         assert fit.family == "gaussian"
@@ -158,7 +179,8 @@ class TestGaussianFit:
         rng = np.random.default_rng(71)
         vals = rng.normal(10.0, 5.0, size=big_grid.valid.shape)
         loss = _pattern(big_grid, vals)
-        fit = gaussian_fit(loss, _full_roi(loss), uniform_weights(big_grid))
+        fit = gaussian_fit(loss_stats(loss, _full_roi(loss),
+                                      uniform_weights(big_grid)))
         assert fit.mu == pytest.approx(10.0, abs=GAUSS_TOL)
         assert fit.sigma == pytest.approx(5.0, abs=GAUSS_TOL)
 
@@ -297,3 +319,22 @@ class TestStudy:
         monkeypatch.setattr(lossstats, "overlay_best_beam", counting)
         write_report(scenario, tmp_path)
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command,n_moments", [("report", 4), ("stats", 2)])
+def test_each_weighted_moment_computed_once(tmp_path, monkeypatch, command,
+                                            n_moments):
+    # report: weighted and unweighted moments of the matched R1 and of R5;
+    # stats: the weighted ones. The Gaussian fit reuses R5's weighted ones.
+    calls = []
+    real = lossstats._weighted_moments
+
+    def counting(v, w):
+        calls.append(v.size)
+        return real(v, w)
+
+    monkeypatch.setattr(lossstats, "_weighted_moments", counting)
+    out = tmp_path / ("stats.json" if command == "stats" else "bundle")
+    assert run_cli([command, "--scenario", "s1_patch_portrait_hard",
+                    "--out", str(out)]) == 0
+    assert len(calls) == n_moments

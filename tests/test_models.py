@@ -1,5 +1,7 @@
 """Blockage model predictions and model-versus-model CDF comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,13 @@ from hypothesis import strategies as st
 
 from beamblock.coverage import WeightedCDF, weighted_cdf
 from beamblock.errors import ConfigError, DataError
-from beamblock.grid import (Pattern, make_grid, solid_angle_weights)
+from beamblock.grid import (FLOOR_DB, Pattern, make_grid,
+                            solid_angle_weights, with_invalid_band)
 from beamblock.models import (CROSSOVER_RESOLUTION_DB, PRESET_LOSSES_DB,
                               _cdf_crossovers, apply_model, compare_models,
                               constant_loss, flat_region, model_preset)
 from beamblock.roi import roi_r1
-from beamblock.synth import MaskRegion
+from beamblock.synth import BlockageMask, MaskRegion
 
 MIXTURE_TOL = 1e-6
 
@@ -55,6 +58,32 @@ class TestApplyModel:
                            constant_loss(8.25))
         both = apply_model(free, constant_loss(12.75))
         assert np.array_equal(once.values, both.values)
+
+    @pytest.mark.parametrize("region", [None, MaskRegion(
+        phi_lo=150.0, phi_hi=210.0, theta_lo=60.0, theta_hi=150.0,
+        delta_db=30.0)], ids=["constant", "flat-region"])
+    def test_fresh_prediction_cleaned_in_place(self, region):
+        # a 1-degree grid with an invalid band; predictions below the floor
+        grid = with_invalid_band(make_grid(1.0, 1.0, 179.0), 80.0, 100.0)
+        free = _pattern(grid, np.random.default_rng(59).uniform(
+            -200.0, 20.0, grid.shape))
+        model = (constant_loss(30.0) if region is None
+                 else flat_region(region, 30.0))
+        tracemalloc.start()
+        try:
+            out = apply_model(free, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        delta = 30.0 if region is None else BlockageMask(
+            regions=(region,)).delta_field(grid)
+        want = Pattern.from_values(grid, free.values - delta)
+        assert (out.values == FLOOR_DB).any()
+        assert out.values.tobytes() == want.values.tobytes()
+        assert not out.values.flags.writeable
+        # a flat region's delta field takes its own temporaries; a constant
+        # loss leaves the prediction and its boolean masks, not a copy of it
+        assert region or peak < 1.5 * out.values.nbytes
 
     def test_flat_region_covering_grid_matches_constant(self, grid, free):
         region = MaskRegion(phi_lo=0.0, phi_hi=360.0, theta_lo=5.0,

@@ -602,6 +602,63 @@ def test_writer_bytes_match_csv_writer_loop(tmp_path):
         assert path.read_bytes() == _csv_writer_archive(modes).encode()
 
 
+def _value_lines(values):
+    """Each row of the writer's value text, without its NUL padding."""
+    rows = scanio._value_text(np.array(values, dtype=float))
+    return [row[row != 0].tobytes().decode() for row in rows]
+
+
+# Negative zero, values whose product with 1e6 rounds onto a half-integer
+# (5e-7 gives 0.5), an exact tie that rounds to even (0.0078125 * 1e6 is
+# 7812.5), the edges of the 1000 limit, the largest and smallest magnitudes,
+# and one ulp either side of k / 2e6, whose decimal ends in a 5.
+PINNED_VALUES = [-0.0, 5e-7, 0.0078125, 999.9995, 1000.0, 1e308, -1e308,
+                 5e-324, -5e-324] + [
+    float(np.nextafter(k / 2e6, toward)) for k in (1, -3, 15625, 1999999999)
+    for toward in (-np.inf, np.inf)]
+
+
+@pytest.mark.parametrize("value", PINNED_VALUES)
+def test_value_text_pinned(value):
+    assert _value_lines([value]) == ["%.6f\n" % value]
+
+
+def test_value_text_signs_and_ties():
+    assert _value_lines([-0.0, 0.0, 0.0078125, 5e-7, -1e-9]) == [
+        "-0.000000\n", "0.000000\n", "0.007812\n", "0.000000\n",
+        "-0.000000\n"]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(-1000.0, 1000.0)
+                | st.integers(-2 * 10**9, 2 * 10**9).map(lambda k: k / 2e6),
+                max_size=40))
+@example(PINNED_VALUES)
+def test_value_text_is_cpython_format(values):
+    # any finite float: negative, huge, subnormal, near a tie
+    assert _value_lines(values) == ["%.6f\n" % x for x in values]
+
+
+def test_writer_bytes_match_csv_writer_loop_on_cpython_path(tmp_path):
+    # every value is at least 1000, or an odd multiple of 1/128, whose
+    # product with 1e6 is a half-integer: each is formatted by '%.6f'
+    # itself, in rows widened to hold values up to 1e308
+    grid = with_invalid_band(make_grid(7.2, 3.6, 176.4), 80.0, 100.0)
+    rng = np.random.default_rng(19)
+    shape = (2,) + grid.shape
+    big = 10.0 ** rng.uniform(3.0, 308.0, shape)
+    ties = (2 * rng.integers(-12_800, 64_000, shape) + 1) / 128
+    values = np.where(rng.random(shape) < 0.5, big, ties)
+    values[0, 0, :3] = (1000.0, 1e308, -199.9921875)
+    assert np.all(values[values < 1000] * 128 % 2 == 1)
+    modes = {"freespace": PatternSet(grid, values),
+             "phantom": PatternSet(grid, values[::-1], (9, 4))}
+    path = tmp_path / "out.csv"
+    write_scan_csv(path, modes)
+    assert path.read_bytes() == _csv_writer_archive(modes).encode()
+
+
 @pytest.mark.parametrize("step,ids", [
     # 93.60000000000001 is on the 7.2-degree lattice; its 9-decimal key
     # is 93.6
