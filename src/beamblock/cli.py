@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -20,8 +19,8 @@ from .lossstats import Study, gaussian_fit, loss_field, loss_stats
 from .models import comparison_dict, compare_models, model_preset
 from .roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2, roi_r3,
                   roi_r4, roi_r5, write_roi_csv)
-from .report import CONVENTIONS, write_report
-from .scanio import MODES, parse_scan_csv, write_scan_csv
+from .report import json_text, write_report
+from .scanio import MODES, parse_scan_csv, write_scan_csv, write_text
 from .scenario import (Scenario, build_patterns, list_bundled, load_bundled,
                        load_scenario, scenario_metadata)
 from .svgplot import cdf_svg, heatmap_svg
@@ -76,9 +75,9 @@ _ROI_KINDS = {
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -89,15 +88,14 @@ def _cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scan_csv(out / "scan.csv", modes)
-    meta = dict(scenario_metadata(scenario), conventions=CONVENTIONS)
-    _emit(meta, out / "scan_meta.json")
+    _emit(scenario_metadata(scenario), out / "scan_meta.json")
     return 0
 
 
 def _cmd_overlay(args) -> int:
     overlay = _load_study(args)[0].overlay(args.mode)
-    svg = heatmap_svg(overlay, f"{args.mode} best-beam EIRP (dBm)")
-    Path(args.out).write_text(svg, encoding="utf-8")
+    write_text(args.out,
+               heatmap_svg(overlay, f"{args.mode} best-beam EIRP (dBm)"))
     return 0
 
 
@@ -107,10 +105,9 @@ def _cmd_cdf(args) -> int:
     study, _ = _load_study(args)
     modes = sorted(study.modes)
     if args.out:
-        Path(args.out).write_text(
-            cdf_svg([(mode, study.cdf(mode)) for mode in modes],
-                    "sphere coverage CDF", "best-beam EIRP (dBm)"),
-            encoding="utf-8")
+        write_text(args.out,
+                   cdf_svg([(mode, study.cdf(mode)) for mode in modes],
+                           "sphere coverage CDF", "best-beam EIRP (dBm)"))
     for mode in modes:
         if args.threshold is not None:
             pct = coverage_above(study.overlay(mode), study.weights,
@@ -130,21 +127,18 @@ def _cmd_roi(args) -> int:
     law, base_law = _ROI_KINDS[args.roi_kind]
     region = law(free, blocked, args)
     payload = {"kind": region.kind, "params": region.params,
-               "coverage_pct": region.coverage(study.weights),
-               "conventions": CONVENTIONS}
+               "coverage_pct": region.coverage(study.weights)}
     if base_law is not None:
         imp = roi_improvement(base_law(free, blocked, args), region,
                               study.weights)
         payload["baseline_pct"] = imp.base_pct
         payload["improvement_abs_pct"] = imp.abs_pct
         payload["improvement_rel_pct"] = imp.rel_pct
-    if args.out:
-        out = Path(args.out)
+    out = args.out and Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         write_roi_csv(region, out / "roi_mask.csv")
-        _emit(payload, out / "roi.json")
-    else:
-        _emit(payload, None)
+    _emit(payload, out and out / "roi.json")
     return 0
 
 
@@ -161,7 +155,6 @@ def _cmd_stats(args) -> int:
     out = {label: s and asdict(s) for label, s in stats.items()}
     out["gaussian_fit"] = asdict(gaussian_fit(stats["r5"]))
     out["delta5_dbm"] = args.delta5
-    out["conventions"] = CONVENTIONS
     _emit(out, args.out)
     return 0
 
@@ -185,8 +178,7 @@ def _cmd_compare(args) -> int:
         for name in names or ["prior-hand-15.3", "prior-body-8.5"]:
             candidates[name] = model_preset(name, region=preset_region)
     report = compare_models(free, candidates, region, study.weights)
-    _emit(dict(comparison_dict(report), delta5_dbm=args.delta5,
-               conventions=CONVENTIONS), args.out)
+    _emit(dict(comparison_dict(report), delta5_dbm=args.delta5), args.out)
     return 0
 
 

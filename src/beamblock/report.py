@@ -7,6 +7,7 @@ the same scenario produces byte-identical output.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -17,7 +18,7 @@ from .lossstats import (Study, gaussian_fit, loss_field, loss_stats,
                         study_summary)
 from .models import compare_models, comparison_dict
 from .roi import matched_r1_for_r5, roi_r5
-from .scanio import write_scan_csv
+from .scanio import write_scan_csv, write_text
 from .scenario import Scenario, build_patterns, scenario_metadata
 from .svgplot import cdf_svg, heatmap_svg
 
@@ -44,10 +45,25 @@ _MODE_LABELS = (("freespace", "free-space"), ("true_hand", "hand-blocked"),
                 ("phantom", "body-blocked"))
 
 
-def _range_str(pair) -> str:
-    if pair is None:
-        return "n/a"
-    return f"{pair[0]:.1f} to {pair[1]:.1f}"
+def json_text(payload: dict) -> str:
+    """Add ``conventions`` to ``payload``; return it as the JSON text of every
+    file and stdout beamblock emits: keys sorted, indent 2, final newline."""
+    payload["conventions"] = CONVENTIONS
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _table(rows: list[dict]) -> list[list]:
+    """A CSV table of ``rows``: their keys as the header, then each row's
+    first value in ``%g`` and the rest to 4 decimals, ``n/a`` for None."""
+    return [list(rows[0])] + [
+        [f"{first:g}"] + ["n/a" if v is None else f"{v:.4f}" for v in rest]
+        for first, *rest in (r.values() for r in rows)]
+
+
+def _write_csv(path, rows) -> None:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_text(path, text.getvalue())
 
 
 def write_report(scenario: Scenario, out_dir) -> dict:
@@ -76,7 +92,6 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     payload = {
         "scenario": dict({k: meta[k] for k in _SCENARIO_KEYS},
                          n_beams=len(scenario.beams)),
-        "conventions": CONVENTIONS,
         **summary,
         "roi_loss_stats": {label: block and {k: asdict(v) for k, v in
                            block.items()} for label, block in stats.items()},
@@ -106,45 +121,25 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     # Made only now, so a data error above leaves no empty directory.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["study", "subarray", "orientation", "grip",
-                    "gross_loss_db", "rel_coverage_lost_pct",
-                    "roi_improvement_pct"])
-        h = payload["headline"]
-        w.writerow([scenario.name, scenario.subarray, scenario.orientation,
-                    scenario.grip, _range_str(h["gross_loss_db"]),
-                    _range_str(h["rel_coverage_lost_pct"]),
-                    _range_str(h["roi_improvement_pct"])])
-
-    with open(out / "coverage.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(list(summary["thresholds"][0]))
-        for r in summary["thresholds"]:
-            w.writerow([f"{r['threshold_dbm']:g}"] +
-                       [("n/a" if v is None else f"{v:.4f}")
-                        for v in list(r.values())[1:]])
-
-    with open(out / "percentiles.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(list(summary["percentiles"][0]))
-        for r in summary["percentiles"]:
-            w.writerow([f"{r['percentile']:g}"] +
-                       [f"{v:.4f}" for v in list(r.values())[1:]])
-
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    headline = summary["headline"]
+    _write_csv(out / "summary.csv", [
+        ["study", "subarray", "orientation", "grip", *headline],
+        [scenario.name, scenario.subarray, scenario.orientation,
+         scenario.grip] + ["n/a" if r is None else f"{r[0]:.1f} to {r[1]:.1f}"
+                           for r in headline.values()]])
+    _write_csv(out / "coverage.csv", _table(summary["thresholds"]))
+    _write_csv(out / "percentiles.csv", _table(summary["percentiles"]))
+    write_text(out / "summary.json", json_text(payload))
 
     write_scan_csv(out / "scan.csv", study.modes)
 
     for mode, label in _MODE_LABELS:
         path = out / f"overlay_{mode}.svg"
         if mode in study.modes:
-            path.write_text(heatmap_svg(study.overlay(mode), f"{title}: "
-                            f"{label} best-beam EIRP (dBm)"), encoding="utf-8")
+            write_text(path, heatmap_svg(study.overlay(mode), f"{title}: "
+                                         f"{label} best-beam EIRP (dBm)"))
         else:  # a reused directory keeps no stale heatmap
             path.unlink(missing_ok=True)
-    (out / "eirp_cdf.svg").write_text(eirp_svg, encoding="utf-8")
-    (out / "loss_cdf.svg").write_text(loss_svg, encoding="utf-8")
+    write_text(out / "eirp_cdf.svg", eirp_svg)
+    write_text(out / "loss_cdf.svg", loss_svg)
     return payload

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .grid import (AngularGrid, Pattern, WeightField, _ArrayRecord,
                    fraction_of_sphere, point_prefixes)
+from .scanio import write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +151,5 @@ def roi_improvement(base: RoIMask, enhanced: RoIMask,
 def write_roi_csv(mask: RoIMask, path) -> None:
     """Dump a region as one `phi,theta,in_roi` row per grid point."""
     points = point_prefixes(mask.grid, np.ones(mask.grid.shape, dtype=bool))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("phi,theta,in_roi\n")
-        fh.write(("%d\n".join(points) + "%d\n")
-                 % tuple(mask.mask.ravel().tolist()))
+    write_text(path, ("phi,theta,in_roi\n" + "%d\n".join(points) + "%d\n")
+               % tuple(mask.mask.ravel().tolist()))

@@ -367,3 +367,10 @@ def write_scan_csv(path, modes) -> None:
                 rows = np.hstack([points, tag.repeat(len(points), 0),
                                   _value_text(values[grid.valid])])
                 fh.write(rows[rows != 0])
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends untranslated, so
+    a file reads ``\\n`` on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -24,6 +25,11 @@ _REQUIRED_KEYS = {"name", "subarray", "orientation", "grip", "grid", "array",
                   "beams", "masks", "thresholds_dbm", "percentiles",
                   "delta5_dbm", "models"}
 _OPTIONAL_KEYS = {"title", "invalid_theta_band"}
+
+# What no output file can hold: a lone surrogate, which UTF-8 cannot encode,
+# and the characters XML 1.0 forbids, which would spoil an SVG's text.
+_UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f"
+                         "\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,14 @@ def scenario_from_dict(d: dict) -> Scenario:
     if unknown:
         raise ConfigError(f"scenario has unknown keys: {sorted(unknown)}")
 
-    block = "grid"
     try:
+        labels = {}
+        for block in ("name", "title", "subarray", "orientation", "grip"):
+            labels[block] = str(d.get(block, d["name"]))
+            if bad := _UNWRITABLE.search(labels[block]):
+                raise ValueError(f"cannot write character {bad.group()!r}")
+
+        block = "grid"
         g = d["grid"]
         grid = make_grid(float(g["phi_step"]), float(g["theta_min"]),
                          float(g["theta_max"]),
@@ -167,11 +179,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigError(f"bad {block}: {reason}") from exc
 
     return Scenario(
-        name=str(d["name"]), title=str(d.get("title", d["name"])),
-        subarray=str(d["subarray"]), orientation=str(d["orientation"]),
-        grip=str(d["grip"]), grid=grid, config=config, beams=tuple(beams),
-        masks=masks, thresholds_dbm=thresholds, percentiles=percentiles,
-        delta5_dbm=delta5, models=models, model_region=region)
+        **labels, grid=grid, config=config, beams=tuple(beams), masks=masks,
+        thresholds_dbm=thresholds, percentiles=percentiles, delta5_dbm=delta5,
+        models=models, model_region=region)
 
 
 def load_scenario(path) -> Scenario:

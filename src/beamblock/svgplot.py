@@ -68,6 +68,35 @@ def _svg_open(width: float, height: float, title: str) -> list[str]:
     ]
 
 
+def _bottom_tick(x: float, y: float, label: str) -> list[str]:
+    """A tick down from (x, y) on the plot's lower edge, labeled below."""
+    return [f'<line x1="{_f(x)}" y1="{_f(y)}" x2="{_f(x)}" y2="{_f(y + 5)}" '
+            'stroke="#000000"/>',
+            f'<text x="{_f(x)}" y="{_f(y + 18)}" {_FONT} font-size="11" '
+            f'text-anchor="middle">{label}</text>']
+
+
+def _axis_titles(ml: float, mt: float, plot_w: float, plot_h: float,
+                 height: float, xlabel: str, ylabel: str) -> list[str]:
+    """``xlabel`` centred under the plot, ``ylabel`` turned up its left."""
+    ym = _f(mt + plot_h / 2)
+    return [f'<text x="{_f(ml + plot_w / 2)}" y="{_f(height - 12)}" {_FONT} '
+            'font-size="12" text-anchor="middle">'
+            f'{html.escape(xlabel, quote=False)}</text>',
+            f'<text x="14" y="{ym}" {_FONT} font-size="12" '
+            f'text-anchor="middle" transform="rotate(-90 14 {ym})">'
+            f'{html.escape(ylabel, quote=False)}</text>']
+
+
+def _ticks(axis: np.ndarray, step: float, every: int, stop: int,
+           start: float, length: float) -> list[tuple[int, float]]:
+    """Each multiple of ``every`` in [0, stop] within the ``step``-wide cells
+    of ``axis``, and its place on a side from ``start`` for ``length``."""
+    lo, span = axis[0] - step / 2.0, len(axis) * step
+    return [(tick, start + (tick - lo) / span * length)
+            for tick in range(0, stop + 1, every) if lo <= tick <= lo + span]
+
+
 def heatmap_svg(pattern: Pattern, title: str) -> str:
     """Azimuth-elevation heatmap of a pattern, invalid points in gray."""
     grid = pattern.grid
@@ -97,32 +126,15 @@ def heatmap_svg(pattern: Pattern, title: str) -> str:
     out.append(f'<rect x="{_f(ml)}" y="{_f(mt)}" width="{_f(plot_w)}" '
                f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>')
     # axis ticks: phi every 60 deg, theta every 30 deg
-    phi0 = grid.phi[0] - grid.phi_step / 2.0
-    phi_span = n_p * grid.phi_step
-    for tick in range(0, 361, 60):
-        if not phi0 <= tick <= phi0 + phi_span:
-            continue
-        x = ml + (tick - phi0) / phi_span * plot_w
-        out.append(f'<line x1="{_f(x)}" y1="{_f(mt + plot_h)}" x2="{_f(x)}" '
-                   f'y2="{_f(mt + plot_h + 5)}" stroke="#000000"/>')
-        out.append(f'<text x="{_f(x)}" y="{_f(mt + plot_h + 18)}" {_FONT} '
-                   f'font-size="11" text-anchor="middle">{tick}</text>')
-    th0 = grid.theta[0] - grid.theta_step / 2.0
-    th_span = n_t * grid.theta_step
-    for tick in range(0, 181, 30):
-        if not th0 <= tick <= th0 + th_span:
-            continue
-        y = mt + (tick - th0) / th_span * plot_h
+    for tick, x in _ticks(grid.phi, grid.phi_step, 60, 360, ml, plot_w):
+        out += _bottom_tick(x, mt + plot_h, f"{tick}")
+    for tick, y in _ticks(grid.theta, grid.theta_step, 30, 180, mt, plot_h):
         out.append(f'<line x1="{_f(ml - 5)}" y1="{_f(y)}" x2="{_f(ml)}" '
                    f'y2="{_f(y)}" stroke="#000000"/>')
         out.append(f'<text x="{_f(ml - 8)}" y="{_f(y + 4)}" {_FONT} '
                    f'font-size="11" text-anchor="end">{tick}</text>')
-    out.append(f'<text x="{_f(ml + plot_w / 2)}" y="{_f(height - 12)}" '
-               f'{_FONT} font-size="12" text-anchor="middle">'
-               'azimuth phi (deg)</text>')
-    out.append(f'<text x="14" y="{_f(mt + plot_h / 2)}" {_FONT} '
-               f'font-size="12" text-anchor="middle" transform="rotate(-90 '
-               f'14 {_f(mt + plot_h / 2)})">elevation theta (deg)</text>')
+    out += _axis_titles(ml, mt, plot_w, plot_h, height, "azimuth phi (deg)",
+                        "elevation theta (deg)")
     # colorbar
     cb_x, cb_w, n_seg = ml + plot_w + 18, 14.0, 64
     seg_h = plot_h / n_seg
@@ -221,11 +233,16 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
         out.append(f'<text x="{_f(ml - 6)}" y="{_f(y + 4)}" {_FONT} '
                    f'font-size="11" text-anchor="end">{frac:g}</text>')
     for tick in _x_ticks(xlo, xhi):
-        x = sx(tick)
-        out.append(f'<line x1="{_f(x)}" y1="{_f(mt + plot_h)}" x2="{_f(x)}" '
-                   f'y2="{_f(mt + plot_h + 5)}" stroke="#000000"/>')
-        out.append(f'<text x="{_f(x)}" y="{_f(mt + plot_h + 18)}" {_FONT} '
-                   f'font-size="11" text-anchor="middle">{tick:g}</text>')
+        out += _bottom_tick(sx(tick), mt + plot_h, f"{tick:g}")
+
+    def entry(path: str, stroke: str, idx: int, label: str) -> list[str]:
+        ly = mt + 16 + 16 * idx
+        return [f'<polyline points="{path}" fill="none" {stroke}/>',
+                f'<line x1="{_f(ml + 10)}" y1="{_f(ly - 4)}" '
+                f'x2="{_f(ml + 34)}" y2="{_f(ly - 4)}" {stroke}/>',
+                f'<text x="{_f(ml + 40)}" y="{_f(ly)}" {_FONT} '
+                f'font-size="11">{html.escape(label, quote=False)}</text>']
+
     for idx, (label, cdf) in enumerate(curves):
         color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
         kept = _kept(cdf)
@@ -239,33 +256,17 @@ def cdf_svg(curves, title: str, xlabel: str, gaussian=None) -> str:
         args[0::4] = args[2::4] = text[:m]
         args[1::4], args[3::4] = text[m:-1], text[m + 1:]
         path = " ".join(["%s,%s %s,%s"] * m) % tuple(args)
-        out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
-                   'stroke-width="1.5"/>')
-        ly = mt + 16 + 16 * idx
-        out.append(f'<line x1="{_f(ml + 10)}" y1="{_f(ly - 4)}" '
-                   f'x2="{_f(ml + 34)}" y2="{_f(ly - 4)}" stroke="{color}" '
-                   'stroke-width="1.5"/>')
-        out.append(f'<text x="{_f(ml + 40)}" y="{_f(ly)}" {_FONT} '
-                   f'font-size="11">{html.escape(label, quote=False)}</text>')
+        out += entry(path, f'stroke="{color}" stroke-width="1.5"', idx, label)
     if gaussian is not None:
         xs = np.linspace(xlo, xhi, 201)
-        path = _points(sx(xs), sy(gaussian.cdf(xs)))
-        out.append(f'<polyline points="{path}" fill="none" stroke="#000000" '
-                   'stroke-width="1.2" stroke-dasharray="6 3"/>')
-        ly = mt + 16 + 16 * len(curves)
-        out.append(f'<line x1="{_f(ml + 10)}" y1="{_f(ly - 4)}" '
-                   f'x2="{_f(ml + 34)}" y2="{_f(ly - 4)}" stroke="#000000" '
-                   'stroke-width="1.2" stroke-dasharray="6 3"/>')
-        out.append(f'<text x="{_f(ml + 40)}" y="{_f(ly)}" {_FONT} '
-                   f'font-size="11">gaussian fit (mu={gaussian.mu:.1f}, '
-                   f'sigma={gaussian.sigma:.1f})</text>')
+        out += entry(_points(sx(xs), sy(gaussian.cdf(xs))),
+                     'stroke="#000000" stroke-width="1.2" '
+                     'stroke-dasharray="6 3"', len(curves),
+                     f"gaussian fit (mu={gaussian.mu:.1f}, "
+                     f"sigma={gaussian.sigma:.1f})")
     out.append(f'<rect x="{_f(ml)}" y="{_f(mt)}" width="{_f(plot_w)}" '
                f'height="{_f(plot_h)}" fill="none" stroke="#000000"/>')
-    out.append(f'<text x="{_f(ml + plot_w / 2)}" y="{_f(height - 12)}" '
-               f'{_FONT} font-size="12" text-anchor="middle">'
-               f'{html.escape(xlabel, quote=False)}</text>')
-    out.append(f'<text x="14" y="{_f(mt + plot_h / 2)}" {_FONT} '
-               f'font-size="12" text-anchor="middle" transform="rotate(-90 '
-               f'14 {_f(mt + plot_h / 2)})">cumulative probability</text>')
+    out += _axis_titles(ml, mt, plot_w, plot_h, height, xlabel,
+                        "cumulative probability")
     out.append("</svg>")
     return "\n".join(out) + "\n"

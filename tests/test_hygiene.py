@@ -138,3 +138,52 @@ def test_checker_sees_an_array_dataclass_off_the_base():
               "class Scalars:\n    x: float\n\n"
               "class Plain:\n    a: np.ndarray\n")
     assert _unshared_array_records(source) == ["HandWritten", "NoBase"]
+
+
+def _writes_text(call: ast.Call) -> bool:
+    """Whether an ``open`` call's mode is a constant that writes text."""
+    mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    text = mode[0].value if mode and isinstance(mode[0], ast.Constant) else ""
+    return "b" not in text and bool(set(text) & set("wax+"))
+
+
+def _stray_writes(source: str) -> list[str]:
+    """Text files written, by ``open`` or ``.write_text``, outside
+    ``write_text``, and JSON made by ``json.dump(s)`` outside ``json_text``:
+    each output decision has one function."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            owner = ("json_text" if name in ("json.dump", "json.dumps") else
+                     "write_text" if name.endswith(".write_text") or (
+                         name == "open" and _writes_text(node)) else None)
+            if owner and function != owner:
+                yield f"line {node.lineno}: {name}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+    return list(visit(ast.parse(source), None))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_text_writer_and_one_json_serializer(path):
+    assert _stray_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_stray_writes():
+    source = ("def write_text(path, text):\n"
+              "    with open(path, 'w', newline='') as fh:\n"
+              "        fh.write(text)\n\n"
+              "def json_text(payload):\n"
+              "    return json.dumps(payload)\n\n"
+              "def emit(path, payload):\n"
+              "    open(path, 'rb').read()\n"
+              "    open(path).read()\n"
+              "    open(path, 'wb').write(b'')\n"
+              "    open(path, mode='a')\n"
+              "    Path(path).write_text(json.dumps(payload))\n"
+              "    json.dump(payload, open(path, 'w', encoding='utf-8'))\n")
+    assert _stray_writes(source) == [
+        "line 12: open", "line 13: Path(path).write_text",
+        "line 13: json.dumps", "line 14: json.dump", "line 14: open"]

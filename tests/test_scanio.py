@@ -342,6 +342,17 @@ class TestParse:
         assert "inferred grid" in str(err.value)
 
 
+@pytest.mark.parametrize("old,new,axis", [
+    ("180.0,", "360.0,", "phi"), ("45.0,", "0.0,", "theta"),
+    ("135.0,", "180.0,", "theta")])
+def test_lattice_outside_the_angle_range_is_data_error(tmp_path, old, new,
+                                                       axis):
+    path = _write(tmp_path, SMALL_CSV.replace(old, new))
+    assert run_captured(["stats", "--scan", str(path)]) == (
+        1, "", f"error: inferred grid is invalid: {axis} axis must lie in "
+               "the valid angle range\n")
+
+
 class TestParseSmallBlocks(TestParse):
     """TestParse with rows keyed three at a time, so that block edges fall
     inside each file."""

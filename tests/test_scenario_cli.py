@@ -25,11 +25,13 @@ from beamblock import (cli, report as report_mod, scenario as scenario_mod,
 from beamblock.cli import run_cli
 from beamblock.coverage import WeightedCDF
 from beamblock.errors import ConfigError
+from beamblock.lossstats import Study
 from beamblock.models import BlockageModel
 from beamblock.scanio import parse_scan_csv
 from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
                                 load_scenario, scenario_from_dict,
                                 scenario_metadata)
+from beamblock.svgplot import cdf_svg
 from beamblock.synth import BeamSpec
 from cli_run import run_captured as _run, strict_json
 
@@ -227,6 +229,16 @@ class TestCli:
         assert "p50" in out and "p20" in out
         assert "-35 dBm" in out
 
+    def test_cdf_out_draws_the_modes_in_sorted_order(self, tmp_path):
+        name = "s5_patch_landscape_intermediate"
+        svg = tmp_path / "cdf.svg"
+        assert run_cli(["cdf", "--scenario", name, "--out", str(svg)]) == 0
+        study = Study(build_patterns(load_bundled(name)))
+        assert svg.read_bytes() == cdf_svg(
+            [(mode, study.cdf(mode)) for mode in sorted(study.modes)],
+            "sphere coverage CDF", "best-beam EIRP (dBm)").encode()
+        ET.parse(svg)
+
     def test_roi_stdout_payload(self, capsys):
         code = run_cli(["roi", "--scenario", "s1_patch_portrait_hard",
                         "--roi-kind", "r5", "--delta5", "-35"])
@@ -415,12 +427,16 @@ class TestCli:
         assert code == 2 and out == ""
         assert "not allowed with argument" in err
 
-    def test_cdf_percentile_range_checked_before_output(self):
+    @pytest.mark.parametrize("percentiles,message", [
+        ("50,150", "percentiles must be a non-empty list in [0, 100]: "
+                   "'50,150'"),
+        ("x", "bad percentiles list: 'x'")])
+    def test_cdf_percentile_range_checked_before_output(self, percentiles,
+                                                        message):
         code, out, err = _run(["cdf", "--scenario", "s1_patch_portrait_hard",
                                "--threshold", "-35",
-                               "--percentiles", "50,150"])
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+                               "--percentiles", percentiles])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["compare", "report"])
     def test_one_load_and_one_model_build_per_call(self, tmp_path,
@@ -654,6 +670,37 @@ def test_malformed_scenario_is_one_line_error(tmp_path, command, path, value,
     assert not out_dir.exists()
 
 
+# A lone surrogate, which UTF-8 cannot encode, and each end of the ranges
+# of characters XML 1.0 forbids.
+UNWRITABLE = ["\ud800", "\udfff", "\x00", "\x08", "\x0b", "\x0c", "\x0e",
+              "\x1f", "\ufffe", "\uffff"]
+
+
+@pytest.mark.parametrize("command", ["report", "synth"])
+@pytest.mark.parametrize("char", UNWRITABLE, ids=ascii)
+@pytest.mark.parametrize("key", ["name", "title", "subarray", "orientation",
+                                 "grip"])
+def test_unwritable_label_is_one_line_error(tmp_path, command, char, key):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_variant(**{key: f"t{char}"})))
+    out_dir = tmp_path / "out"
+    code, out, err = _run([command, "--scenario", str(scenario),
+                           "--out", str(out_dir)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {key}: cannot write character {char!r}\n"
+    assert not out_dir.exists()
+
+
+def test_labels_keep_every_writable_character():
+    # the characters just inside each forbidden range, and a non-BMP one
+    text = "\t\n\r \x7f\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+    scenario = scenario_from_dict(_variant(
+        **{key: text for key in ("name", "title", "subarray", "orientation",
+                                 "grip")}))
+    assert {scenario.name, scenario.title, scenario.subarray,
+            scenario.orientation, scenario.grip} == {text}
+
+
 @pytest.mark.parametrize("command", ["report", "stats"])
 def test_deeply_nested_scenario_is_one_line_error(tmp_path, command):
     # deeper than the JSON decoder's recursion limit
@@ -820,9 +867,10 @@ def _mutated_minimal(draw):
     return _replaced(MINIMAL, path, value)
 
 
-# Non-finite thresholds and delta5_dbm, and huge finite values where they
-# once overflowed synthesis, the loss moments or the CDF plot's ticks: the
-# derandomized draws miss them all.
+# Non-finite thresholds and delta5_dbm, huge finite values where they once
+# overflowed synthesis, the loss moments or the CDF plot's ticks, and labels
+# that once spoiled an SVG or ended in a traceback: the derandomized draws
+# miss them all.
 _EXAMPLES = [_replaced(MINIMAL, path, value)
              for path in (("thresholds_dbm", 0), ("delta5_dbm",))
              for value in (math.nan, math.inf, -math.inf)] + [
@@ -830,7 +878,8 @@ _EXAMPLES = [_replaced(MINIMAL, path, value)
         (("array", "spacing"), 1e308),
         (("array", "tx_power_dbm"), 1e308),
         (("array", "element_peak_gain_dbi"), 1e18),
-        (("masks", "true_hand", 0, "delta_db"), -1e300))]
+        (("masks", "true_hand", 0, "delta_db"), -1e300),
+        (("name",), "\x01"), (("name",), "\ud800"), (("grip",), "\ud800"))]
 
 
 def _with_examples(test):
@@ -974,6 +1023,30 @@ def test_cli_agrees_with_report(tmp_path, name):
     compare = json.loads(out)
     del compare["delta5_dbm"], compare["conventions"]
     assert compare == summary["models"]
+
+
+def test_summary_csv_writes_n_a_for_an_undefined_range(tmp_path):
+    """No threshold reaches 50 dBm, so no row defines the coverage-lost or
+    improvement range."""
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps(_replaced(
+        _bundled_json("s1_patch_portrait_hard"), ("thresholds_dbm",), [50])))
+    out = tmp_path / "rep"
+    assert run_cli(["report", "--scenario", str(path), "--out", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes().split(b"\n")[1] == (
+        b"s1_patch_portrait_hard,4x1 patch,portrait,hard,3.8 to 8.9,n/a,n/a")
+
+
+def test_negative_exponent_flag_needs_equals():
+    """argparse reads '-1e2' after a space as an option, not a value, so a
+    negative dB value in exponent form is written with '='."""
+    argv = ["stats", "--scenario", "s1_patch_portrait_hard"]
+    code, out, err = _run(argv + ["--delta5=-1e2"])
+    assert (code, err) == (0, "")
+    assert strict_json(out)["delta5_dbm"] == -100.0
+    code, out, err = _run(argv + ["--delta5", "-1e2"])
+    assert (code, out) == (2, "")
+    assert "argument --delta5: expected one argument" in err
 
 
 def test_non_ascii_title_under_c_locale(tmp_path):
