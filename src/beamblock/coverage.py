@@ -107,10 +107,11 @@ def percentile_value(cdf: WeightedCDF, p: float) -> float:
     """
     if not 0.0 <= p <= 100.0:
         raise ConfigError("percentile must lie in [0, 100]")
-    prev = np.concatenate(([0.0], cdf.cum_weights[:-1]))
+    # the last sample whose preceding mass is <= target; sample 0's is 0
     target = 1.0 - p / 100.0
-    idx = int(np.searchsorted(prev, target + 1e-12, side="right")) - 1
-    return float(cdf.values[max(idx, 0)])
+    idx = int(np.searchsorted(cdf.cum_weights[:-1], target + 1e-12,
+                              side="right"))
+    return float(cdf.values[idx])
 
 
 def lost_percentages(free_pct: float,

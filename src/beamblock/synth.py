@@ -13,7 +13,11 @@ one-parameter idealizations: a patch with cos^q power rolloff (front
 hemisphere only) and a dipole with cos^2 amplitude rolloff toward the
 array axis. EIRP(dir) = tx_power + element_gain(dir) + array_factor(dir).
 The array factor depends on u alone, so synthesis evaluates it once per
-distinct u of the lattice and gathers it back onto the grid.
+distinct u of the lattice and gathers it back onto the grid. Its phasor
+table is element-major, one row of distinct u per element, and the array
+factor sums those rows as whole arrays in the fixed pairwise order of
+``_sum_rows``, so its bits depend on neither the table's layout nor
+numpy's reduction loop.
 """
 
 from __future__ import annotations
@@ -107,13 +111,46 @@ def steering_weights(config: ArrayConfig, beam: BeamSpec) -> np.ndarray:
 
 
 def _steering_phasors(config: ArrayConfig, u) -> np.ndarray:
-    """exp(j 2pi d u k) per point and element, shared by every beam."""
-    return np.exp(1j * (2.0 * np.pi * config.spacing * np.asarray(u)[..., None]
-                        * np.arange(config.n_elements)))
+    """exp(j 2pi d u k), element-major: row k holds element k's phasor at
+    every point of the 1-D ``u``. Shared by every beam; the array factor
+    sums the rows with ``_sum_rows``."""
+    return np.exp(1j * (2.0 * np.pi * config.spacing * np.asarray(u)
+                        * np.arange(config.n_elements)[:, None]))
+
+
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``terms`` in place, in numpy's pairwise order.
+
+    The total has the bits of ``terms.T.sum(axis=-1)``: n < 4 rows add
+    left to right; up to 64 rows add as four strided partial sums over
+    whole blocks of four, combined (r0 + r1) + (r2 + r3), then the n % 4
+    leftover rows; more rows split at (n - n % 8) // 2 and each half sums
+    by these rules. Returns the view of ``terms`` that holds the total.
+    """
+    n = len(terms)
+    if n > 64:
+        half = (n - n % 8) // 2
+        total = _sum_rows(terms[:half])
+        total += _sum_rows(terms[half:])
+        return total
+    if n < 4:
+        for row in terms[1:]:
+            terms[0] += row
+        return terms[0]
+    whole = n - n % 4
+    acc = terms[:4]
+    for i in range(4, whole, 4):
+        acc += terms[i:i + 4]
+    acc[0] += acc[1]
+    acc[2] += acc[3]
+    acc[0] += acc[2]
+    for row in terms[whole:]:
+        acc[0] += row
+    return acc[0]
 
 
 def _array_factor_db(weights: np.ndarray, phasors: np.ndarray) -> np.ndarray:
-    total = np.abs((weights * phasors).sum(axis=-1))
+    total = np.abs(_sum_rows(weights[:, None] * phasors))
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(total)
 

@@ -1,5 +1,6 @@
 """Synthetic array patterns: steering, quantization, element models, masks."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from beamblock.errors import ConfigError
 from beamblock.grid import FLOOR_DB, Pattern, make_grid, with_invalid_band
 from beamblock.synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
-                             apply_blockage_mask, quantize_phases_deg,
-                             steering_weights, synth_pattern_set)
+                             _sum_rows, apply_blockage_mask,
+                             quantize_phases_deg, steering_weights,
+                             synth_pattern_set)
 from synth_oracle import array_factor_db, eirp_at, element_gain_db
 
 AF_TOL = 1e-9
@@ -231,6 +233,12 @@ class TestSynthPatternSet:
         assert measured[1] < 40.0 and measured[2] < 40.0
 
 
+def _taper(n):
+    """Raised-sine taper in [0.25, 1], so every element term differs."""
+    return tuple(0.25 + 0.75 * math.sin(math.pi * (k + 0.5) / n)
+                 for k in range(n))
+
+
 _BYTE_CASES = [
     (ArrayConfig(), [BeamSpec(0.0), BeamSpec(30.0), BeamSpec(-45.0)]),
     (ArrayConfig(n_elements=2, element_kind="dipole"),
@@ -241,6 +249,21 @@ _BYTE_CASES = [
     (ArrayConfig(phase_bits=3, boresight_phi=10.0),
      [BeamSpec(-30.0, amplitude_taper=(0.5, 1.0, 1.0, 0.5))]),
     (ArrayConfig(n_elements=8), [BeamSpec(s) for s in range(-75, 90, 10)]),
+    # One array size per branch of the row sum's order (_sum_rows): 1 term,
+    # 4 <= n <= 64 with 1 and 3 leftover terms and with none, and the split
+    # above 64 once (65) and twice (130).
+    (ArrayConfig(n_elements=1), [BeamSpec(0.0),
+                                 BeamSpec(20.0, amplitude_taper=(0.5,))]),
+    (ArrayConfig(n_elements=5, element_kind="dipole"),
+     [BeamSpec(-15.0, amplitude_taper=_taper(5)), BeamSpec(40.0)]),
+    (ArrayConfig(n_elements=7, element_kind="isotropic", spacing=0.6,
+                 phase_bits=2), [BeamSpec(35.0, amplitude_taper=_taper(7))]),
+    (ArrayConfig(n_elements=64, phase_bits=0),
+     [BeamSpec(0.0), BeamSpec(-50.0, amplitude_taper=_taper(64))]),
+    (ArrayConfig(n_elements=65, boresight_phi=200.0),
+     [BeamSpec(10.0, amplitude_taper=_taper(65))]),
+    (ArrayConfig(n_elements=130, spacing=0.45),
+     [BeamSpec(-5.0), BeamSpec(25.0, amplitude_taper=_taper(130))]),
 ]
 
 
@@ -265,6 +288,24 @@ def test_synthesis_bytes_match_eirp_at_per_beam(config, beams, lattice, band):
         want = Pattern.from_values(
             grid, eirp_at(config, steering_weights(config, beam), pp, tt))
         assert pattern.values.tobytes() == want.values.tobytes()
+
+
+def test_row_sum_matches_numpy_reduction_bit_for_bit():
+    """_sum_rows reproduces numpy's pairwise order for .sum(axis=-1).
+
+    If a numpy release changes that order, this test names the lengths
+    whose bits moved; the synthesis byte test then fails too."""
+    rng = np.random.default_rng(21)
+    moved = []
+    for n in [*range(1, 301), 513, 1000]:
+        shape = (40, n)
+        rows = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                * 10.0 ** rng.integers(-6, 7, shape))
+        want = rows.sum(axis=-1)
+        got = _sum_rows(np.ascontiguousarray(rows.T))
+        if got.tobytes() != want.tobytes():
+            moved.append(n)
+    assert moved == []
 
 
 class TestValidation:
