@@ -15,8 +15,8 @@ from pathlib import Path
 
 from .coverage import coverage_above, percentile_value
 from .errors import ConfigError, DataError
-from .lossstats import Study, gaussian_fit, loss_field, loss_stats
-from .models import comparison_dict, compare_models, model_preset
+from .lossstats import HandLoss, Study, gaussian_fit
+from .models import model_preset
 from .roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2, roi_r3,
                   roi_r4, roi_r5, write_roi_csv)
 from .report import json_text, write_report
@@ -51,11 +51,16 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
 
 
 def _load_study(args) -> tuple[Study, Scenario | None]:
-    """Pattern sets from --scan or --scenario, and that scenario or None."""
+    """Pattern sets from --scan or --scenario, and that scenario or None;
+    an unset --delta5 becomes its delta5_dbm, or -35 dBm with --scan."""
     if args.scan is not None:
-        return Study(parse_scan_csv(args.scan).modes), None
-    scenario = _resolve_scenario(args.scenario)
-    return Study(build_patterns(scenario)), scenario
+        study, scenario = Study(parse_scan_csv(args.scan).modes), None
+    else:
+        scenario = _resolve_scenario(args.scenario)
+        study = Study(build_patterns(scenario))
+    if getattr(args, "delta5", 0.0) is None:  # stats, compare and roi
+        args.delta5 = scenario.delta5_dbm if scenario else -35.0
+    return study, scenario
 
 
 # --roi-kind -> (region law, baseline law or None); laws take
@@ -144,14 +149,7 @@ def _cmd_roi(args) -> int:
 
 def _cmd_stats(args) -> int:
     study, _ = _load_study(args)
-    free = study.overlay("freespace")
-    blocked = study.overlay("true_hand")
-    loss = loss_field(free, blocked)
-    base = matched_r1_for_r5(free, args.delta5)
-    enhanced = roi_r5(free, blocked, args.delta5)
-    stats = {label: None if region.params.get("empty") else
-             loss_stats(loss, region, study.weights)
-             for label, region in (("r1_matched", base), ("r5", enhanced))}
+    stats = HandLoss(study, args.delta5).stats(study.weights)
     out = {label: s and asdict(s) for label, s in stats.items()}
     out["gaussian_fit"] = asdict(gaussian_fit(stats["r5"]))
     out["delta5_dbm"] = args.delta5
@@ -167,18 +165,14 @@ def _cmd_compare(args) -> int:
             raise ConfigError("--models must name each preset once, "
                               "none blank")
     study, scenario = _load_study(args)
-    free = study.overlay("freespace")
-    blocked = study.overlay("true_hand")
-    region = roi_r5(free, blocked, args.delta5)
-    candidates = {"true_hand": blocked}
+    hand_loss = HandLoss(study, args.delta5)
     if scenario is not None and names is None:
-        candidates.update(scenario.models)
+        candidates = scenario.models
     else:
         preset_region = scenario.model_region if scenario else None
-        for name in names or ["prior-hand-15.3", "prior-body-8.5"]:
-            candidates[name] = model_preset(name, region=preset_region)
-    report = compare_models(free, candidates, region, study.weights)
-    _emit(dict(comparison_dict(report), delta5_dbm=args.delta5), args.out)
+        candidates = {name: model_preset(name, region=preset_region) for name
+                      in names or ["prior-hand-15.3", "prior-body-8.5"]}
+    _emit(dict(hand_loss.models(candidates), delta5_dbm=args.delta5), args.out)
     return 0
 
 
@@ -200,6 +194,12 @@ def _add_input_args(p) -> None:
     g.add_argument("--scan", help="scan archive CSV")
     g.add_argument("--scenario",
                    help="scenario JSON path or bundled scenario name")
+
+
+def _add_delta5(p) -> None:
+    p.add_argument("--delta5", type=finite_float, help="absolute "
+                   "either-pattern EIRP floor in dBm (R5; default: the "
+                   "scenario's delta5_dbm, or -35 with --scan)")
 
 
 @functools.cache
@@ -245,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dB below the free-space peak, blocked pattern (R3)")
     p.add_argument("--delta4", type=finite_float, default=-35.0,
                    help="absolute blocked EIRP floor in dBm (R4)")
-    p.add_argument("--delta5", type=finite_float, default=-35.0,
-                   help="absolute either-pattern EIRP floor in dBm (R5)")
+    _add_delta5(p)
     p.add_argument("--out",
                    help="output directory for mask CSV + coverage JSON "
                         "(default: JSON to stdout)")
@@ -254,15 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="blockage-loss statistics and fit")
     _add_input_args(p)
-    p.add_argument("--delta5", type=finite_float, default=-35.0,
-                   help="absolute EIRP floor for the region (dBm)")
+    _add_delta5(p)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("compare", help="score blockage models vs measurement")
     _add_input_args(p)
-    p.add_argument("--delta5", type=finite_float, default=-35.0,
-                   help="absolute EIRP floor for the region (dBm)")
+    _add_delta5(p)
     p.add_argument("--models", help="comma list of model presets")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_compare)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .coverage import (WeightedCDF, coverage_above, lost_percentages,
                        overlay_best_beam, percentile_value, weighted_cdf)
 from .errors import DataError
 from .grid import Pattern, WeightField, solid_angle_weights
+from .models import compare_models, comparison_dict
 from .roi import (RoIMask, _check_pair, matched_r1_for_r5, roi_improvement,
                   roi_r5)
 from .scanio import MODES
@@ -143,6 +145,45 @@ def gaussian_fit(stats: LossStats) -> GaussianFit:
     """Gaussian with the mean and std of ``stats``, a region's weighted
     ``loss_stats``, whose moments it reuses."""
     return GaussianFit(mu=stats.mean_db, sigma=stats.std_db)
+
+
+class HandLoss:
+    """The hand-blockage loss of one study at the R5 floor ``delta5``: R5,
+    the loss field and the matched R1 are made on first use, and an R5
+    without weighted valid points is a data error."""
+
+    def __init__(self, study: Study, delta5: float):
+        self.weights, self.delta5 = study.weights, delta5
+        self.free = study.overlay("freespace")
+        self.hand = study.overlay("true_hand")
+
+    @cached_property
+    def r5(self) -> RoIMask:
+        r5 = roi_r5(self.free, self.hand, self.delta5)
+        if not self.weights.weights[r5.mask].sum() > 0:
+            raise DataError("region contains no weighted valid points")
+        return r5
+
+    @cached_property
+    def loss(self) -> Pattern:
+        return loss_field(self.free, self.hand)
+
+    @cached_property
+    def _r1_matched(self) -> RoIMask:
+        return matched_r1_for_r5(self.free, self.delta5)
+
+    def stats(self, weights: WeightField) -> dict:
+        """``loss_stats`` over the matched R1 (None if empty) and R5."""
+        r5, base = self.r5, self._r1_matched
+        return {"r1_matched": None if base.params["empty"] else
+                loss_stats(self.loss, base, weights),
+                "r5": loss_stats(self.loss, r5, weights)}
+
+    def models(self, candidates: dict) -> dict:
+        """``comparison_dict`` of ``true_hand``, then ``candidates``, on R5."""
+        return comparison_dict(compare_models(
+            self.free, {"true_hand": self.hand, **candidates}, self.r5,
+            self.weights))
 
 
 def _range(rows: list, key: str) -> list | None:

@@ -14,10 +14,7 @@ from pathlib import Path
 
 from .coverage import PERCENTILE_CONVENTION, weighted_cdf
 from .grid import FLOOR_DB, uniform_weights
-from .lossstats import (Study, gaussian_fit, loss_field, loss_stats,
-                        study_summary)
-from .models import compare_models, comparison_dict
-from .roi import matched_r1_for_r5, roi_r5
+from .lossstats import HandLoss, Study, gaussian_fit, study_summary
 from .scanio import write_scan_csv, write_text
 from .scenario import Scenario, build_patterns, scenario_metadata
 from .svgplot import cdf_svg, heatmap_svg
@@ -72,31 +69,22 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     weights = study.weights
     summary = study_summary(study, "true_hand", scenario.thresholds_dbm,
                             scenario.percentiles)
-    free = study.overlay("freespace")
-    hand = study.overlay("true_hand")
-
-    uweights = uniform_weights(scenario.grid)
-    base = matched_r1_for_r5(free, scenario.delta5_dbm)
-    enhanced = roi_r5(free, hand, scenario.delta5_dbm)
-    loss = loss_field(free, hand)
-    stats = {label: None if region.params.get("empty") else
-             {"weighted": loss_stats(loss, region, weights),
-              "unweighted": loss_stats(loss, region, uweights)}
-             for label, region in (("r1_matched", base), ("r5", enhanced))}
-    fit = gaussian_fit(stats["r5"]["weighted"])
-    comparison = compare_models(free, {"true_hand": hand,
-                                       **scenario.models},
-                                enhanced, weights)
+    hand_loss = HandLoss(study, scenario.delta5_dbm)
+    stats = hand_loss.stats(weights)
+    unweighted = hand_loss.stats(uniform_weights(scenario.grid))
+    fit = gaussian_fit(stats["r5"])
 
     meta = scenario_metadata(scenario)
     payload = {
         "scenario": dict({k: meta[k] for k in _SCENARIO_KEYS},
                          n_beams=len(scenario.beams)),
         **summary,
-        "roi_loss_stats": {label: block and {k: asdict(v) for k, v in
-                           block.items()} for label, block in stats.items()},
+        "roi_loss_stats": {
+            label: s and {"weighted": asdict(s),
+                          "unweighted": asdict(unweighted[label])}
+            for label, s in stats.items()},
         "gaussian_fit": asdict(fit),
-        "models": comparison_dict(comparison),
+        "models": hand_loss.models(scenario.models),
     }
     if "phantom" in study.modes:
         body = study_summary(study, "phantom", scenario.thresholds_dbm,
@@ -113,8 +101,8 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     eirp_svg = cdf_svg([(mode, study.cdf(mode)) for mode, _ in _MODE_LABELS
                         if mode in study.modes],
                        f"{title}: sphere coverage CDF", "best-beam EIRP (dBm)")
-    loss_svg = cdf_svg([("loss over R5", weighted_cdf(loss, weights,
-                                                      mask=enhanced))],
+    loss_svg = cdf_svg([("loss over R5", weighted_cdf(
+        hand_loss.loss, weights, mask=hand_loss.r5))],
                        f"{title}: blockage loss CDF", "blockage loss (dB)",
                        gaussian=fit)
 

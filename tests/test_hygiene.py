@@ -187,3 +187,38 @@ def test_checker_sees_stray_writes():
     assert _stray_writes(source) == [
         "line 12: open", "line 13: Path(path).write_text",
         "line 13: json.dumps", "line 14: json.dump", "line 14: open"]
+
+
+# The hand-loss analysis: only lossstats.py, home of ``HandLoss``, runs it.
+_ANALYSIS = ("loss_field", "loss_stats", "compare_models")
+
+
+def _analysis_calls(source: str) -> list[str]:
+    """Calls of the loss-field, loss-statistics and model-scoring steps, by
+    name or as an attribute, so no command holds a copy of the analysis."""
+    return [f"line {node.lineno}: {ast.unparse(node.func)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in _ANALYSIS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "lossstats.py"],
+                         ids=lambda p: p.name)
+def test_one_hand_loss_analysis(path):
+    assert _analysis_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_analysis_calls():
+    source = ("from .lossstats import loss_field, loss_stats\n"
+              "from . import models\n\n"
+              "def stats(free, hand, r5, w):\n"
+              "    loss = loss_field(free, hand)\n"
+              "    s = loss_stats(loss, r5, w)\n"
+              "    return models.compare_models(free, {}, r5, w), s\n\n"
+              "def fine(study):\n"
+              "    return HandLoss(study, -35.0).stats(study.weights)\n")
+    assert _analysis_calls(source) == [
+        "line 5: loss_field", "line 6: loss_stats",
+        "line 7: models.compare_models"]

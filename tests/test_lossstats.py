@@ -16,7 +16,7 @@ from beamblock.errors import DataError
 from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
                             make_grid, solid_angle_weights, uniform_weights,
                             with_invalid_band)
-from beamblock.lossstats import (GaussianFit, Study, gaussian_fit,
+from beamblock.lossstats import (GaussianFit, HandLoss, Study, gaussian_fit,
                                  loss_field, loss_stats, study_summary)
 from beamblock import lossstats
 from beamblock.report import write_report
@@ -319,6 +319,24 @@ class TestStudy:
         monkeypatch.setattr(lossstats, "overlay_best_beam", counting)
         write_report(scenario, tmp_path)
         assert len(calls) == 3
+
+
+class TestHandLoss:
+    def test_loss_and_matched_r1_made_on_first_stats(self, monkeypatch):
+        """Scoring models needs neither the loss field nor the matched R1;
+        stats makes each once, for every weighting."""
+        made = []
+        for name in ("loss_field", "matched_r1_for_r5"):
+            def counting(*args, real=getattr(lossstats, name), name=name):
+                made.append(name)
+                return real(*args)
+            monkeypatch.setattr(lossstats, name, counting)
+        study = Study(build_patterns(load_bundled("s1_patch_portrait_hard")))
+        hand = HandLoss(study, -35.0)
+        assert hand.models({})["candidates"][0]["name"] == "true_hand"
+        assert made == []
+        assert hand.stats(study.weights) == hand.stats(study.weights)
+        assert sorted(made) == ["loss_field", "matched_r1_for_r5"]
 
 
 @pytest.mark.parametrize("command,n_moments", [("report", 4), ("stats", 2)])

@@ -792,6 +792,15 @@ def _loose_grip(tmp_path):
     return path
 
 
+def _empty_r5(tmp_path):
+    """s1 with an R5 floor of 40 dBm, above both overlays."""
+    d = _bundled_json("s1_patch_portrait_hard")
+    d["delta5_dbm"] = 40
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
 class TestEmptyMatchedR1:
     def test_stats_writes_null(self, tmp_path):
         out = tmp_path / "stats.json"
@@ -810,18 +819,20 @@ class TestEmptyMatchedR1:
         assert stats["r1_matched"] is None
         assert stats["r5"]["weighted"]["n_points"] > 0
 
-    def test_empty_r5_is_still_a_data_error(self):
-        code, _, err = _run(["stats", "--scenario", "s1_patch_portrait_hard",
-                             "--delta5", "40"])
-        assert code == 1 and err.startswith("error:")
+    @pytest.mark.parametrize("command", ["stats", "compare", "report"])
+    def test_empty_r5_is_still_a_data_error(self, tmp_path, command):
+        """The scenario's floor, the default of stats and compare, lies
+        above both overlays: every command that reads R5 refuses it with
+        one line."""
+        argv = [command, "--scenario", str(_empty_r5(tmp_path))]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "rep")]
+        assert _run(argv) == (
+            1, "", "error: region contains no weighted valid points\n")
 
     def test_report_data_error_leaves_no_directory(self, tmp_path):
-        d = _bundled_json("s1_patch_portrait_hard")
-        d["delta5_dbm"] = 40
-        path = tmp_path / "s1.json"
-        path.write_text(json.dumps(d))
         out = tmp_path / "rep"
-        code, _, err = _run(["report", "--scenario", str(path),
+        code, _, err = _run(["report", "--scenario", str(_empty_r5(tmp_path)),
                              "--out", str(out)])
         assert code == 1
         assert err == "error: region contains no weighted valid points\n"
@@ -1001,28 +1012,60 @@ class TestHugeFiniteValues:
             ET.parse(svg)
 
 
-@pytest.mark.parametrize("name", ["s3_dipole_portrait_hard",
-                                  "s5_patch_landscape_intermediate"])
-def test_cli_agrees_with_report(tmp_path, name):
-    """stats and compare at the scenario's delta5 print what the report's
-    summary.json holds for the same study."""
-    assert run_cli(["report", "--scenario", name,
-                    "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    delta5 = f"--delta5={summary['scenario']['delta5_dbm']!r}"
+def _invalid_band(tmp_path):
+    """s3 with no measurement between theta 80 and 100 degrees."""
+    d = _bundled_json("s3_dipole_portrait_hard")
+    d["invalid_theta_band"] = [80.0, 100.0]
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(d))
+    return path
 
-    code, out, err = _run(["stats", "--scenario", name, delta5])
+
+@pytest.mark.parametrize("name", BUNDLED + ("loose_grip", "invalid_band"))
+def test_cli_agrees_with_report(tmp_path, name):
+    """stats and compare, at the scenario's delta5 by default, print what
+    the report's summary.json holds for the same study; an explicit
+    --delta5 still sets the floor."""
+    scenario = str({"loose_grip": _loose_grip, "invalid_band": _invalid_band}
+                   .get(name, lambda _: name)(tmp_path))
+    assert run_cli(["report", "--scenario", scenario,
+                    "--out", str(tmp_path / "rep")]) == 0
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    delta5 = summary["scenario"]["delta5_dbm"]
+
+    code, out, err = _run(["stats", "--scenario", scenario])
     assert code == 0, err
     stats = json.loads(out)
+    assert stats["delta5_dbm"] == delta5
     for label, block in summary["roi_loss_stats"].items():
         assert stats[label] == (block and block["weighted"])
     assert stats["gaussian_fit"] == summary["gaussian_fit"]
 
-    code, out, err = _run(["compare", "--scenario", name, delta5])
+    code, out, err = _run(["compare", "--scenario", scenario])
     assert code == 0, err
     compare = json.loads(out)
-    del compare["delta5_dbm"], compare["conventions"]
+    assert compare.pop("delta5_dbm") == delta5
+    del compare["conventions"]
     assert compare == summary["models"]
+
+    code, out, err = _run(["stats", "--scenario", scenario,
+                           f"--delta5={delta5 - 5}"])
+    assert code == 0, err
+    lower = json.loads(out)
+    assert lower["delta5_dbm"] == delta5 - 5
+    assert lower["r5"]["n_points"] > stats["r5"]["n_points"]
+
+
+def test_scan_delta5_defaults_to_minus_35(tmp_path):
+    """A scan archive carries no floor, so --delta5 falls back to -35 dBm,
+    whatever the scenario that wrote the archive set."""
+    assert run_cli(["synth", "--scenario", "s5_patch_landscape_intermediate",
+                    "--out", str(tmp_path)]) == 0
+    scan = str(tmp_path / "scan.csv")
+    stats, compare, roi = (strict_json(_run([command, "--scan", scan])[1])
+                           for command in ("stats", "compare", "roi"))
+    assert (stats["delta5_dbm"] == compare["delta5_dbm"]
+            == roi["params"]["delta5"] == -35.0)
 
 
 def test_summary_csv_writes_n_a_for_an_undefined_range(tmp_path):
