@@ -1,7 +1,7 @@
 """Spherical beam-pattern statistics and blockage analysis for mmWave arrays."""
 
 from .coverage import (WeightedCDF, coverage_above, overlay_best_beam,
-                       percentile_value, weighted_cdf)
+                       percentile_value, region_sample, weighted_cdf)
 from .errors import BlockageError, ConfigError, DataError
 from .grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet, WeightField,
                    fraction_of_sphere, make_grid, solid_angle_weights,

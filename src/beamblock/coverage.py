@@ -62,29 +62,40 @@ class WeightedCDF(_ArrayRecord):
         return float(mass) if mass.ndim == 0 else mass
 
 
+def region_sample(pattern: Pattern, weights: WeightField,
+                  region=None) -> tuple[np.ndarray, np.ndarray]:
+    """Values and weights of ``pattern`` at the valid points of ``region``, a
+    RoIMask or a boolean array (the whole grid if None), in grid order."""
+    if pattern.grid != weights.grid or getattr(region, "grid",
+                                               pattern.grid) != pattern.grid:
+        raise DataError("pattern, region and weights must share one grid")
+    sel = pattern.grid.valid
+    if region is not None:
+        m = np.asarray(getattr(region, "mask", region), dtype=bool)
+        if m.shape != sel.shape:
+            raise DataError("mask shape must match the grid")
+        sel = sel & m
+    v = pattern.values[sel]
+    w = weights.weights[sel]
+    if not w.sum() > 0:
+        raise DataError("region contains no weighted valid points")
+    # NaN or an infinity anywhere shows in the extremes, with no temporary
+    if not np.isfinite([v.min(), v.max()]).all():
+        raise DataError("non-finite value at a valid grid point")
+    return v, w
+
+
 def weighted_cdf(pattern: Pattern, weights: WeightField,
                  mask=None) -> WeightedCDF:
     """Distribution of ``pattern`` over the valid sphere.
 
-    With ``mask`` (boolean array or an object with one), the distribution is
-    restricted to the masked points and renormalized within them.
+    With ``mask`` (a region, as ``region_sample`` takes), the distribution
+    is restricted to the masked points and renormalized within them.
     """
-    if pattern.grid != weights.grid:
-        raise DataError("pattern and weights must share one grid")
-    sel = pattern.grid.valid.copy()
-    if mask is not None:
-        m = np.asarray(getattr(mask, "mask", mask), dtype=bool)
-        if m.shape != sel.shape:
-            raise DataError("mask shape must match the grid")
-        sel &= m
-    v = pattern.values[sel]
-    w = weights.weights[sel]
-    total = w.sum()
-    if v.size == 0 or total <= 0:
-        raise DataError("selection contains no weighted valid points")
+    v, w = region_sample(pattern, weights, mask)
     order = np.argsort(v, kind="stable")
     v = v[order]
-    c = np.cumsum(w[order]) / total
+    c = np.cumsum(w[order]) / w.sum()
     v.setflags(write=False)
     c.setflags(write=False)
     return WeightedCDF(values=v, cum_weights=c)

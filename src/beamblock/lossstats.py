@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .coverage import (WeightedCDF, coverage_above, lost_percentages,
-                       overlay_best_beam, percentile_value, weighted_cdf)
+                       overlay_best_beam, percentile_value, region_sample,
+                       weighted_cdf)
 from .errors import DataError
 from .grid import Pattern, WeightField, solid_angle_weights
 from .models import compare_models, comparison_dict
@@ -31,8 +32,8 @@ class Study:
     PatternSets on one grid, as returned by ``build_patterns`` or
     ``parse_scan_csv(...).modes``; beam ids play no part. The sin(theta)
     weights are computed on construction; each mode's best-beam overlay (a
-    maximum over the beam axis) and full-sphere CDF on first use, then
-    reused.
+    maximum over the beam axis) and full-sphere CDF, and each R5 and matched
+    R1 at a floor, on first use, then reused.
     """
 
     def __init__(self, modes: dict):
@@ -40,21 +41,31 @@ class Study:
             raise DataError(f"input provides none of {', '.join(MODES)}")
         self.modes = dict(modes)
         self.weights = solid_angle_weights(next(iter(modes.values())).grid)
-        self._overlays = {}
-        self._cdfs = {}
+        self._made = {}
+
+    def _once(self, key: tuple, make):
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
 
     def overlay(self, mode: str) -> Pattern:
-        if mode not in self._overlays:
-            if mode not in self.modes:
-                raise DataError(f"input provides no {mode} mode; have "
-                                f"{', '.join(sorted(self.modes))}")
-            self._overlays[mode] = overlay_best_beam(self.modes[mode])
-        return self._overlays[mode]
+        if mode not in self.modes:
+            raise DataError(f"input provides no {mode} mode; have "
+                            f"{', '.join(sorted(self.modes))}")
+        return self._once(("overlay", mode),
+                          lambda: overlay_best_beam(self.modes[mode]))
 
     def cdf(self, mode: str) -> WeightedCDF:
-        if mode not in self._cdfs:
-            self._cdfs[mode] = weighted_cdf(self.overlay(mode), self.weights)
-        return self._cdfs[mode]
+        return self._once(("cdf", mode), lambda: weighted_cdf(
+            self.overlay(mode), self.weights))
+
+    def r5(self, mode: str, floor: float) -> RoIMask:
+        return self._once(("r5", mode, floor), lambda: roi_r5(
+            self.overlay("freespace"), self.overlay(mode), floor))
+
+    def r1_matched(self, floor: float) -> RoIMask:
+        return self._once(("r1_matched", floor), lambda: matched_r1_for_r5(
+            self.overlay("freespace"), floor))
 
 
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
@@ -72,18 +83,6 @@ class LossStats:
     std_db: float
     sphere_pct: float
     n_points: int
-
-
-def _select(loss: Pattern, roi: RoIMask,
-            weights: WeightField) -> tuple[np.ndarray, np.ndarray]:
-    if loss.grid != roi.grid or loss.grid != weights.grid:
-        raise DataError("loss, region, and weights must share one grid")
-    sel = roi.mask & loss.grid.valid & np.isfinite(loss.values)
-    v = loss.values[sel]
-    w = weights.weights[sel]
-    if v.size == 0 or w.sum() <= 0:
-        raise DataError("region contains no weighted valid points")
-    return v, w / w.sum()
 
 
 def _weighted_moments(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -115,7 +114,8 @@ def loss_stats(loss: Pattern, roi: RoIMask,
     reaches one half. ``sphere_pct`` is the region's share of the valid
     sphere (not renormalized).
     """
-    v, w = _select(loss, roi, weights)
+    v, w = region_sample(loss, weights, roi)
+    w = w / w.sum()
     mean, std = _weighted_moments(v, w)
     return LossStats(mean_db=mean, median_db=_weighted_median(v, w),
                      std_db=std, sphere_pct=roi.coverage(weights),
@@ -148,36 +148,26 @@ def gaussian_fit(stats: LossStats) -> GaussianFit:
 
 
 class HandLoss:
-    """The hand-blockage loss of one study at the R5 floor ``delta5``: R5,
-    the loss field and the matched R1 are made on first use, and an R5
-    without weighted valid points is a data error."""
+    """The hand-blockage loss of one study at the R5 floor ``delta5``, over
+    the study's R5 and matched R1 at that floor; the loss field is made on
+    first use."""
 
     def __init__(self, study: Study, delta5: float):
-        self.weights, self.delta5 = study.weights, delta5
+        self.study, self.weights, self.delta5 = study, study.weights, delta5
         self.free = study.overlay("freespace")
         self.hand = study.overlay("true_hand")
-
-    @cached_property
-    def r5(self) -> RoIMask:
-        r5 = roi_r5(self.free, self.hand, self.delta5)
-        if not self.weights.weights[r5.mask].sum() > 0:
-            raise DataError("region contains no weighted valid points")
-        return r5
+        self.r5 = study.r5("true_hand", delta5)
 
     @cached_property
     def loss(self) -> Pattern:
         return loss_field(self.free, self.hand)
 
-    @cached_property
-    def _r1_matched(self) -> RoIMask:
-        return matched_r1_for_r5(self.free, self.delta5)
-
     def stats(self, weights: WeightField) -> dict:
         """``loss_stats`` over the matched R1 (None if empty) and R5."""
-        r5, base = self.r5, self._r1_matched
+        base = self.study.r1_matched(self.delta5)
         return {"r1_matched": None if base.params["empty"] else
                 loss_stats(self.loss, base, weights),
-                "r5": loss_stats(self.loss, r5, weights)}
+                "r5": loss_stats(self.loss, self.r5, weights)}
 
     def models(self, candidates: dict) -> dict:
         """``comparison_dict`` of ``true_hand``, then ``candidates``, on R5."""
@@ -211,14 +201,13 @@ def study_summary(study: Study, blocked_mode: str,
         raise DataError("thresholds and percentiles must be non-empty")
 
     weights = study.weights
-    f = study.overlay("freespace")
     b = study.overlay(blocked_mode)
 
     t_rows = []
     for t in thr:
-        # the matched R1 is f >= t, so its coverage is the free coverage
-        imp = roi_improvement(matched_r1_for_r5(f, t), roi_r5(f, b, t),
-                              weights)
+        # the matched R1 is free >= t, so its coverage is the free one
+        imp = roi_improvement(study.r1_matched(t),
+                              study.r5(blocked_mode, t), weights)
         blocked_pct = coverage_above(b, weights, t)
         abs_lost, rel_lost = lost_percentages(imp.base_pct, blocked_pct)
         t_rows.append({

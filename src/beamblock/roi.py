@@ -43,6 +43,8 @@ class RoIMask(_ArrayRecord):
         self._keep(mask=m & self.grid.valid)
 
     def coverage(self, weights: WeightField) -> float:
+        if weights.grid != self.grid:
+            raise DataError("region and weights must share one grid")
         return fraction_of_sphere(self, weights)
 
 
@@ -142,8 +144,6 @@ def improvement_from_percent(base_pct: float,
 def roi_improvement(base: RoIMask, enhanced: RoIMask,
                     weights: WeightField) -> RoIImprovement:
     """Absolute and relative sphere coverage gained by ``enhanced``."""
-    if base.grid != enhanced.grid or base.grid != weights.grid:
-        raise DataError("regions and weights must share one grid")
     return improvement_from_percent(base.coverage(weights),
                                     enhanced.coverage(weights))
 

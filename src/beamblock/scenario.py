@@ -63,16 +63,23 @@ def _list(value, n=None):
     return value
 
 
+def _number(value) -> float:
+    """``value``, a JSON number (not a boolean or a string), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _finite(value) -> float:
     """``value`` as a float that is neither NaN nor infinite."""
-    if not math.isfinite(x := float(value)):
+    if not math.isfinite(x := _number(value)):
         raise ValueError(f"must be finite, got {x}")
     return x
 
 
 def _integer(value) -> int:
     """``value`` as an int; a boolean or a fractional number is refused."""
-    if isinstance(value, bool) or float(value) != int(value):
+    if isinstance(value, bool) or _number(value) != int(value):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
 
@@ -80,10 +87,10 @@ def _integer(value) -> int:
 def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
     phi, theta = _list(d["phi"], 2), _list(d["theta"], 2)
     delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
-    return MaskRegion(phi_lo=float(phi[0]), phi_hi=float(phi[1]),
-                      theta_lo=float(theta[0]), theta_hi=float(theta[1]),
-                      delta_db=float(delta),
-                      edge_taper_deg=float(d.get("edge_taper_deg", 0.0)))
+    return MaskRegion(phi_lo=_number(phi[0]), phi_hi=_number(phi[1]),
+                      theta_lo=_number(theta[0]), theta_hi=_number(theta[1]),
+                      delta_db=_number(delta),
+                      edge_taper_deg=_number(d.get("edge_taper_deg", 0.0)))
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -112,14 +119,14 @@ def scenario_from_dict(d: dict) -> Scenario:
 
         block = "grid"
         g = d["grid"]
-        grid = make_grid(float(g["phi_step"]), float(g["theta_min"]),
-                         float(g["theta_max"]),
+        grid = make_grid(_number(g["phi_step"]), _number(g["theta_min"]),
+                         _number(g["theta_max"]),
                          theta_step=(_finite(g["theta_step"])
                                      if "theta_step" in g else None))
         block = "invalid_theta_band"
         band = d.get("invalid_theta_band")
         if band is not None:
-            lo, hi = map(float, _list(band, 2))
+            lo, hi = map(_number, _list(band, 2))
             if not lo <= hi:
                 raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
             grid = with_invalid_band(grid, lo, hi)
@@ -136,8 +143,8 @@ def scenario_from_dict(d: dict) -> Scenario:
         for b in _list(d["beams"]):
             taper = b.get("amplitude_taper")
             if taper is not None:
-                taper = tuple(_list(taper)) or None
-            beams.append(BeamSpec(scan_deg=float(b["scan_deg"]),
+                taper = tuple(map(_number, _list(taper))) or None
+            beams.append(BeamSpec(scan_deg=_number(b["scan_deg"]),
                                   amplitude_taper=taper))
         if not beams:
             raise ValueError("need at least one beam")
@@ -168,7 +175,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         if not thresholds:
             raise ValueError("need at least one threshold")
         block = "percentiles"
-        percentiles = tuple(float(p) for p in _list(d["percentiles"]))
+        percentiles = tuple(map(_number, _list(d["percentiles"])))
         if not percentiles or not all(0.0 <= p <= 100.0 for p in percentiles):
             raise ValueError("need at least one percentile, each in [0, 100]")
         block = "delta5_dbm"

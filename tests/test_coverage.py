@@ -7,12 +7,14 @@ import pytest
 
 from beamblock.coverage import (WeightedCDF, coverage_above,
                                 lost_percentages, overlay_best_beam,
-                                percentile_value, weighted_cdf)
+                                percentile_value, region_sample,
+                                weighted_cdf)
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import (AngularGrid, Pattern, PatternSet, make_grid,
                             solid_angle_weights, uniform_weights,
                             with_invalid_band)
-from beamblock.lossstats import Study, study_summary
+from beamblock.lossstats import Study, loss_stats, study_summary
+from beamblock.roi import RoIMask, roi_r1
 
 PROBE_PERCENTILES = (90.0, 80.0, 50.0, 33.3, 20.0, 10.0)
 
@@ -130,6 +132,71 @@ class TestWeightedCDF:
                                                   cum_weights):
         with pytest.raises(DataError):
             WeightedCDF(np.array(values), np.array(cum_weights))
+
+
+class TestRegionSample:
+    """One selection of a region's weighted sample, behind ``weighted_cdf``
+    and ``loss_stats`` alike."""
+
+    def test_whole_grid_and_region(self):
+        grid = with_invalid_band(make_grid(30.0, 30.0, 150.0), 90.0, 90.0)
+        weights = solid_angle_weights(grid)
+        pat = _pattern(grid, np.arange(60.0).reshape(5, 12))
+        v, w = region_sample(pat, weights)
+        assert v.tolist() == pat.values[grid.valid].tolist()
+        assert w.tolist() == weights.weights[grid.valid].tolist()
+        region = roi_r1(pat, 11.0)  # the top theta row, values 48-59
+        v, w = region_sample(pat, weights, region)
+        assert v.tolist() == list(range(48, 60))
+        assert w.sum() == pytest.approx(region.coverage(weights) / 100.0)
+
+    def test_region_from_another_grid_refused(self):
+        """Grid B is grid A with its theta = 90 row invalid: a region on B
+        is neither sampled nor measured with A's pattern or weights."""
+        grid_a = make_grid(30.0, 30.0, 150.0)
+        grid_b = with_invalid_band(grid_a, 90.0, 90.0)
+        weights_a = solid_angle_weights(grid_a)
+        pattern_a = _pattern(grid_a, np.zeros(grid_a.shape))
+        region_b = roi_r1(_pattern(grid_b, np.zeros(grid_b.shape)), 1.0)
+        for call in (lambda: weighted_cdf(pattern_a, weights_a,
+                                          mask=region_b),
+                     lambda: region_b.coverage(weights_a),
+                     lambda: loss_stats(pattern_a, region_b, weights_a)):
+            with pytest.raises(DataError, match="must share one grid"):
+                call()
+
+    def test_weights_from_another_grid_refused(self, tiny_grid):
+        pat = _pattern(tiny_grid, np.zeros(tiny_grid.shape))
+        other = with_invalid_band(tiny_grid, 45.0, 45.0)
+        with pytest.raises(DataError, match="must share one grid"):
+            region_sample(pat, solid_angle_weights(other))
+
+    def test_one_error_for_an_empty_region(self, tiny_grid):
+        pat = _pattern(tiny_grid, np.zeros(tiny_grid.shape))
+        weights = solid_angle_weights(tiny_grid)
+        empty = RoIMask(grid=tiny_grid, mask=np.zeros(tiny_grid.shape, bool),
+                        kind="R1")
+        for call in (lambda: weighted_cdf(pat, weights, mask=empty),
+                     lambda: loss_stats(pat, empty, weights)):
+            with pytest.raises(DataError, match="^region contains no "
+                               "weighted valid points$"):
+                call()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_valid_value_refused(self, tiny_grid, bad):
+        """``Pattern(...)`` keeps its values as given; a non-finite one at
+        a valid point is refused by the CDF and the loss statistics alike,
+        as ``Pattern.from_values`` refuses it."""
+        values = np.zeros(tiny_grid.shape)
+        values[1, 2] = bad
+        pat = Pattern(tiny_grid, values)
+        weights = solid_angle_weights(tiny_grid)
+        everywhere = RoIMask(grid=tiny_grid, mask=tiny_grid.valid, kind="R1")
+        for call in (lambda: weighted_cdf(pat, weights),
+                     lambda: loss_stats(pat, everywhere, weights)):
+            with pytest.raises(DataError, match="^non-finite value at a "
+                               "valid grid point$"):
+                call()
 
 
 class TestCoverageAbove:

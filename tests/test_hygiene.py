@@ -222,3 +222,71 @@ def test_checker_sees_analysis_calls():
     assert _analysis_calls(source) == [
         "line 5: loss_field", "line 6: loss_stats",
         "line 7: models.compare_models"]
+
+
+# Regions of interest: ``Study`` makes each R5 and matched R1 once.
+_REGION_LAWS = ("roi_r5", "matched_r1_for_r5")
+
+
+def _region_builds(source: str) -> list[str]:
+    """Calls of the R5 and matched-R1 laws, by name or as an attribute,
+    anywhere but in a method of ``Study``."""
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if (isinstance(node, ast.Call) and owner != "Study"
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in _REGION_LAWS):
+            yield f"line {node.lineno}: {ast.unparse(node.func)}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+    return list(visit(ast.parse(source), None))
+
+
+def test_study_builds_every_region():
+    source = (Path(beamblock.__file__).parent / "lossstats.py").read_text(
+        encoding="utf-8")
+    assert _region_builds(source) == []
+
+
+def test_checker_sees_region_builds():
+    source = ("class Study:\n"
+              "    def r5(self, mode, floor):\n"
+              "        return roi_r5(self.free, self.blocked, floor)\n\n"
+              "class HandLoss:\n"
+              "    def base(self):\n"
+              "        return roi.matched_r1_for_r5(self.free, self.floor)\n\n"
+              "def summary(f, b, t):\n"
+              "    return roi_r5(f, b, t), Study(f).r1_matched(t)\n")
+    assert _region_builds(source) == [
+        "line 7: roi.matched_r1_for_r5", "line 10: roi_r5"]
+
+
+# One selection of a region's weighted sample: its empty-region error.
+_EMPTY_REGION = "contains no weighted valid points"
+
+
+def _empty_region_texts(source: str) -> list[str]:
+    """Lines of the string constants, f-string parts too, that hold the
+    empty-region error text."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and _EMPTY_REGION in node.value)]
+
+
+def test_one_empty_region_error():
+    found = [f"{p.name} {line}" for p in MODULES
+             for line in _empty_region_texts(p.read_text(encoding="utf-8"))]
+    assert len(found) == 1, found
+
+
+def test_checker_sees_empty_region_texts():
+    source = ('def a(w):\n'
+              '    raise DataError("region contains no weighted valid '
+              'points")\n\n'
+              'def b(w):\n'
+              '    """A region that contains no weighted valid points."""\n'
+              '    raise DataError(f"selection {w} contains no weighted '
+              'valid points")\n')
+    assert _empty_region_texts(source) == ["line 2", "line 5", "line 6"]

@@ -339,6 +339,27 @@ class TestHandLoss:
         assert sorted(made) == ["loss_field", "matched_r1_for_r5"]
 
 
+@pytest.mark.parametrize("scenario,n_r5,n_r1", [
+    ("s1_patch_portrait_hard", 3, 3),
+    ("s5_patch_landscape_intermediate", 6, 3)])
+def test_each_region_made_once_per_report(tmp_path, monkeypatch, scenario,
+                                          n_r5, n_r1):
+    # Three thresholds, the scenario's delta5_dbm among them: one R5 per
+    # blocked mode and threshold, one matched R1 per threshold, which the
+    # hand-loss statistics and the phantom rows reuse.
+    made = []
+    for name in ("roi_r5", "matched_r1_for_r5"):
+        def counting(*args, real=getattr(lossstats, name), name=name):
+            made.append(name)
+            return real(*args)
+        monkeypatch.setattr(lossstats, name, counting)
+    s = load_bundled(scenario)
+    assert len(s.thresholds_dbm) == 3 and s.delta5_dbm in s.thresholds_dbm
+    write_report(s, tmp_path)
+    assert (made.count("roi_r5"), made.count("matched_r1_for_r5")) == (
+        n_r5, n_r1)
+
+
 @pytest.mark.parametrize("command,n_moments", [("report", 4), ("stats", 2)])
 def test_each_weighted_moment_computed_once(tmp_path, monkeypatch, command,
                                             n_moments):

@@ -670,6 +670,54 @@ def test_malformed_scenario_is_one_line_error(tmp_path, command, path, value,
     assert not out_dir.exists()
 
 
+# Every place the schema reads a number, "<X>" marking the slot. A JSON
+# boolean or string there is refused, not read as the number it spells.
+S1_NUMBER_SLOTS = [
+    (("grid", "phi_step"), "<X>", "grid"),
+    (("grid", "theta_min"), "<X>", "grid"),
+    (("grid", "theta_max"), "<X>", "grid"),
+    (("grid", "theta_step"), "<X>", "grid"),
+    (("invalid_theta_band",), ["<X>", 100.0], "invalid_theta_band"),
+    (("invalid_theta_band",), [0.5, "<X>"], "invalid_theta_band"),
+    (("array", "n_elements"), "<X>", "array"),
+    (("array", "phase_bits"), "<X>", "array"),
+    (("array", "spacing"), "<X>", "array"),
+    (("array", "tx_power_dbm"), "<X>", "array"),
+    (("array", "element_peak_gain_dbi"), "<X>", "array"),
+    (("array", "boresight_phi"), "<X>", "array"),
+    (("beams", 0, "scan_deg"), "<X>", "beams"),
+    (("beams", 0, "amplitude_taper"), [1.0, "<X>", 1.0, 1.0], "beams"),
+    (("masks", "true_hand", 0, "phi"), ["<X>", 210.0], "masks"),
+    (("masks", "true_hand", 0, "theta"), [60.0, "<X>"], "masks"),
+    (("masks", "true_hand", 0, "delta_db"), "<X>", "masks"),
+    (("masks", "true_hand", 0, "edge_taper_deg"), "<X>", "masks"),
+    (("models", "region", "phi"), [150.0, "<X>"], "models"),
+    (("models", "region", "theta"), ["<X>", 150.0], "models"),
+    (("models", "region", "delta_db"), "<X>", "models"),
+    (("models", "region", "edge_taper_deg"), "<X>", "models"),
+    (("thresholds_dbm",), [-35.0, "<X>"], "thresholds_dbm"),
+    (("percentiles",), ["<X>"], "percentiles"),
+    (("delta5_dbm",), "<X>", "delta5_dbm"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, "1"], ids=["true", "string"])
+@pytest.mark.parametrize("path,slot,block", [
+    pytest.param(*case, id=".".join(map(str, case[0])))
+    for case in S1_NUMBER_SLOTS])
+def test_scenario_numbers_are_json_numbers(tmp_path, path, slot, block, bad):
+    value = json.loads(json.dumps(slot).replace('"<X>"', json.dumps(bad)))
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_replaced(
+        _bundled_json("s1_patch_portrait_hard"), path, value)))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(["report", "--scenario", str(scenario),
+                           "--out", str(out_dir)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad {block}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 # A lone surrogate, which UTF-8 cannot encode, and each end of the ranges
 # of characters XML 1.0 forbids.
 UNWRITABLE = ["\ud800", "\udfff", "\x00", "\x08", "\x0b", "\x0c", "\x0e",
