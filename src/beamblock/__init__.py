@@ -4,10 +4,10 @@ from .coverage import (WeightedCDF, coverage_above, overlay_best_beam,
                        percentile_value, region_sample, weighted_cdf)
 from .errors import BlockageError, ConfigError, DataError
 from .grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet, WeightField,
-                   fraction_of_sphere, make_grid, solid_angle_weights,
-                   uniform_weights, with_invalid_band)
-from .lossstats import (GaussianFit, HandLoss, LossStats, Study,
-                        gaussian_fit, loss_field, loss_stats, study_summary)
+                   make_grid, solid_angle_weights, uniform_weights,
+                   with_invalid_band)
+from .lossstats import (GaussianFit, LossStats, Study, gaussian_fit,
+                        loss_field, loss_stats, study_summary)
 from .models import (BlockageModel, ComparisonReport, apply_model,
                      compare_models, comparison_dict, constant_loss,
                      flat_region, model_preset)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .coverage import coverage_above, percentile_value
 from .errors import ConfigError, DataError
-from .lossstats import HandLoss, Study, gaussian_fit
+from .lossstats import Study, gaussian_fit
 from .models import model_preset
 from .roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2, roi_r3,
                   roi_r4, roi_r5, write_roi_csv)
@@ -106,7 +106,7 @@ def _cmd_overlay(args) -> int:
 
 def _cmd_cdf(args) -> int:
     percentiles = (_parse_percentiles(args.percentiles)
-                   if args.percentiles else ())
+                   if args.percentiles is not None else ())
     study, _ = _load_study(args)
     modes = sorted(study.modes)
     if args.out:
@@ -149,7 +149,7 @@ def _cmd_roi(args) -> int:
 
 def _cmd_stats(args) -> int:
     study, _ = _load_study(args)
-    stats = HandLoss(study, args.delta5).stats(study.weights)
+    stats = study.hand_stats(args.delta5, study.weights)
     out = {label: s and asdict(s) for label, s in stats.items()}
     out["gaussian_fit"] = asdict(gaussian_fit(stats["r5"]))
     out["delta5_dbm"] = args.delta5
@@ -165,14 +165,15 @@ def _cmd_compare(args) -> int:
             raise ConfigError("--models must name each preset once, "
                               "none blank")
     study, scenario = _load_study(args)
-    hand_loss = HandLoss(study, args.delta5)
+    study.r5("true_hand", args.delta5)  # a missing mode outranks a bad preset
     if scenario is not None and names is None:
         candidates = scenario.models
     else:
         preset_region = scenario.model_region if scenario else None
         candidates = {name: model_preset(name, region=preset_region) for name
                       in names or ["prior-hand-15.3", "prior-body-8.5"]}
-    _emit(dict(hand_loss.models(candidates), delta5_dbm=args.delta5), args.out)
+    _emit(dict(study.score_models(args.delta5, candidates),
+               delta5_dbm=args.delta5), args.out)
     return 0
 
 

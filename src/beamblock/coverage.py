@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import (Pattern, PatternSet, WeightField, _ArrayRecord,
-                   fraction_of_sphere)
+from .grid import Pattern, PatternSet, WeightField, _ArrayRecord
 
 PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
                          "sample value v with weighted mass(value >= v) "
@@ -65,16 +64,11 @@ class WeightedCDF(_ArrayRecord):
 def region_sample(pattern: Pattern, weights: WeightField,
                   region=None) -> tuple[np.ndarray, np.ndarray]:
     """Values and weights of ``pattern`` at the valid points of ``region``, a
-    RoIMask or a boolean array (the whole grid if None), in grid order."""
-    if pattern.grid != weights.grid or getattr(region, "grid",
-                                               pattern.grid) != pattern.grid:
+    RoIMask (the whole grid if None), in grid order."""
+    if pattern.grid != weights.grid or (region is not None
+                                        and region.grid != pattern.grid):
         raise DataError("pattern, region and weights must share one grid")
-    sel = pattern.grid.valid
-    if region is not None:
-        m = np.asarray(getattr(region, "mask", region), dtype=bool)
-        if m.shape != sel.shape:
-            raise DataError("mask shape must match the grid")
-        sel = sel & m
+    sel = pattern.grid.valid if region is None else region.mask
     v = pattern.values[sel]
     w = weights.weights[sel]
     if not w.sum() > 0:
@@ -89,8 +83,8 @@ def weighted_cdf(pattern: Pattern, weights: WeightField,
                  mask=None) -> WeightedCDF:
     """Distribution of ``pattern`` over the valid sphere.
 
-    With ``mask`` (a region, as ``region_sample`` takes), the distribution
-    is restricted to the masked points and renormalized within them.
+    With ``mask``, a RoIMask, the distribution is restricted to the
+    region's points and renormalized within them.
     """
     v, w = region_sample(pattern, weights, mask)
     order = np.argsort(v, kind="stable")
@@ -107,7 +101,7 @@ def coverage_above(pattern: Pattern, weights: WeightField,
     if pattern.grid != weights.grid:
         raise DataError("pattern and weights must share one grid")
     # invalid points hold NaN, which compares False
-    return fraction_of_sphere(pattern.values >= threshold, weights)
+    return 100.0 * float(weights.weights[pattern.values >= threshold].sum())
 
 
 def percentile_value(cdf: WeightedCDF, p: float) -> float:

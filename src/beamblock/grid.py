@@ -199,20 +199,6 @@ def uniform_weights(grid: AngularGrid) -> WeightField:
     return WeightField(grid=grid, weights=w / w.sum())
 
 
-def fraction_of_sphere(mask, weights: WeightField) -> float:
-    """Percentage of the valid sphere covered by ``mask``.
-
-    ``mask`` is a boolean array on the grid, or any object with a ``mask``
-    attribute holding one (a region-of-interest mask, for instance).
-    Invalid points count in neither numerator nor denominator; the weights
-    already carry that convention.
-    """
-    m = np.asarray(getattr(mask, "mask", mask), dtype=bool)
-    if m.shape != weights.grid.shape:
-        raise DataError("mask shape must match the weight grid")
-    return 100.0 * float(weights.weights[m].sum())
-
-
 def _cleaned(grid: AngularGrid, values, ndim: int,
              copy: bool = True) -> np.ndarray:
     """A read-only float copy of ``values``, a field on ``grid`` (ndim 2)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,14 +25,15 @@ from .scanio import MODES
 
 
 class Study:
-    """Per-mode pattern sets on one sphere, each derived field made once.
+    """Per-mode pattern sets on one sphere, each derived field made once:
+    the one analysis behind ``stats``, ``compare`` and ``report``.
 
     ``modes`` maps mode names (``freespace``, ``true_hand``, ...) to
     PatternSets on one grid, as returned by ``build_patterns`` or
     ``parse_scan_csv(...).modes``; beam ids play no part. The sin(theta)
     weights are computed on construction; each mode's best-beam overlay (a
-    maximum over the beam axis) and full-sphere CDF, and each R5 and matched
-    R1 at a floor, on first use, then reused.
+    maximum over the beam axis) and full-sphere CDF, each R5 and matched R1
+    at a floor, and the hand-blockage loss field, on first use, then reused.
     """
 
     def __init__(self, modes: dict):
@@ -66,6 +66,27 @@ class Study:
     def r1_matched(self, floor: float) -> RoIMask:
         return self._once(("r1_matched", floor), lambda: matched_r1_for_r5(
             self.overlay("freespace"), floor))
+
+    def loss(self) -> Pattern:
+        """The hand-blockage loss field, free space minus ``true_hand``."""
+        return self._once(("loss",), lambda: loss_field(
+            self.overlay("freespace"), self.overlay("true_hand")))
+
+    def hand_stats(self, floor: float, weights: WeightField) -> dict:
+        """``loss_stats`` of the hand loss over the matched R1 (None if
+        empty) and R5 at ``floor``."""
+        r5, base = self.r5("true_hand", floor), self.r1_matched(floor)
+        return {"r1_matched": None if base.params["empty"] else
+                loss_stats(self.loss(), base, weights),
+                "r5": loss_stats(self.loss(), r5, weights)}
+
+    def score_models(self, floor: float, candidates: dict) -> dict:
+        """``comparison_dict`` of ``true_hand``, then ``candidates``, on the
+        R5 at ``floor``."""
+        return comparison_dict(compare_models(
+            self.overlay("freespace"),
+            {"true_hand": self.overlay("true_hand"), **candidates},
+            self.r5("true_hand", floor), self.weights))
 
 
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
@@ -145,35 +166,6 @@ def gaussian_fit(stats: LossStats) -> GaussianFit:
     """Gaussian with the mean and std of ``stats``, a region's weighted
     ``loss_stats``, whose moments it reuses."""
     return GaussianFit(mu=stats.mean_db, sigma=stats.std_db)
-
-
-class HandLoss:
-    """The hand-blockage loss of one study at the R5 floor ``delta5``, over
-    the study's R5 and matched R1 at that floor; the loss field is made on
-    first use."""
-
-    def __init__(self, study: Study, delta5: float):
-        self.study, self.weights, self.delta5 = study, study.weights, delta5
-        self.free = study.overlay("freespace")
-        self.hand = study.overlay("true_hand")
-        self.r5 = study.r5("true_hand", delta5)
-
-    @cached_property
-    def loss(self) -> Pattern:
-        return loss_field(self.free, self.hand)
-
-    def stats(self, weights: WeightField) -> dict:
-        """``loss_stats`` over the matched R1 (None if empty) and R5."""
-        base = self.study.r1_matched(self.delta5)
-        return {"r1_matched": None if base.params["empty"] else
-                loss_stats(self.loss, base, weights),
-                "r5": loss_stats(self.loss, self.r5, weights)}
-
-    def models(self, candidates: dict) -> dict:
-        """``comparison_dict`` of ``true_hand``, then ``candidates``, on R5."""
-        return comparison_dict(compare_models(
-            self.free, {"true_hand": self.hand, **candidates}, self.r5,
-            self.weights))
 
 
 def _range(rows: list, key: str) -> list | None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .coverage import PERCENTILE_CONVENTION, weighted_cdf
 from .grid import FLOOR_DB, uniform_weights
-from .lossstats import HandLoss, Study, gaussian_fit, study_summary
+from .lossstats import Study, gaussian_fit, study_summary
 from .scanio import write_scan_csv, write_text
 from .scenario import Scenario, build_patterns, scenario_metadata
 from .svgplot import cdf_svg, heatmap_svg
@@ -69,9 +69,9 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     weights = study.weights
     summary = study_summary(study, "true_hand", scenario.thresholds_dbm,
                             scenario.percentiles)
-    hand_loss = HandLoss(study, scenario.delta5_dbm)
-    stats = hand_loss.stats(weights)
-    unweighted = hand_loss.stats(uniform_weights(scenario.grid))
+    floor = scenario.delta5_dbm
+    stats = study.hand_stats(floor, weights)
+    unweighted = study.hand_stats(floor, uniform_weights(scenario.grid))
     fit = gaussian_fit(stats["r5"])
 
     meta = scenario_metadata(scenario)
@@ -84,7 +84,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                           "unweighted": asdict(unweighted[label])}
             for label, s in stats.items()},
         "gaussian_fit": asdict(fit),
-        "models": hand_loss.models(scenario.models),
+        "models": study.score_models(floor, scenario.models),
     }
     if "phantom" in study.modes:
         body = study_summary(study, "phantom", scenario.thresholds_dbm,
@@ -102,7 +102,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                         if mode in study.modes],
                        f"{title}: sphere coverage CDF", "best-beam EIRP (dBm)")
     loss_svg = cdf_svg([("loss over R5", weighted_cdf(
-        hand_loss.loss, weights, mask=hand_loss.r5))],
+        study.loss(), weights, mask=study.r5("true_hand", floor)))],
                        f"{title}: blockage loss CDF", "blockage loss (dB)",
                        gaussian=fit)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import (AngularGrid, Pattern, WeightField, _ArrayRecord,
-                   fraction_of_sphere, point_prefixes)
+                   point_prefixes)
 from .scanio import write_text
 
 
@@ -43,9 +43,10 @@ class RoIMask(_ArrayRecord):
         self._keep(mask=m & self.grid.valid)
 
     def coverage(self, weights: WeightField) -> float:
+        """The region's share of the valid sphere, in percent."""
         if weights.grid != self.grid:
             raise DataError("region and weights must share one grid")
-        return fraction_of_sphere(self, weights)
+        return 100.0 * float(weights.weights[self.mask].sum())
 
 
 def _check_pair(free: Pattern, blocked: Pattern) -> None:

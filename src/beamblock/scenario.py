@@ -63,6 +63,15 @@ def _list(value, n=None):
     return value
 
 
+def _object(value, keys) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    if unknown := set(value) - set(keys):
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    return value
+
+
 def _number(value) -> float:
     """``value``, a JSON number (not a boolean or a string), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -85,6 +94,7 @@ def _integer(value) -> int:
 
 
 def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
+    _object(d, ("phi", "theta", "delta_db", "edge_taper_deg"))
     phi, theta = _list(d["phi"], 2), _list(d["theta"], 2)
     delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
     return MaskRegion(phi_lo=_number(phi[0]), phi_hi=_number(phi[1]),
@@ -113,12 +123,15 @@ def scenario_from_dict(d: dict) -> Scenario:
     try:
         labels = {}
         for block in ("name", "title", "subarray", "orientation", "grip"):
-            labels[block] = str(d.get(block, d["name"]))
+            labels[block] = d.get(block, d["name"])
+            if not isinstance(labels[block], str):
+                raise TypeError(f"must be a string, got {labels[block]!r}")
             if bad := _UNWRITABLE.search(labels[block]):
                 raise ValueError(f"cannot write character {bad.group()!r}")
 
         block = "grid"
-        g = d["grid"]
+        g = _object(d["grid"], ("phi_step", "theta_min", "theta_max",
+                                "theta_step"))
         grid = make_grid(_number(g["phi_step"]), _number(g["theta_min"]),
                          _number(g["theta_max"]),
                          theta_step=(_finite(g["theta_step"])
@@ -141,6 +154,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         block = "beams"
         beams = []
         for b in _list(d["beams"]):
+            _object(b, ("scan_deg", "amplitude_taper"))
             taper = b.get("amplitude_taper")
             if taper is not None:
                 taper = tuple(map(_number, _list(taper))) or None
@@ -161,7 +175,7 @@ def scenario_from_dict(d: dict) -> Scenario:
                 for r in _list(regions)))
 
         block = "models"
-        m = d["models"]
+        m = _object(d["models"], ("names", "region"))
         region = (_region_from_dict(m["region"], delta_required=False)
                   if m.get("region") else None)
         models = {}

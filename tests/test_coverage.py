@@ -107,7 +107,8 @@ class TestWeightedCDF:
     def test_mask_renormalizes(self, full_grid, patch_set):
         weights = solid_angle_weights(full_grid)
         mask = full_grid.theta[:, None] < 90.0
-        mask = np.broadcast_to(mask, full_grid.valid.shape)
+        mask = RoIMask(grid=full_grid, kind="R1", mask=np.broadcast_to(
+            mask, full_grid.valid.shape))
         cdf = weighted_cdf(Pattern(full_grid, patch_set.values[0]), weights,
                            mask=mask)
         assert abs(cdf.cum_weights[-1] - 1.0) < 1e-9

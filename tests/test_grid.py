@@ -6,9 +6,8 @@ import pytest
 from beamblock.coverage import WeightedCDF
 from beamblock.errors import ConfigError, DataError
 from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
-                            WeightField, fraction_of_sphere, make_grid,
-                            solid_angle_weights, uniform_weights,
-                            with_invalid_band)
+                            WeightField, make_grid, solid_angle_weights,
+                            uniform_weights, with_invalid_band)
 from beamblock.roi import RoIMask
 from beamblock.scanio import write_scan_csv
 
@@ -184,13 +183,19 @@ class TestSolidAngleWeights:
         assert (field.weights[~grid.valid] == 0.0).all()
 
 
+def _coverage(grid, mask, field):
+    """A region's share of the valid sphere, as ``RoIMask.coverage``
+    measures it."""
+    return RoIMask(grid=grid, mask=mask, kind="R1").coverage(field)
+
+
 class TestFractionOfSphere:
     def test_full_and_empty(self, full_grid):
         field = solid_angle_weights(full_grid)
         ones = np.ones(full_grid.valid.shape, dtype=bool)
         zeros = np.zeros(full_grid.valid.shape, dtype=bool)
-        assert abs(fraction_of_sphere(ones, field) - 100.0) < FRACTION_TOL
-        assert fraction_of_sphere(zeros, field) == 0.0
+        assert abs(_coverage(full_grid, ones, field) - 100.0) < FRACTION_TOL
+        assert _coverage(full_grid, zeros, field) == 0.0
 
     def test_upper_half_is_fifty(self):
         # 2.5 deg rows put the equator between samples, splitting evenly
@@ -198,29 +203,30 @@ class TestFractionOfSphere:
         field = solid_angle_weights(grid)
         upper = grid.theta[:, None] < 90.0
         mask = np.broadcast_to(upper, grid.valid.shape)
-        assert abs(fraction_of_sphere(mask, field) - 50.0) < 0.5
-        assert abs(fraction_of_sphere(mask, field) - 50.0) < FRACTION_TOL
+        assert abs(_coverage(grid, mask, field) - 50.0) < 0.5
+        assert abs(_coverage(grid, mask, field) - 50.0) < FRACTION_TOL
 
     def test_additive_over_disjoint_masks(self, full_grid):
         rng = np.random.default_rng(7)
         field = solid_angle_weights(full_grid)
         a = rng.random(full_grid.valid.shape) < 0.3
         b = (rng.random(full_grid.valid.shape) < 0.4) & ~a
-        total = fraction_of_sphere(a | b, field)
-        parts = fraction_of_sphere(a, field) + fraction_of_sphere(b, field)
+        total = _coverage(full_grid, a | b, field)
+        parts = _coverage(full_grid, a, field) + _coverage(full_grid, b, field)
         assert abs(total - parts) < FRACTION_TOL
 
     def test_invalid_points_do_not_count(self):
         grid = with_invalid_band(make_grid(5.0, 5.0, 175.0), 5.0, 30.0)
         field = solid_angle_weights(grid)
         ones = np.ones(grid.valid.shape, dtype=bool)
-        assert abs(fraction_of_sphere(ones, field) - 100.0) < FRACTION_TOL
+        assert abs(_coverage(grid, ones, field) - 100.0) < FRACTION_TOL
 
     def test_shape_mismatch_rejected(self, full_grid, tiny_grid):
         field = solid_angle_weights(full_grid)
+        region = RoIMask(grid=tiny_grid, kind="R1",
+                         mask=np.ones(tiny_grid.valid.shape, dtype=bool))
         with pytest.raises(DataError):
-            fraction_of_sphere(np.ones(tiny_grid.valid.shape, dtype=bool),
-                               field)
+            region.coverage(field)
 
 
 class TestPattern:

@@ -189,7 +189,7 @@ def test_checker_sees_stray_writes():
         "line 13: json.dumps", "line 14: json.dump", "line 14: open"]
 
 
-# The hand-loss analysis: only lossstats.py, home of ``HandLoss``, runs it.
+# The hand-loss analysis: only lossstats.py, home of ``Study``, runs it.
 _ANALYSIS = ("loss_field", "loss_stats", "compare_models")
 
 
@@ -218,25 +218,26 @@ def test_checker_sees_analysis_calls():
               "    s = loss_stats(loss, r5, w)\n"
               "    return models.compare_models(free, {}, r5, w), s\n\n"
               "def fine(study):\n"
-              "    return HandLoss(study, -35.0).stats(study.weights)\n")
+              "    return study.hand_stats(-35.0, study.weights)\n")
     assert _analysis_calls(source) == [
         "line 5: loss_field", "line 6: loss_stats",
         "line 7: models.compare_models"]
 
 
-# Regions of interest: ``Study`` makes each R5 and matched R1 once.
-_REGION_LAWS = ("roi_r5", "matched_r1_for_r5")
+# Regions of interest and the hand-loss analysis: ``Study`` makes each R5,
+# matched R1 and loss field once, and is the one caller of every step.
+_STUDY_STEPS = ("roi_r5", "matched_r1_for_r5") + _ANALYSIS
 
 
 def _region_builds(source: str) -> list[str]:
-    """Calls of the R5 and matched-R1 laws, by name or as an attribute,
-    anywhere but in a method of ``Study``."""
+    """Calls of the R5 and matched-R1 laws and of the analysis steps, by
+    name or as an attribute, anywhere but in a method of ``Study``."""
     def visit(node, owner):
         if isinstance(node, ast.ClassDef):
             owner = node.name
         if (isinstance(node, ast.Call) and owner != "Study"
                 and getattr(node.func, "id", getattr(node.func, "attr", None))
-                in _REGION_LAWS):
+                in _STUDY_STEPS):
             yield f"line {node.lineno}: {ast.unparse(node.func)}"
         for child in ast.iter_child_nodes(node):
             yield from visit(child, owner)
@@ -253,13 +254,16 @@ def test_checker_sees_region_builds():
     source = ("class Study:\n"
               "    def r5(self, mode, floor):\n"
               "        return roi_r5(self.free, self.blocked, floor)\n\n"
-              "class HandLoss:\n"
-              "    def base(self):\n"
-              "        return roi.matched_r1_for_r5(self.free, self.floor)\n\n"
+              "    def loss(self):\n"
+              "        return loss_field(self.free, self.hand)\n\n"
+              "def hand_stats(study, floor, w):\n"
+              "    base = roi.matched_r1_for_r5(study.free, floor)\n"
+              "    return loss_stats(study.loss(), base, w)\n\n"
               "def summary(f, b, t):\n"
-              "    return roi_r5(f, b, t), Study(f).r1_matched(t)\n")
+              "    return roi_r5(f, b, t), Study(f).score_models(t, {})\n")
     assert _region_builds(source) == [
-        "line 7: roi.matched_r1_for_r5", "line 10: roi_r5"]
+        "line 9: roi.matched_r1_for_r5", "line 10: loss_stats",
+        "line 13: roi_r5"]
 
 
 # One selection of a region's weighted sample: its empty-region error.

@@ -16,7 +16,7 @@ from beamblock.errors import DataError
 from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
                             make_grid, solid_angle_weights, uniform_weights,
                             with_invalid_band)
-from beamblock.lossstats import (GaussianFit, HandLoss, Study, gaussian_fit,
+from beamblock.lossstats import (GaussianFit, Study, gaussian_fit,
                                  loss_field, loss_stats, study_summary)
 from beamblock import lossstats
 from beamblock.report import write_report
@@ -332,11 +332,26 @@ class TestHandLoss:
                 return real(*args)
             monkeypatch.setattr(lossstats, name, counting)
         study = Study(build_patterns(load_bundled("s1_patch_portrait_hard")))
-        hand = HandLoss(study, -35.0)
-        assert hand.models({})["candidates"][0]["name"] == "true_hand"
+        assert study.score_models(-35.0, {})["candidates"][0]["name"] == (
+            "true_hand")
         assert made == []
-        assert hand.stats(study.weights) == hand.stats(study.weights)
+        assert (study.hand_stats(-35.0, study.weights)
+                == study.hand_stats(-35.0, study.weights))
         assert sorted(made) == ["loss_field", "matched_r1_for_r5"]
+
+
+def test_report_makes_the_loss_field_once(tmp_path, monkeypatch):
+    # the weighted and unweighted statistics and the loss CDF share it
+    made = []
+    real = lossstats.loss_field
+
+    def counting(free, blocked):
+        made.append(free.grid)
+        return real(free, blocked)
+
+    monkeypatch.setattr(lossstats, "loss_field", counting)
+    write_report(load_bundled("s1_patch_portrait_hard"), tmp_path)
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("scenario,n_r5,n_r1", [

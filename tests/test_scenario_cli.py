@@ -430,7 +430,9 @@ class TestCli:
     @pytest.mark.parametrize("percentiles,message", [
         ("50,150", "percentiles must be a non-empty list in [0, 100]: "
                    "'50,150'"),
-        ("x", "bad percentiles list: 'x'")])
+        ("x", "bad percentiles list: 'x'"),
+        ("", "percentiles must be a non-empty list in [0, 100]: ''"),
+        (",", "percentiles must be a non-empty list in [0, 100]: ','")])
     def test_cdf_percentile_range_checked_before_output(self, percentiles,
                                                         message):
         code, out, err = _run(["cdf", "--scenario", "s1_patch_portrait_hard",
@@ -648,7 +650,15 @@ S1_BAD_PAIRS = [
     (("models", "region", "phi"), [150, 210, 0], "models"),
     (("models", "region", "theta"), [60, 120, 150, 170], "models"),
 ]
-S1_MALFORMED += S1_BAD_PAIRS
+# A misspelt key in a nested block is refused, not read as a default.
+S1_UNKNOWN_KEYS = [
+    (("grid", "theta_stp"), 10.0, "grid"),
+    (("beams", 0, "amplitude_tapper"), [1.0, 0.5, 0.5, 1.0], "beams"),
+    (("masks", "true_hand", 0, "edge_tapper_deg"), 10.0, "masks"),
+    (("models", "region", "edge_tapper_deg"), 10.0, "models"),
+    (("models", "regoin"), {}, "models"),
+]
+S1_MALFORMED += S1_BAD_PAIRS + S1_UNKNOWN_KEYS
 
 
 @pytest.mark.parametrize("command", ["report", "stats"])
@@ -715,6 +725,20 @@ def test_scenario_numbers_are_json_numbers(tmp_path, path, slot, block, bad):
                            "--out", str(out_dir)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: bad {block}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", [None, ["x"], 7], ids=repr)
+@pytest.mark.parametrize("key", ["name", "title", "subarray", "orientation",
+                                 "grip"])
+def test_label_must_be_a_string(tmp_path, key, value):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(_variant(**{key: value})))
+    out_dir = tmp_path / "out"
+    code, out, err = _run(["report", "--scenario", str(scenario),
+                           "--out", str(out_dir)])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {key}: must be a string, got {value!r}\n"
     assert not out_dir.exists()
 
 
@@ -808,6 +832,14 @@ def test_bad_pair_names_its_length(path, value, block):
         scenario_from_dict(doc)
     assert str(err.value) == (f"bad {block}: expected 2 items, "
                               f"got {len(value)}")
+
+
+@pytest.mark.parametrize("path,value,block", S1_UNKNOWN_KEYS)
+def test_unknown_key_is_named(path, value, block):
+    doc = _replaced(_bundled_json("s1_patch_portrait_hard"), path, value)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"bad {block}: unknown keys ['{path[-1]}']"
 
 
 # Every dB flag and the commands that take it.
