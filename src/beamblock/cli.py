@@ -108,7 +108,7 @@ def _cmd_cdf(args) -> int:
     percentiles = (_parse_percentiles(args.percentiles)
                    if args.percentiles is not None else ())
     study, _ = _load_study(args)
-    modes = sorted(study.modes)
+    modes = sorted(study.overlays)
     if args.out:
         write_text(args.out,
                    cdf_svg([(mode, study.cdf(mode)) for mode in modes],

@@ -25,21 +25,26 @@ from .scanio import MODES
 
 
 class Study:
-    """Per-mode pattern sets on one sphere, each derived field made once:
-    the one analysis behind ``stats``, ``compare`` and ``report``.
+    """Best-beam overlays of per-mode pattern sets on one sphere, each
+    derived field made once: the one analysis behind ``stats``, ``compare``
+    and ``report``.
 
     ``modes`` maps mode names (``freespace``, ``true_hand``, ...) to
     PatternSets on one grid, as returned by ``build_patterns`` or
-    ``parse_scan_csv(...).modes``; beam ids play no part. The sin(theta)
-    weights are computed on construction; each mode's best-beam overlay (a
-    maximum over the beam axis) and full-sphere CDF, each R5 and matched R1
-    at a floor, and the hand-blockage loss field, on first use, then reused.
+    ``parse_scan_csv(...).modes``; beam ids play no part. ``overlays`` maps
+    every mode name to its best-beam overlay (a maximum over the beam axis),
+    None until first use. A mode's pattern set is released once its overlay
+    is made, so no per-beam cube outlives its first use unless the caller
+    keeps ``modes``. The sin(theta) weights are computed on construction;
+    each full-sphere CDF, each R5 and matched R1 at a floor, and the
+    hand-blockage loss field, on first use, then reused.
     """
 
     def __init__(self, modes: dict):
         if not modes:
             raise DataError(f"input provides none of {', '.join(MODES)}")
-        self.modes = dict(modes)
+        self.overlays = dict.fromkeys(modes)
+        self._sets = dict(modes)
         self.weights = solid_angle_weights(next(iter(modes.values())).grid)
         self._made = {}
 
@@ -49,11 +54,12 @@ class Study:
         return self._made[key]
 
     def overlay(self, mode: str) -> Pattern:
-        if mode not in self.modes:
+        if mode not in self.overlays:
             raise DataError(f"input provides no {mode} mode; have "
-                            f"{', '.join(sorted(self.modes))}")
-        return self._once(("overlay", mode),
-                          lambda: overlay_best_beam(self.modes[mode]))
+                            f"{', '.join(sorted(self.overlays))}")
+        if self.overlays[mode] is None:
+            self.overlays[mode] = overlay_best_beam(self._sets.pop(mode))
+        return self.overlays[mode]
 
     def cdf(self, mode: str) -> WeightedCDF:
         return self._once(("cdf", mode), lambda: weighted_cdf(

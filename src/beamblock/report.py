@@ -65,7 +65,8 @@ def _write_csv(path, rows) -> None:
 
 def write_report(scenario: Scenario, out_dir) -> dict:
     """Write the full bundle into ``out_dir``; returns the JSON payload."""
-    study = Study(build_patterns(scenario))
+    modes = build_patterns(scenario)
+    study = Study(modes)
     weights = study.weights
     summary = study_summary(study, "true_hand", scenario.thresholds_dbm,
                             scenario.percentiles)
@@ -86,7 +87,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
         "gaussian_fit": asdict(fit),
         "models": study.score_models(floor, scenario.models),
     }
-    if "phantom" in study.modes:
+    if "phantom" in modes:
         body = study_summary(study, "phantom", scenario.thresholds_dbm,
                              scenario.percentiles)
         payload["phantom"] = {
@@ -99,7 +100,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     # The CDF figures refuse an unplottable range, so they come first too.
     title = scenario.title
     eirp_svg = cdf_svg([(mode, study.cdf(mode)) for mode, _ in _MODE_LABELS
-                        if mode in study.modes],
+                        if mode in modes],
                        f"{title}: sphere coverage CDF", "best-beam EIRP (dBm)")
     loss_svg = cdf_svg([("loss over R5", weighted_cdf(
         study.loss(), weights, mask=study.r5("true_hand", floor)))],
@@ -119,11 +120,11 @@ def write_report(scenario: Scenario, out_dir) -> dict:
     _write_csv(out / "percentiles.csv", _table(summary["percentiles"]))
     write_text(out / "summary.json", json_text(payload))
 
-    write_scan_csv(out / "scan.csv", study.modes)
+    write_scan_csv(out / "scan.csv", modes)
 
     for mode, label in _MODE_LABELS:
         path = out / f"overlay_{mode}.svg"
-        if mode in study.modes:
+        if mode in modes:
             write_text(path, heatmap_svg(study.overlay(mode), f"{title}: "
                                          f"{label} best-beam EIRP (dBm)"))
         else:  # a reused directory keeps no stale heatmap

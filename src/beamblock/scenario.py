@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 from .errors import ConfigError
@@ -145,11 +145,12 @@ def scenario_from_dict(d: dict) -> Scenario:
             grid = with_invalid_band(grid, lo, hi)
 
         block = "array"
+        a = _object(d["array"], [f.name for f in fields(ArrayConfig)])
         config = ArrayConfig(**{k: (str(v) if k == "element_kind" else
                                     _integer(v)
                                     if k in ("n_elements", "phase_bits")
                                     else _finite(v))
-                                for k, v in d["array"].items()})
+                                for k, v in a.items()})
 
         block = "beams"
         beams = []
@@ -177,7 +178,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         block = "models"
         m = _object(d["models"], ("names", "region"))
         region = (_region_from_dict(m["region"], delta_required=False)
-                  if m.get("region") else None)
+                  if m.get("region") is not None else None)
         models = {}
         for name in map(str, _list(m["names"])):
             if name in models:

@@ -1,9 +1,11 @@
 """Loss-field statistics, Gaussian fitting, and study summaries."""
 
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +307,22 @@ class TestStudy:
         with pytest.raises(DataError) as err:
             study.overlay("true_hand")
         assert "true_hand" in str(err.value)
+
+    def test_each_pattern_set_is_released_once_its_overlay_is_made(self):
+        modes = build_patterns(load_bundled("s5_patch_landscape_intermediate"))
+        refs = {mode: weakref.ref(pset) for mode, pset in modes.items()}
+        study = Study(modes)
+        del modes
+        gc.collect()
+        for mode in ("true_hand", "freespace", "phantom"):
+            assert refs[mode]() is not None
+            overlay = study.overlay(mode)
+            assert refs[mode]() is None
+            assert study.overlay(mode) is overlay
+        assert sorted(study.overlays) == ["freespace", "phantom", "true_hand"]
+        with pytest.raises(DataError, match="input provides no nope mode; "
+                           "have freespace, phantom, true_hand"):
+            study.overlay("nope")
 
     def test_report_overlays_each_mode_once(self, tmp_path, monkeypatch):
         scenario = load_bundled("s5_patch_landscape_intermediate")

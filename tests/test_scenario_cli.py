@@ -235,7 +235,7 @@ class TestCli:
         assert run_cli(["cdf", "--scenario", name, "--out", str(svg)]) == 0
         study = Study(build_patterns(load_bundled(name)))
         assert svg.read_bytes() == cdf_svg(
-            [(mode, study.cdf(mode)) for mode in sorted(study.modes)],
+            [(mode, study.cdf(mode)) for mode in sorted(study.overlays)],
             "sphere coverage CDF", "best-beam EIRP (dBm)").encode()
         ET.parse(svg)
 
@@ -640,6 +640,11 @@ S1_MALFORMED = [
     (("grid", "theta_step"), math.inf, "grid"),
     # the steering phases would overflow to inf, then NaN
     (("array", "spacing"), 1e308, "array"),
+    # a present region is read, however falsy
+    (("models", "region"), 0, "models"),
+    (("models", "region"), False, "models"),
+    (("models", "region"), "", "models"),
+    (("models", "region"), [], "models"),
 ]
 # A fixed pair takes exactly two items: no item is dropped or made up.
 S1_BAD_PAIRS = [
@@ -653,6 +658,7 @@ S1_BAD_PAIRS = [
 # A misspelt key in a nested block is refused, not read as a default.
 S1_UNKNOWN_KEYS = [
     (("grid", "theta_stp"), 10.0, "grid"),
+    (("array", "spacingg"), 0.5, "array"),
     (("beams", 0, "amplitude_tapper"), [1.0, 0.5, 0.5, 1.0], "beams"),
     (("masks", "true_hand", 0, "edge_tapper_deg"), 10.0, "masks"),
     (("models", "region", "edge_tapper_deg"), 10.0, "models"),
@@ -840,6 +846,27 @@ def test_unknown_key_is_named(path, value, block):
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(doc)
     assert str(err.value) == f"bad {block}: unknown keys ['{path[-1]}']"
+
+
+@pytest.mark.parametrize("path,value,kind", [
+    (("array",), [1], "list"),
+    (("models", "region"), 0, "int"),
+    (("models", "region"), False, "bool"),
+    (("models", "region"), "", "str"),
+    (("models", "region"), [], "list"),
+])
+def test_non_object_block_is_named(path, value, kind):
+    doc = _replaced(_bundled_json("s1_patch_portrait_hard"), path, value)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"bad {path[0]}: expected an object, got {kind}"
+
+
+def test_null_region_is_no_region():
+    doc = _replaced(_bundled_json("s1_patch_portrait_hard"),
+                    ("models", "region"), None)
+    doc["models"]["names"] = ["prior-hand-15.3"]
+    assert scenario_from_dict(doc).model_region is None
 
 
 # Every dB flag and the commands that take it.
