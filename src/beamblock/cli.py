@@ -17,8 +17,7 @@ from .coverage import coverage_above, percentile_value
 from .errors import ConfigError, DataError
 from .lossstats import Study, gaussian_fit
 from .models import model_preset
-from .roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2, roi_r3,
-                  roi_r4, roi_r5, write_roi_csv)
+from .roi import DELTA_DEFAULTS, ROI_LAWS, roi_improvement, write_roi_csv
 from .report import json_text, write_report
 from .scanio import MODES, parse_scan_csv, write_scan_csv, write_text
 from .scenario import (Scenario, build_patterns, list_bundled, load_bundled,
@@ -52,31 +51,15 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
 
 def _load_study(args) -> tuple[Study, Scenario | None]:
     """Pattern sets from --scan or --scenario, and that scenario or None;
-    an unset --delta5 becomes its delta5_dbm, or -35 dBm with --scan."""
+    an unset --delta5 becomes its delta5_dbm, or the R5 default with --scan."""
     if args.scan is not None:
         study, scenario = Study(parse_scan_csv(args.scan).modes), None
     else:
         scenario = _resolve_scenario(args.scenario)
         study = Study(build_patterns(scenario))
     if getattr(args, "delta5", 0.0) is None:  # stats, compare and roi
-        args.delta5 = scenario.delta5_dbm if scenario else -35.0
+        args.delta5 = getattr(scenario, "delta5_dbm", DELTA_DEFAULTS["delta5"])
     return study, scenario
-
-
-# --roi-kind -> (region law, baseline law or None); laws take
-# (free overlay, blocked overlay, parsed args).
-def _r1(free, blocked, args):
-    return roi_r1(free, args.delta1)
-
-
-_ROI_KINDS = {
-    "r1": (_r1, None),
-    "r2": (lambda f, b, a: roi_r2(f, b, a.delta1, a.delta2), _r1),
-    "r3": (lambda f, b, a: roi_r3(f, b, a.delta1, a.delta3), _r1),
-    "r4": (lambda f, b, a: roi_r4(f, b, a.delta1, a.delta4), _r1),
-    "r5": (lambda f, b, a: roi_r5(f, b, a.delta5),
-           lambda f, b, a: matched_r1_for_r5(f, a.delta5)),
-}
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -127,14 +110,12 @@ def _cmd_cdf(args) -> int:
 
 def _cmd_roi(args) -> int:
     study, _ = _load_study(args)
-    free = study.overlay("freespace")
-    blocked = study.overlay("true_hand")
-    law, base_law = _ROI_KINDS[args.roi_kind]
-    region = law(free, blocked, args)
+    deltas = {name: getattr(args, name) for name in DELTA_DEFAULTS}
+    region = study.region(args.roi_kind, **deltas)
     payload = {"kind": region.kind, "params": region.params,
                "coverage_pct": region.coverage(study.weights)}
-    if base_law is not None:
-        imp = roi_improvement(base_law(free, blocked, args), region,
+    if base := ROI_LAWS[args.roi_kind][2]:
+        imp = roi_improvement(study.region(base, **deltas), region,
                               study.weights)
         payload["baseline_pct"] = imp.base_pct
         payload["improvement_abs_pct"] = imp.abs_pct
@@ -165,7 +146,7 @@ def _cmd_compare(args) -> int:
             raise ConfigError("--models must name each preset once, "
                               "none blank")
     study, scenario = _load_study(args)
-    study.r5("true_hand", args.delta5)  # a missing mode outranks a bad preset
+    study.region("r5", delta5=args.delta5)  # a missing mode outranks a preset
     if scenario is not None and names is None:
         candidates = scenario.models
     else:
@@ -197,10 +178,20 @@ def _add_input_args(p) -> None:
                    help="scenario JSON path or bundled scenario name")
 
 
-def _add_delta5(p) -> None:
-    p.add_argument("--delta5", type=finite_float, help="absolute "
-                   "either-pattern EIRP floor in dBm (R5; default: the "
-                   "scenario's delta5_dbm, or -35 with --scan)")
+_DELTA_HELP = {
+    "delta1": "dB below the free-space peak (R1)",
+    "delta2": "dB below the blocked peak (R2)",
+    "delta3": "dB below the free-space peak, blocked pattern (R3)",
+    "delta4": "absolute blocked EIRP floor in dBm (R4)",
+    "delta5": "absolute either-pattern EIRP floor in dBm (R5; default: the "
+              f"scenario's delta5_dbm, or {DELTA_DEFAULTS['delta5']:g} with "
+              "--scan)",
+}
+
+
+def _add_deltas(p, names) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", type=finite_float, help=_DELTA_HELP[name])
 
 
 @functools.cache
@@ -237,16 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roi", help="region-of-interest coverage")
     _add_input_args(p)
-    p.add_argument("--roi-kind", default="r5", choices=sorted(_ROI_KINDS))
-    p.add_argument("--delta1", type=finite_float, default=5.0,
-                   help="dB below the free-space peak (R1)")
-    p.add_argument("--delta2", type=finite_float, default=5.0,
-                   help="dB below the blocked peak (R2)")
-    p.add_argument("--delta3", type=finite_float, default=10.0,
-                   help="dB below the free-space peak, blocked pattern (R3)")
-    p.add_argument("--delta4", type=finite_float, default=-35.0,
-                   help="absolute blocked EIRP floor in dBm (R4)")
-    _add_delta5(p)
+    p.add_argument("--roi-kind", default="r5", choices=[
+        kind for kind in ROI_LAWS if kind != "r1_matched"])
+    _add_deltas(p, DELTA_DEFAULTS)
     p.add_argument("--out",
                    help="output directory for mask CSV + coverage JSON "
                         "(default: JSON to stdout)")
@@ -254,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="blockage-loss statistics and fit")
     _add_input_args(p)
-    _add_delta5(p)
+    _add_deltas(p, ["delta5"])
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("compare", help="score blockage models vs measurement")
     _add_input_args(p)
-    _add_delta5(p)
+    _add_deltas(p, ["delta5"])
     p.add_argument("--models", help="comma list of model presets")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_compare)

@@ -19,8 +19,8 @@ from .coverage import (WeightedCDF, coverage_above, lost_percentages,
 from .errors import DataError
 from .grid import Pattern, WeightField, solid_angle_weights
 from .models import compare_models, comparison_dict
-from .roi import (RoIMask, _check_pair, matched_r1_for_r5, roi_improvement,
-                  roi_r5)
+from .roi import (DELTA_DEFAULTS, ROI_LAWS, RoIMask, _check_pair,
+                  roi_improvement)
 from .scanio import MODES
 
 
@@ -36,8 +36,8 @@ class Study:
     None until first use. A mode's pattern set is released once its overlay
     is made, so no per-beam cube outlives its first use unless the caller
     keeps ``modes``. The sin(theta) weights are computed on construction;
-    each full-sphere CDF, each R5 and matched R1 at a floor, and the
-    hand-blockage loss field, on first use, then reused.
+    each full-sphere CDF, each region at its deltas, and the hand-blockage
+    loss field, on first use, then reused.
     """
 
     def __init__(self, modes: dict):
@@ -65,13 +65,15 @@ class Study:
         return self._once(("cdf", mode), lambda: weighted_cdf(
             self.overlay(mode), self.weights))
 
-    def r5(self, mode: str, floor: float) -> RoIMask:
-        return self._once(("r5", mode, floor), lambda: roi_r5(
-            self.overlay("freespace"), self.overlay(mode), floor))
-
-    def r1_matched(self, floor: float) -> RoIMask:
-        return self._once(("r1_matched", floor), lambda: matched_r1_for_r5(
-            self.overlay("freespace"), floor))
+    def region(self, kind: str, mode: str = "true_hand", **deltas) -> RoIMask:
+        """``ROI_LAWS[kind]`` on the freespace and ``mode`` overlays, shared by
+        every mode if a baseline; an unset or None delta takes its default."""
+        free, blocked = self.overlay("freespace"), self.overlay(mode)
+        law, names, base = ROI_LAWS[kind]
+        values = tuple(DELTA_DEFAULTS[n] if deltas.get(n) is None
+                       else deltas[n] for n in names)
+        return self._once((kind, mode if base else None, values),
+                          lambda: law(free, blocked, *values))
 
     def loss(self) -> Pattern:
         """The hand-blockage loss field, free space minus ``true_hand``."""
@@ -81,7 +83,7 @@ class Study:
     def hand_stats(self, floor: float, weights: WeightField) -> dict:
         """``loss_stats`` of the hand loss over the matched R1 (None if
         empty) and R5 at ``floor``."""
-        r5, base = self.r5("true_hand", floor), self.r1_matched(floor)
+        r5, base = (self.region(k, delta5=floor) for k in ("r5", "r1_matched"))
         return {"r1_matched": None if base.params["empty"] else
                 loss_stats(self.loss(), base, weights),
                 "r5": loss_stats(self.loss(), r5, weights)}
@@ -92,7 +94,7 @@ class Study:
         return comparison_dict(compare_models(
             self.overlay("freespace"),
             {"true_hand": self.overlay("true_hand"), **candidates},
-            self.r5("true_hand", floor), self.weights))
+            self.region("r5", delta5=floor), self.weights))
 
 
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
@@ -199,14 +201,13 @@ def study_summary(study: Study, blocked_mode: str,
         raise DataError("thresholds and percentiles must be non-empty")
 
     weights = study.weights
-    b = study.overlay(blocked_mode)
 
     t_rows = []
     for t in thr:
         # the matched R1 is free >= t, so its coverage is the free one
-        imp = roi_improvement(study.r1_matched(t),
-                              study.r5(blocked_mode, t), weights)
-        blocked_pct = coverage_above(b, weights, t)
+        imp = roi_improvement(*(study.region(k, blocked_mode, delta5=t)
+                                for k in ("r1_matched", "r5")), weights)
+        blocked_pct = coverage_above(study.overlay(blocked_mode), weights, t)
         abs_lost, rel_lost = lost_percentages(imp.base_pct, blocked_pct)
         t_rows.append({
             "threshold_dbm": t, "free_pct": imp.base_pct,

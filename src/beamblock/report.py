@@ -103,7 +103,7 @@ def write_report(scenario: Scenario, out_dir) -> dict:
                         if mode in modes],
                        f"{title}: sphere coverage CDF", "best-beam EIRP (dBm)")
     loss_svg = cdf_svg([("loss over R5", weighted_cdf(
-        study.loss(), weights, mask=study.r5("true_hand", floor)))],
+        study.loss(), weights, mask=study.region("r5", delta5=floor)))],
                        f"{title}: blockage loss CDF", "blockage loss (dB)",
                        gaussian=fit)
 

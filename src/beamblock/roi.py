@@ -118,9 +118,24 @@ def matched_r1_for_r5(free: Pattern, delta5: float) -> RoIMask:
     """
     raw = np.asarray(free.values >= delta5) & free.grid.valid
     return RoIMask(grid=free.grid, mask=raw, kind="R1",
-                   params={"delta5": delta5,
-                           "delta1": free.max_value() - delta5,
-                           "empty": not bool(raw.any())})
+                   params={"delta5": delta5, "empty": not bool(raw.any())})
+
+
+# kind -> (law on the free and blocked overlays and deltas, naming its
+# function at call time; the deltas it reads; baseline, None if free-only).
+ROI_LAWS = {
+    "r1": (lambda f, b, *d: roi_r1(f, *d), ("delta1",), None),
+    "r2": (lambda f, b, *d: roi_r2(f, b, *d), ("delta1", "delta2"), "r1"),
+    "r3": (lambda f, b, *d: roi_r3(f, b, *d), ("delta1", "delta3"), "r1"),
+    "r4": (lambda f, b, *d: roi_r4(f, b, *d), ("delta1", "delta4"), "r1"),
+    "r5": (lambda f, b, *d: roi_r5(f, b, *d), ("delta5",), "r1_matched"),
+    "r1_matched": (lambda f, b, *d: matched_r1_for_r5(f, *d), ("delta5",),
+                   None),
+}
+
+# Every law default: dB below a peak (delta1-3) or a floor in dBm (delta4-5).
+DELTA_DEFAULTS = {"delta1": 5.0, "delta2": 5.0, "delta3": 10.0,
+                  "delta4": -35.0, "delta5": -35.0}
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import beamblock
+from beamblock.roi import DELTA_DEFAULTS
 
 MODULES = sorted(p for p in Path(beamblock.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -224,14 +225,16 @@ def test_checker_sees_analysis_calls():
         "line 7: models.compare_models"]
 
 
-# Regions of interest and the hand-loss analysis: ``Study`` makes each R5,
-# matched R1 and loss field once, and is the one caller of every step.
-_STUDY_STEPS = ("roi_r5", "matched_r1_for_r5") + _ANALYSIS
+# Regions of interest and the hand-loss analysis: outside roi.py, whose law
+# table names each law, ``Study`` makes each region and loss field once, and
+# is the one caller of every step.
+_STUDY_STEPS = ("roi_r1", "roi_r2", "roi_r3", "roi_r4", "roi_r5",
+                "matched_r1_for_r5") + _ANALYSIS
 
 
 def _region_builds(source: str) -> list[str]:
-    """Calls of the R5 and matched-R1 laws and of the analysis steps, by
-    name or as an attribute, anywhere but in a method of ``Study``."""
+    """Calls of the region laws and of the analysis steps, by name or as an
+    attribute, anywhere but in a method of ``Study``."""
     def visit(node, owner):
         if isinstance(node, ast.ClassDef):
             owner = node.name
@@ -244,10 +247,10 @@ def _region_builds(source: str) -> list[str]:
     return list(visit(ast.parse(source), None))
 
 
-def test_study_builds_every_region():
-    source = (Path(beamblock.__file__).parent / "lossstats.py").read_text(
-        encoding="utf-8")
-    assert _region_builds(source) == []
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "roi.py"],
+                         ids=lambda p: p.name)
+def test_study_builds_every_region(path):
+    assert _region_builds(path.read_text(encoding="utf-8")) == []
 
 
 def test_checker_sees_region_builds():
@@ -260,10 +263,63 @@ def test_checker_sees_region_builds():
               "    base = roi.matched_r1_for_r5(study.free, floor)\n"
               "    return loss_stats(study.loss(), base, w)\n\n"
               "def summary(f, b, t):\n"
-              "    return roi_r5(f, b, t), Study(f).score_models(t, {})\n")
+              "    return roi_r5(f, b, t), Study(f).score_models(t, {})\n\n"
+              "KINDS = {'r2': lambda f, b, a: roi_r2(f, b, a.d1, a.d2)}\n")
     assert _region_builds(source) == [
         "line 9: roi.matched_r1_for_r5", "line 10: loss_stats",
-        "line 13: roi_r5"]
+        "line 13: roi_r5", "line 15: roi_r2"]
+
+
+# One statement of each law default: roi.py's DELTA_DEFAULTS.
+def _law_defaults(source: str) -> list[str]:
+    """Numeric literals given as a law delta's default: the ``default=`` of a
+    ``--deltaN`` flag, or a value bound to a ``deltaN`` name, attribute,
+    keyword or parameter."""
+    bound = []  # (name, value)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            flag = node.args[0] if node.args else None
+            flag = (flag.value.lstrip("-") if isinstance(flag, ast.Constant)
+                    and isinstance(flag.value, str) else None)
+            bound += [(flag if k.arg == "default" else k.arg, k.value)
+                      for k in node.keywords]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound += [(getattr(t, "id", getattr(t, "attr", None)), node.value)
+                      for t in targets]
+        elif isinstance(node, ast.arguments):
+            # defaults belong to the last parameters
+            params = [a.arg for a in node.posonlyargs + node.args]
+            bound += zip(params[::-1], node.defaults[::-1])
+            bound += zip([a.arg for a in node.kwonlyargs], node.kw_defaults)
+    found = [(value.lineno, value.col_offset, name) for name, value in bound
+             if name in DELTA_DEFAULTS and value is not None and any(
+                 isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                 for n in ast.walk(value))]
+    return [f"line {line}: {name}" for line, _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "roi.py"],
+                         ids=lambda p: p.name)
+def test_only_roi_states_a_law_default(path):
+    assert _law_defaults(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_law_defaults():
+    source = ("p.add_argument('--delta1', type=float, default=5.0)\n"
+              "p.add_argument('--delta5', type=float, help='floor')\n"
+              "p.add_argument('--threshold', default=-40.0)\n"
+              "args.delta5 = scenario.delta5_dbm if scenario else -35.0\n"
+              "delta4: float = -35\n"
+              "delta = 0.0\n"
+              "study.region('r5', delta5=-30.0)\n"
+              "study.region('r5', delta5=floor, mode='phantom')\n"
+              "def law(free, delta1=5.0, mode=None, *, delta3=10.0):\n"
+              "    delta2 = DELTA_DEFAULTS['delta2']\n"
+              "    return free\n")
+    assert _law_defaults(source) == [
+        "line 1: delta1", "line 4: delta5", "line 5: delta4",
+        "line 7: delta5", "line 9: delta1", "line 9: delta3"]
 
 
 # One selection of a region's weighted sample: its empty-region error.

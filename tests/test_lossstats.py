@@ -20,7 +20,7 @@ from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
                             with_invalid_band)
 from beamblock.lossstats import (GaussianFit, Study, gaussian_fit,
                                  loss_field, loss_stats, study_summary)
-from beamblock import lossstats
+from beamblock import lossstats, roi
 from beamblock.report import write_report
 from beamblock.roi import roi_r1
 from beamblock.scenario import build_patterns, load_bundled
@@ -344,11 +344,13 @@ class TestHandLoss:
         """Scoring models needs neither the loss field nor the matched R1;
         stats makes each once, for every weighting."""
         made = []
-        for name in ("loss_field", "matched_r1_for_r5"):
-            def counting(*args, real=getattr(lossstats, name), name=name):
+        for module, name in ((lossstats, "loss_field"),
+                             (roi, "matched_r1_for_r5")):
+            def counting(*args, real=getattr(module, name), name=name,
+                         **kwargs):
                 made.append(name)
-                return real(*args)
-            monkeypatch.setattr(lossstats, name, counting)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
         study = Study(build_patterns(load_bundled("s1_patch_portrait_hard")))
         assert study.score_models(-35.0, {})["candidates"][0]["name"] == (
             "true_hand")
@@ -382,10 +384,10 @@ def test_each_region_made_once_per_report(tmp_path, monkeypatch, scenario,
     # hand-loss statistics and the phantom rows reuse.
     made = []
     for name in ("roi_r5", "matched_r1_for_r5"):
-        def counting(*args, real=getattr(lossstats, name), name=name):
+        def counting(*args, real=getattr(roi, name), name=name, **kwargs):
             made.append(name)
-            return real(*args)
-        monkeypatch.setattr(lossstats, name, counting)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(roi, name, counting)
     s = load_bundled(scenario)
     assert len(s.thresholds_dbm) == 3 and s.delta5_dbm in s.thresholds_dbm
     write_report(s, tmp_path)

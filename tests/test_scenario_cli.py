@@ -23,10 +23,13 @@ from hypothesis import strategies as st
 from beamblock import (cli, report as report_mod, scenario as scenario_mod,
                        synth)
 from beamblock.cli import run_cli
-from beamblock.coverage import WeightedCDF
+from beamblock.coverage import WeightedCDF, overlay_best_beam
 from beamblock.errors import ConfigError
+from beamblock.grid import solid_angle_weights
 from beamblock.lossstats import Study
 from beamblock.models import BlockageModel
+from beamblock.roi import (matched_r1_for_r5, roi_improvement, roi_r1, roi_r2,
+                           roi_r3, roi_r4, roi_r5)
 from beamblock.scanio import parse_scan_csv
 from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
                                 load_scenario, scenario_from_dict,
@@ -884,6 +887,63 @@ def test_non_finite_flag_is_usage_error(tmp_path, command, flag, value):
     assert code == 2 and stdout == ""
     assert f"error: argument {flag}: must be finite, got '{value}'" in err
     assert not out.exists()
+
+
+# roi's region and baseline per --roi-kind, by direct law calls on the
+# free and blocked overlays and the deltas d (d1 to d5).
+ROI_BY_KIND = {
+    "r1": lambda f, b, d: (roi_r1(f, d[1]), None),
+    "r2": lambda f, b, d: (roi_r2(f, b, d[1], d[2]), roi_r1(f, d[1])),
+    "r3": lambda f, b, d: (roi_r3(f, b, d[1], d[3]), roi_r1(f, d[1])),
+    "r4": lambda f, b, d: (roi_r4(f, b, d[1], d[4]), roi_r1(f, d[1])),
+    "r5": lambda f, b, d: (roi_r5(f, b, d[5]), matched_r1_for_r5(f, d[5])),
+}
+
+
+@pytest.fixture(scope="module")
+def s3_overlays():
+    """s3's free and blocked overlays and weights; its delta5_dbm is -40."""
+    modes = build_patterns(load_bundled("s3_dipole_portrait_hard"))
+    return (overlay_best_beam(modes["freespace"]),
+            overlay_best_beam(modes["true_hand"]),
+            solid_angle_weights(modes["freespace"].grid))
+
+
+@pytest.mark.parametrize("kind", sorted(ROI_BY_KIND))
+@pytest.mark.parametrize("flags,deltas", [
+    ([], (None, 5.0, 5.0, 10.0, -35.0, -40.0)),
+    (["--delta1", "3", "--delta2=7.5", "--delta3", "12", "--delta4", "-50",
+      "--delta5", "-30"], (None, 3.0, 7.5, 12.0, -50.0, -30.0)),
+    (["--delta1=-0.0", "--delta2=-0.0", "--delta3=-0.0", "--delta4=-0.0",
+      "--delta5=-0.0"], (None, -0.0, -0.0, -0.0, -0.0, -0.0)),
+], ids=["defaults", "explicit", "negative-zero"])
+def test_roi_payload_is_the_law_at_its_deltas(s3_overlays, kind, flags,
+                                              deltas):
+    free, blocked, weights = s3_overlays
+    region, base = ROI_BY_KIND[kind](free, blocked, deltas)
+    want = {"kind": region.kind, "params": region.params,
+            "coverage_pct": region.coverage(weights)}
+    if base is not None:
+        imp = roi_improvement(base, region, weights)
+        want.update(baseline_pct=imp.base_pct,
+                    improvement_abs_pct=imp.abs_pct,
+                    improvement_rel_pct=imp.rel_pct)
+    code, out, err = _run(["roi", "--scenario", "s3_dipole_portrait_hard",
+                           "--roi-kind", kind, *flags])
+    assert code == 0 and err == ""
+    got = strict_json(out)
+    del got["conventions"]
+    # compared as text, so -0.0 must print as -0.0
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind,named", [("r1", "delta1"), ("r2", "delta2"),
+                                        ("r3", "delta3"), ("r4", "delta1")])
+def test_roi_names_the_first_bad_delta_its_law_reads(kind, named):
+    code, out, err = _run(["roi", "--scenario", "s3_dipole_portrait_hard",
+                           "--roi-kind", kind, "--delta1=-1", "--delta2=-1",
+                           "--delta3=-1"])
+    assert (code, out, err) == (2, "", f"error: {named} must be >= 0 dB\n")
 
 
 def _loose_grip(tmp_path):
