@@ -22,9 +22,7 @@ PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
 
 def overlay_best_beam(pset: PatternSet) -> Pattern:
     """Pointwise maximum EIRP over the codebook's beams."""
-    best = pset.values.max(axis=0)
-    best.setflags(write=False)
-    return Pattern(pset.grid, best)
+    return Pattern(pset.grid, pset.best())
 
 
 @dataclass(frozen=True, eq=False)

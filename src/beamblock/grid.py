@@ -248,6 +248,12 @@ class Pattern(_ArrayRecord):
         return float(np.nanmax(self.values[self.grid.valid]))
 
 
+def _beam_max(values: np.ndarray) -> np.ndarray:
+    best = values.max(axis=0)
+    best.setflags(write=False)
+    return best
+
+
 @dataclass(frozen=True, eq=False)
 class PatternSet(_ArrayRecord):
     """One pattern per codebook beam: ``values`` is a read-only (n_beams,
@@ -255,7 +261,11 @@ class PatternSet(_ArrayRecord):
     ``beam_ids`` the distinct integers in [0, 2**63) that a scan archive
     names the beams by, 0..n-1 by default. Iteration yields read-only
     ``Pattern`` views of the beams. Compares and hashes by value, NaN equal
-    to NaN and -0.0 to 0.0."""
+    to NaN and -0.0 to 0.0.
+
+    A set from ``_deferred`` (synthesis and masking make them) builds
+    ``values`` on their first read; ``len``, ``grid``, ``beam_ids`` and
+    ``best`` never build them."""
 
     grid: AngularGrid
     values: np.ndarray
@@ -274,6 +284,24 @@ class PatternSet(_ArrayRecord):
         pset._set_values(_cleaned(grid, values, 3, copy=False))
         return pset
 
+    @classmethod
+    def _deferred(cls, grid: AngularGrid, beam_ids: tuple[int, ...],
+                  best, cube) -> "PatternSet":
+        """The set whose best-beam field is ``best()`` and whose values are
+        ``cube()``, both cleaned and read-only; ``cube`` runs on the first
+        read of ``values``. ``beam_ids`` must already be valid."""
+        pset = cls.__new__(cls)
+        pset._keep(grid=grid, beam_ids=beam_ids, _makers=(best, cube))
+        return pset
+
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: unbuilt deferred values
+        makers = self.__dict__.get("_makers")
+        if name != "values" or makers is None:
+            raise AttributeError(name)
+        self._keep(values=makers[1]())
+        return self.values
+
     def _set_values(self, v: np.ndarray) -> None:
         if not len(v):
             raise ConfigError("a pattern set needs at least one beam")
@@ -284,8 +312,21 @@ class PatternSet(_ArrayRecord):
                             "[0, 2**63)")
         self._keep(values=v, beam_ids=tuple(map(int, ids)))
 
+    def _sources(self):
+        """(best, cube): makers of this set's best-beam field and values
+        that hold what the set holds, not the set, for a set derived
+        from it."""
+        if "_makers" in self.__dict__:
+            return self._makers
+        values = self.values
+        return (lambda: _beam_max(values)), (lambda: values)
+
+    def best(self) -> np.ndarray:
+        """The read-only pointwise maximum over the beams."""
+        return self._sources()[0]()
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.beam_ids)
 
     def __iter__(self):
         return (Pattern(grid=self.grid, values=v) for v in self.values)

@@ -32,12 +32,15 @@ class Study:
     ``modes`` maps mode names (``freespace``, ``true_hand``, ...) to
     PatternSets on one grid, as returned by ``build_patterns`` or
     ``parse_scan_csv(...).modes``; beam ids play no part. ``overlays`` maps
-    every mode name to its best-beam overlay (a maximum over the beam axis),
-    None until first use. A mode's pattern set is released once its overlay
-    is made, so no per-beam cube outlives its first use unless the caller
-    keeps ``modes``. The sin(theta) weights are computed on construction;
+    every mode name to its best-beam overlay, None until first use: the
+    set's ``best()`` field, which a synthesized set takes from its
+    array-factor table without building its per-beam cube, and a parsed set
+    as the maximum over its beams. A mode's pattern set is released once its
+    overlay is made. The sin(theta) weights are computed on construction;
     each full-sphere CDF, each region at its deltas, and the hand-blockage
-    loss field, on first use, then reused.
+    loss field, on first use, then reused. A region reads the blocked
+    overlay only if its law does (R2-R5), so R1 and the matched R1 need the
+    freespace mode alone.
     """
 
     def __init__(self, modes: dict):
@@ -66,10 +69,12 @@ class Study:
             self.overlay(mode), self.weights))
 
     def region(self, kind: str, mode: str = "true_hand", **deltas) -> RoIMask:
-        """``ROI_LAWS[kind]`` on the freespace and ``mode`` overlays, shared by
-        every mode if a baseline; an unset or None delta takes its default."""
-        free, blocked = self.overlay("freespace"), self.overlay(mode)
+        """``ROI_LAWS[kind]`` on the freespace overlay, and the ``mode`` one
+        if the law has a baseline (a baseline is shared by every mode); an
+        unset or None delta takes its default."""
         law, names, base = ROI_LAWS[kind]
+        free = self.overlay("freespace")
+        blocked = self.overlay(mode) if base else None
         values = tuple(DELTA_DEFAULTS[n] if deltas.get(n) is None
                        else deltas[n] for n in names)
         return self._once((kind, mode if base else None, values),

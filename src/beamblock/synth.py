@@ -17,7 +17,9 @@ distinct u of the lattice and gathers it back onto the grid. Its phasor
 table is element-major, one row of distinct u per element, and the array
 factor sums those rows as whole arrays in the fixed pairwise order of
 ``_sum_rows``, so its bits depend on neither the table's layout nor
-numpy's reduction loop.
+numpy's reduction loop. Analysis reads only best-beam fields, so a pattern
+set keeps that table and takes its best-beam field from it; the per-beam
+cube is gathered only when something reads per-beam values.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import AngularGrid, PatternSet
+from .grid import AngularGrid, PatternSet, _cleaned
 
 # Patch element power-rolloff exponent; q = 1 gives the ~90 deg element
 # half-power beamwidth the synthetic codebooks are calibrated around.
@@ -174,22 +176,51 @@ def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
     return np.full(np.shape(cos_psi), float(peak))
 
 
+class _Table:
+    """One synthesis's array-factor table, shared by its set and every set
+    masked from it: ``af_db`` holds each beam's array factor at the distinct
+    u values, ``at`` each grid point's index among them and ``base`` the
+    beam-independent rest of the EIRP. Adding the base and the FLOOR_DB
+    clamp are monotone even after rounding, so ``best``, the best-beam field,
+    takes the maximum over beams first, on the table, with the bits of the
+    per-beam values' maximum. It is made at once, so a non-finite value
+    errs here; the per-beam cube is built on first use."""
+
+    def __init__(self, grid: AngularGrid, base, at, af_db):
+        best = np.take(af_db.max(axis=0), at)
+        best += base
+        self.best = _cleaned(grid, best, 2, copy=False)
+        self._parts = (grid, base, at, af_db)
+        self._cube = None
+
+    def cube(self) -> np.ndarray:
+        """The cleaned per-beam values; the table is then let go."""
+        if self._cube is None:
+            grid, base, at, af_db = self._parts
+            cube = np.take(af_db, at, axis=1)
+            cube += base
+            self._cube = _cleaned(grid, cube, 3, copy=False)
+            self._parts = None
+        return self._cube
+
+
 def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
                       grid: AngularGrid) -> PatternSet:
     """EIRP pattern per codebook beam on ``grid``, floor-clamped."""
     if not beams:
         raise ConfigError("at least one beam is required")
     cos_psi, u = _direction_cosines(config, grid.phi, grid.theta[:, None])
-    base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
+    with np.errstate(over="ignore"):  # +inf is refused, -inf floored
+        base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
     # Ravel first: the inverse is then 1-D on every numpy version.
     u_set, at = np.unique(u.ravel(), return_inverse=True)
     at = at.reshape(u.shape)
     phasors = _steering_phasors(config, u_set)
     af_db = np.array([_array_factor_db(steering_weights(config, beam), phasors)
                       for beam in beams])
-    cube = np.take(af_db, at, axis=1)
-    cube += base
-    return PatternSet._adopt(grid, cube)
+    table = _Table(grid, base, at, af_db)
+    return PatternSet._deferred(grid, tuple(range(len(beams))),
+                                lambda: table.best, table.cube)
 
 
 @dataclass(frozen=True)
@@ -265,8 +296,34 @@ class BlockageMask:
         return field
 
 
+# Half the float spacing at the top of the range is 2**970 (1e292): a delta
+# field within this bound cannot overflow a masked value.
+_NO_OVERFLOW_DB = 1e290
+
+
 def apply_blockage_mask(free: PatternSet, mask: BlockageMask) -> PatternSet:
-    """Subtract the mask's delta field from every beam pattern."""
-    return PatternSet._adopt(free.grid,
-                             free.values - mask.delta_field(free.grid),
-                             free.beam_ids)
+    """Subtract the mask's delta field from every beam pattern.
+
+    The masked best-beam field is the free one minus the delta field, made
+    on each use, and the per-beam values on first read; neither keeps the
+    delta field. A mask that could overflow a value makes its best-beam
+    field at once, so that a non-finite value errs here, as the free set's
+    does.
+    """
+    grid = free.grid
+    free_best, free_cube = free._sources()
+
+    def best():
+        with np.errstate(over="ignore"):  # +inf is refused, -inf floored
+            return _cleaned(grid, free_best() - mask.delta_field(grid), 2,
+                            copy=False)
+
+    def cube():
+        with np.errstate(over="ignore"):
+            return _cleaned(grid, free_cube() - mask.delta_field(grid), 3,
+                            copy=False)
+
+    made = (best() if any(abs(r.delta_db) > _NO_OVERFLOW_DB
+                          for r in mask.regions) else None)
+    return PatternSet._deferred(
+        grid, free.beam_ids, best if made is None else (lambda: made), cube)

@@ -1,20 +1,25 @@
 """The package still offers what the benchmark harness uses of it.
 
 ``perfbench/tracer.py`` names the traced functions in ``SPECS`` and its
-``Tracer.install`` refuses to run when one is missing; ``perfbench/``
-also iterates pattern sets and takes their ``grid`` and ``len``. These
-tests make a refactor that deletes or moves a traced function, or changes
-how a pattern set is read, fail here first rather than in a benchmark run.
+``Tracer.install`` refuses to run when one is missing; a traced run exits
+3 when a span that ``worker.expected_calls`` names records no call.
+``perfbench/`` also iterates pattern sets and takes their ``grid`` and
+``len``. These tests make a refactor that deletes or moves a traced
+function, stops calling one, or changes how a pattern set is read, fail
+here first rather than in a benchmark run.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from beamblock import cli
 from beamblock.scanio import parse_scan_csv
 from beamblock.scenario import build_patterns, load_bundled
 
@@ -55,6 +60,40 @@ def test_harness_archive_reads_back_the_patterns(tmp_path):
 
 
 def test_tracer_counts_beams_times_valid_points():
-    pset = build_patterns(load_bundled("s1_patch_portrait_hard"))["freespace"]
-    assert _load("tracer")._n_samples(pset) == (
-        len(pset.values) * int(pset.grid.valid.sum()))
+    modes = build_patterns(load_bundled("s1_patch_portrait_hard"))
+    counts = [_load("tracer")._n_samples(p) for p in modes.values()]
+    assert not any("values" in vars(p) for p in modes.values())  # no cube
+    assert counts == [len(p.values) * int(p.grid.valid.sum())
+                      for p in modes.values()]
+
+
+# What every query of the queries workload must reach: a query that takes
+# its overlays some other way leaves these spans silent.
+_SYNTHESIS_SPANS = ("scenario.build_patterns", "synth.synth_pattern_set",
+                    "synth.apply_blockage_mask", "coverage.overlay_best_beam")
+_QUERIES = (["cdf", "--threshold", "-40", "--percentiles", "50,95"],
+            ["roi", "--roi-kind", "r1"], ["roi", "--roi-kind", "r4"],
+            ["stats"], ["compare"])
+
+
+def test_traced_queries_record_every_expected_call():
+    tracer = _load("tracer").Tracer()
+    recorded = set()
+    for unit, argv in enumerate(_QUERIES):
+        tracer.unit = unit
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run_cli([argv[0], "--scenario",
+                                    "s5_patch_landscape_intermediate",
+                                    *argv[1:]])
+        finally:
+            tracer.uninstall()
+        assert code == 0, argv
+        calls = {name for name, n in tracer.unit_metrics(unit).items()
+                 if name.endswith(".calls") and n}
+        assert {f"{s}.calls" for s in _SYNTHESIS_SPANS} <= calls, argv
+        recorded |= calls
+    expected = _load("worker").expected_calls("queries")
+    assert set(_SYNTHESIS_SPANS) <= set(expected)
+    assert {f"{s}.calls" for s in expected} <= recorded

@@ -401,6 +401,24 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_roi_r1_needs_only_the_freespace_mode(self, tmp_path):
+        """R1 reads the free overlay alone: an archive of only the freespace
+        rows gives the full archive's R1, and R2 still names what is
+        missing."""
+        run_cli(["synth", "--scenario", "s1_patch_portrait_hard",
+                 "--out", str(tmp_path)])
+        full = tmp_path / "scan.csv"
+        lines = full.read_text().splitlines(keepends=True)
+        free = tmp_path / "free.csv"
+        free.write_text(lines[0] + "".join(
+            ln for ln in lines if ",freespace," in ln))
+        want = _run(["roi", "--roi-kind", "r1", "--scan", str(full)])
+        assert want[0] == 0
+        assert _run(["roi", "--roi-kind", "r1", "--scan", str(free)]) == want
+        assert _run(["roi", "--roi-kind", "r2", "--scan", str(free)]) == (
+            1, "", "error: input provides no true_hand mode; have "
+                   "freespace\n")
+
     def test_report_svg_text_is_escaped(self, tmp_path):
         path = tmp_path / "amp.json"
         path.write_text(json.dumps(_variant(title="A & B <hand>")))
