@@ -248,12 +248,6 @@ class Pattern(_ArrayRecord):
         return float(np.nanmax(self.values[self.grid.valid]))
 
 
-def _beam_max(values: np.ndarray) -> np.ndarray:
-    best = values.max(axis=0)
-    best.setflags(write=False)
-    return best
-
-
 @dataclass(frozen=True, eq=False)
 class PatternSet(_ArrayRecord):
     """One pattern per codebook beam: ``values`` is a read-only (n_beams,
@@ -263,9 +257,10 @@ class PatternSet(_ArrayRecord):
     ``Pattern`` views of the beams. Compares and hashes by value, NaN equal
     to NaN and -0.0 to 0.0.
 
-    A set from ``_deferred`` (synthesis and masking make them) builds
-    ``values`` on their first read; ``len``, ``grid``, ``beam_ids`` and
-    ``best`` never build them."""
+    Every set holds its read-only best-beam field from the start. A set
+    from ``_deferred`` (synthesis and masking make them) builds ``values``
+    on their first read; ``len``, ``grid``, ``beam_ids`` and ``best`` never
+    build them."""
 
     grid: AngularGrid
     values: np.ndarray
@@ -286,20 +281,20 @@ class PatternSet(_ArrayRecord):
 
     @classmethod
     def _deferred(cls, grid: AngularGrid, beam_ids: tuple[int, ...],
-                  best, cube) -> "PatternSet":
-        """The set whose best-beam field is ``best()`` and whose values are
+                  best: np.ndarray, cube) -> "PatternSet":
+        """The set whose best-beam field is ``best`` and whose values are
         ``cube()``, both cleaned and read-only; ``cube`` runs on the first
         read of ``values``. ``beam_ids`` must already be valid."""
         pset = cls.__new__(cls)
-        pset._keep(grid=grid, beam_ids=beam_ids, _makers=(best, cube))
+        pset._keep(grid=grid, beam_ids=beam_ids, _best=best,
+                   _make_values=cube)
         return pset
 
     def __getattr__(self, name):
         # reached only for what the instance lacks: unbuilt deferred values
-        makers = self.__dict__.get("_makers")
-        if name != "values" or makers is None:
+        if name != "values" or "_make_values" not in self.__dict__:
             raise AttributeError(name)
-        self._keep(values=makers[1]())
+        self._keep(values=self._make_values())
         return self.values
 
     def _set_values(self, v: np.ndarray) -> None:
@@ -310,20 +305,14 @@ class PatternSet(_ArrayRecord):
                    for b in ids) or not len(v) == len(ids) == len(set(ids)):
             raise DataError(f"beam_ids must be {len(v)} distinct integers in "
                             "[0, 2**63)")
-        self._keep(values=v, beam_ids=tuple(map(int, ids)))
-
-    def _sources(self):
-        """(best, cube): makers of this set's best-beam field and values
-        that hold what the set holds, not the set, for a set derived
-        from it."""
-        if "_makers" in self.__dict__:
-            return self._makers
-        values = self.values
-        return (lambda: _beam_max(values)), (lambda: values)
+        best = v.max(axis=0)
+        best.setflags(write=False)
+        self._keep(values=v, beam_ids=tuple(map(int, ids)), _best=best,
+                   _make_values=lambda: v)
 
     def best(self) -> np.ndarray:
         """The read-only pointwise maximum over the beams."""
-        return self._sources()[0]()
+        return self._best
 
     def __len__(self) -> int:
         return len(self.beam_ids)

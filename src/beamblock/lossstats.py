@@ -32,11 +32,9 @@ class Study:
     ``modes`` maps mode names (``freespace``, ``true_hand``, ...) to
     PatternSets on one grid, as returned by ``build_patterns`` or
     ``parse_scan_csv(...).modes``; beam ids play no part. ``overlays`` maps
-    every mode name to its best-beam overlay, None until first use: the
-    set's ``best()`` field, which a synthesized set takes from its
-    array-factor table without building its per-beam cube, and a parsed set
-    as the maximum over its beams. A mode's pattern set is released once its
-    overlay is made. The sin(theta) weights are computed on construction;
+    every mode name to its best-beam overlay, the set's ``best()`` field,
+    made on construction without building a per-beam cube; the study keeps
+    no pattern set. The sin(theta) weights are computed on construction;
     each full-sphere CDF, each region at its deltas, and the hand-blockage
     loss field, on first use, then reused. A region reads the blocked
     overlay only if its law does (R2-R5), so R1 and the matched R1 need the
@@ -46,8 +44,8 @@ class Study:
     def __init__(self, modes: dict):
         if not modes:
             raise DataError(f"input provides none of {', '.join(MODES)}")
-        self.overlays = dict.fromkeys(modes)
-        self._sets = dict(modes)
+        self.overlays = {mode: overlay_best_beam(pset)
+                         for mode, pset in modes.items()}
         self.weights = solid_angle_weights(next(iter(modes.values())).grid)
         self._made = {}
 
@@ -60,8 +58,6 @@ class Study:
         if mode not in self.overlays:
             raise DataError(f"input provides no {mode} mode; have "
                             f"{', '.join(sorted(self.overlays))}")
-        if self.overlays[mode] is None:
-            self.overlays[mode] = overlay_best_beam(self._sets.pop(mode))
         return self.overlays[mode]
 
     def cdf(self, mode: str) -> WeightedCDF:

@@ -158,7 +158,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             _object(b, ("scan_deg", "amplitude_taper"))
             taper = b.get("amplitude_taper")
             if taper is not None:
-                taper = tuple(map(_number, _list(taper))) or None
+                taper = tuple(map(_number, _list(taper, config.n_elements)))
             beams.append(BeamSpec(scan_deg=_number(b["scan_deg"]),
                                   amplitude_taper=taper))
         if not beams:

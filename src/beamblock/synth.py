@@ -18,8 +18,8 @@ table is element-major, one row of distinct u per element, and the array
 factor sums those rows as whole arrays in the fixed pairwise order of
 ``_sum_rows``, so its bits depend on neither the table's layout nor
 numpy's reduction loop. Analysis reads only best-beam fields, so a pattern
-set keeps that table and takes its best-beam field from it; the per-beam
-cube is gathered only when something reads per-beam values.
+set takes its best-beam field from that table when it is made; the
+per-beam cube is gathered only when something reads per-beam values.
 """
 
 from __future__ import annotations
@@ -177,24 +177,17 @@ def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
 
 
 class _Table:
-    """One synthesis's array-factor table, shared by its set and every set
-    masked from it: ``af_db`` holds each beam's array factor at the distinct
-    u values, ``at`` each grid point's index among them and ``base`` the
-    beam-independent rest of the EIRP. Adding the base and the FLOOR_DB
-    clamp are monotone even after rounding, so ``best``, the best-beam field,
-    takes the maximum over beams first, on the table, with the bits of the
-    per-beam values' maximum. It is made at once, so a non-finite value
-    errs here; the per-beam cube is built on first use."""
+    """One synthesis's per-beam cube, built on first use from ``af_db``,
+    each beam's array factor at the distinct u values, ``at``, each grid
+    point's index among them, and ``base``, the beam-independent rest of
+    the EIRP; the table is then let go."""
 
     def __init__(self, grid: AngularGrid, base, at, af_db):
-        best = np.take(af_db.max(axis=0), at)
-        best += base
-        self.best = _cleaned(grid, best, 2, copy=False)
         self._parts = (grid, base, at, af_db)
         self._cube = None
 
     def cube(self) -> np.ndarray:
-        """The cleaned per-beam values; the table is then let go."""
+        """The cleaned per-beam values."""
         if self._cube is None:
             grid, base, at, af_db = self._parts
             cube = np.take(af_db, at, axis=1)
@@ -218,9 +211,12 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     phasors = _steering_phasors(config, u_set)
     af_db = np.array([_array_factor_db(steering_weights(config, beam), phasors)
                       for beam in beams])
-    table = _Table(grid, base, at, af_db)
-    return PatternSet._deferred(grid, tuple(range(len(beams))),
-                                lambda: table.best, table.cube)
+    # Adding the base and the FLOOR_DB clamp are monotone, even rounded, so
+    # the best-beam field takes the maximum over beams first; it is made at
+    # once, so a non-finite value errs here.
+    best = _cleaned(grid, base + af_db.max(axis=0)[at], 2, copy=False)
+    return PatternSet._deferred(grid, tuple(range(len(beams))), best,
+                                _Table(grid, base, at, af_db).cube)
 
 
 @dataclass(frozen=True)
@@ -296,34 +292,23 @@ class BlockageMask:
         return field
 
 
-# Half the float spacing at the top of the range is 2**970 (1e292): a delta
-# field within this bound cannot overflow a masked value.
-_NO_OVERFLOW_DB = 1e290
-
-
 def apply_blockage_mask(free: PatternSet, mask: BlockageMask) -> PatternSet:
     """Subtract the mask's delta field from every beam pattern.
 
-    The masked best-beam field is the free one minus the delta field, made
-    on each use, and the per-beam values on first read; neither keeps the
-    delta field. A mask that could overflow a value makes its best-beam
-    field at once, so that a non-finite value errs here, as the free set's
-    does.
+    The masked best-beam field, the free one minus the delta field, is made
+    at once, so a non-finite value errs here, as the free set's does; the
+    per-beam values are made from the free set's on first read. Neither
+    keeps the delta field, and the masked set does not hold ``free``.
     """
     grid = free.grid
-    free_best, free_cube = free._sources()
-
-    def best():
-        with np.errstate(over="ignore"):  # +inf is refused, -inf floored
-            return _cleaned(grid, free_best() - mask.delta_field(grid), 2,
-                            copy=False)
+    free_cube = free._make_values
+    with np.errstate(over="ignore"):  # +inf is refused, -inf floored
+        best = _cleaned(grid, free.best() - mask.delta_field(grid), 2,
+                        copy=False)
 
     def cube():
         with np.errstate(over="ignore"):
             return _cleaned(grid, free_cube() - mask.delta_field(grid), 3,
                             copy=False)
 
-    made = (best() if any(abs(r.delta_db) > _NO_OVERFLOW_DB
-                          for r in mask.regions) else None)
-    return PatternSet._deferred(
-        grid, free.beam_ids, best if made is None else (lambda: made), cube)
+    return PatternSet._deferred(grid, free.beam_ids, best, cube)

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamblock.errors import DataError
-from beamblock.grid import Pattern, make_grid, with_invalid_band
+from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
 from beamblock.lossstats import Study
+from beamblock.scanio import parse_scan_csv, write_scan_csv
 from beamblock.scenario import build_patterns, load_bundled, load_scenario
 from beamblock.synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
                              apply_blockage_mask, steering_weights,
@@ -150,9 +151,43 @@ def test_study_builds_no_cube():
     assert not any("values" in vars(p) for p in sets)
 
 
+def test_parsed_sets_hold_their_beam_maximum(tmp_path):
+    """A parsed set makes its best field from its values: a synth archive of
+    s5 with an invalid band, its beams renamed 7, 42 and 9000, reads back
+    into sets whose best field is the read-only maximum over their values,
+    bit for bit, and ``stats`` on it prints what it prints on an archive of
+    those maxima alone."""
+    doc = json.loads(resources.files("beamblock").joinpath(
+        "scenarios/s5_patch_landscape_intermediate.json").read_text())
+    doc["invalid_theta_band"] = [60.0, 80.0]
+    scenario = tmp_path / "s5.json"
+    scenario.write_text(json.dumps(doc))
+    assert run_captured(["synth", "--scenario", str(scenario), "--out",
+                         str(tmp_path / "synth")]) == (0, "", "")
+    header, *rows = (tmp_path / "synth" / "scan.csv").read_text().splitlines(
+        keepends=True)
+    ids = {"0": "7", "1": "42", "2": "9000"}
+    renamed, envelope = tmp_path / "renamed.csv", tmp_path / "envelope.csv"
+    renamed.write_text(header + "".join(
+        ",".join(f[:2] + [ids[f[2]]] + f[3:])
+        for f in (row.split(",") for row in rows)))
+    maxima = {}
+    for mode, pset in parse_scan_csv(renamed).modes.items():
+        assert pset.beam_ids == (7, 42, 9000)
+        best = pset.best()
+        assert not best.flags.writeable
+        assert _bits(best) == _bits(pset.values.max(axis=0))
+        maxima[mode] = PatternSet(pset.grid, best[None])
+    assert sorted(maxima) == ["freespace", "phantom", "true_hand"]
+    write_scan_csv(envelope, maxima)
+    stats = [run_captured(["stats", "--scan", str(p)])
+             for p in (renamed, envelope)]
+    assert stats[0][0] == 0 and stats[0] == stats[1]
+
+
 def test_masking_waits_for_a_read(monkeypatch):
-    """A masked set makes its delta field only when its best field or its
-    values are read, once for each."""
+    """Applying a mask makes its delta field once, for the best field; the
+    per-beam values wait for their first read, which makes it once more."""
     made = []
     delta_field = BlockageMask.delta_field
 
@@ -163,16 +198,17 @@ def test_masking_waits_for_a_read(monkeypatch):
     monkeypatch.setattr(BlockageMask, "delta_field", counted)
     scenario = load_bundled("s1_patch_portrait_hard")
     hand = build_patterns(scenario)["true_hand"]
-    assert made == []
+    assert made == [scenario.masks["true_hand"]]
     hand.best()
+    assert made == [scenario.masks["true_hand"]]
     assert len(hand.values) == 3
     assert hand.values is hand.values
     assert made == [scenario.masks["true_hand"]] * 2
 
 
-def test_only_a_huge_delta_masks_at_once():
-    """A mask whose delta could overflow a value makes its best field when
-    it is applied, so an overflow errs there, as the free set's does."""
+def test_every_mask_errs_when_applied():
+    """A mask makes its best field when it is applied, so an overflow errs
+    there, as the free set's does."""
     free = synth_pattern_set(ArrayConfig(n_elements=1,
                                          element_kind="isotropic",
                                          tx_power_dbm=1.79e308),

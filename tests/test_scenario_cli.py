@@ -666,6 +666,9 @@ S1_MALFORMED = [
     (("models", "region"), False, "models"),
     (("models", "region"), "", "models"),
     (("models", "region"), [], "models"),
+    # a taper has one entry per element; an empty one is not "no taper"
+    (("beams", 0, "amplitude_taper"), [], "beams"),
+    (("beams", 0, "amplitude_taper"), [1.0, 1.0, 1.0], "beams"),
 ]
 # A fixed pair takes exactly two items: no item is dropped or made up.
 S1_BAD_PAIRS = [
