@@ -260,7 +260,7 @@ class PatternSet(_ArrayRecord):
     Every set holds its read-only best-beam field from the start. A set
     from ``_deferred`` (synthesis and masking make them) builds ``values``
     on their first read; ``len``, ``grid``, ``beam_ids`` and ``best`` never
-    build them."""
+    build them. Every set pickles as its built values."""
 
     grid: AngularGrid
     values: np.ndarray
@@ -283,19 +283,22 @@ class PatternSet(_ArrayRecord):
     def _deferred(cls, grid: AngularGrid, beam_ids: tuple[int, ...],
                   best: np.ndarray, cube) -> "PatternSet":
         """The set whose best-beam field is ``best`` and whose values are
-        ``cube()``, both cleaned and read-only; ``cube`` runs on the first
-        read of ``values``. ``beam_ids`` must already be valid."""
+        ``cube()``, both cleaned and read-only; ``beam_ids`` must be valid.
+        The first read of ``values`` calls ``cube``, then drops it."""
         pset = cls.__new__(cls)
-        pset._keep(grid=grid, beam_ids=beam_ids, _best=best,
-                   _make_values=cube)
+        pset._keep(grid=grid, beam_ids=beam_ids, _best=best, _cube=cube)
         return pset
 
     def __getattr__(self, name):
         # reached only for what the instance lacks: unbuilt deferred values
-        if name != "values" or "_make_values" not in self.__dict__:
+        if name != "values" or "_cube" not in self.__dict__:
             raise AttributeError(name)
-        self._keep(values=self._make_values())
+        self._keep(values=self._cube())
+        del self.__dict__["_cube"]
         return self.values
+
+    def __reduce__(self):
+        return type(self), (self.grid, self.values, self.beam_ids)
 
     def _set_values(self, v: np.ndarray) -> None:
         if not len(v):
@@ -307,8 +310,7 @@ class PatternSet(_ArrayRecord):
                             "[0, 2**63)")
         best = v.max(axis=0)
         best.setflags(write=False)
-        self._keep(values=v, beam_ids=tuple(map(int, ids)), _best=best,
-                   _make_values=lambda: v)
+        self._keep(values=v, beam_ids=tuple(map(int, ids)), _best=best)
 
     def best(self) -> np.ndarray:
         """The read-only pointwise maximum over the beams."""

@@ -18,8 +18,8 @@ table is element-major, one row of distinct u per element, and the array
 factor sums those rows as whole arrays in the fixed pairwise order of
 ``_sum_rows``, so its bits depend on neither the table's layout nor
 numpy's reduction loop. Analysis reads only best-beam fields, so a pattern
-set takes its best-beam field from that table when it is made; the
-per-beam cube is gathered only when something reads per-beam values.
+set takes its best-beam field from that table when it is made, and holds
+the table only until something reads its per-beam values.
 """
 
 from __future__ import annotations
@@ -176,27 +176,6 @@ def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
     return np.full(np.shape(cos_psi), float(peak))
 
 
-class _Table:
-    """One synthesis's per-beam cube, built on first use from ``af_db``,
-    each beam's array factor at the distinct u values, ``at``, each grid
-    point's index among them, and ``base``, the beam-independent rest of
-    the EIRP; the table is then let go."""
-
-    def __init__(self, grid: AngularGrid, base, at, af_db):
-        self._parts = (grid, base, at, af_db)
-        self._cube = None
-
-    def cube(self) -> np.ndarray:
-        """The cleaned per-beam values."""
-        if self._cube is None:
-            grid, base, at, af_db = self._parts
-            cube = np.take(af_db, at, axis=1)
-            cube += base
-            self._cube = _cleaned(grid, cube, 3, copy=False)
-            self._parts = None
-        return self._cube
-
-
 def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
                       grid: AngularGrid) -> PatternSet:
     """EIRP pattern per codebook beam on ``grid``, floor-clamped."""
@@ -215,8 +194,13 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     # the best-beam field takes the maximum over beams first; it is made at
     # once, so a non-finite value errs here.
     best = _cleaned(grid, base + af_db.max(axis=0)[at], 2, copy=False)
-    return PatternSet._deferred(grid, tuple(range(len(beams))), best,
-                                _Table(grid, base, at, af_db).cube)
+
+    def cube():
+        values = np.take(af_db, at, axis=1)
+        values += base
+        return _cleaned(grid, values, 3, copy=False)
+
+    return PatternSet._deferred(grid, tuple(range(len(beams))), best, cube)
 
 
 @dataclass(frozen=True)
@@ -297,18 +281,17 @@ def apply_blockage_mask(free: PatternSet, mask: BlockageMask) -> PatternSet:
 
     The masked best-beam field, the free one minus the delta field, is made
     at once, so a non-finite value errs here, as the free set's does; the
-    per-beam values are made from the free set's on first read. Neither
-    keeps the delta field, and the masked set does not hold ``free``.
+    per-beam values are made from ``free.values`` on first read. Neither
+    keeps the delta field; the masked set holds ``free`` until then.
     """
     grid = free.grid
-    free_cube = free._make_values
     with np.errstate(over="ignore"):  # +inf is refused, -inf floored
         best = _cleaned(grid, free.best() - mask.delta_field(grid), 2,
                         copy=False)
 
     def cube():
         with np.errstate(over="ignore"):
-            return _cleaned(grid, free_cube() - mask.delta_field(grid), 3,
+            return _cleaned(grid, free.values - mask.delta_field(grid), 3,
                             copy=False)
 
     return PatternSet._deferred(grid, free.beam_ids, best, cube)

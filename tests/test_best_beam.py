@@ -8,6 +8,7 @@ when one of its per-beam values at a valid point is not finite.
 """
 
 import json
+import pickle
 from importlib import resources
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamblock import synth
 from beamblock.errors import DataError
 from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
 from beamblock.lossstats import Study
@@ -204,6 +206,61 @@ def test_masking_waits_for_a_read(monkeypatch):
     assert len(hand.values) == 3
     assert hand.values is hand.values
     assert made == [scenario.masks["true_hand"]] * 2
+
+
+def test_reading_values_cleans_each_cube_once(monkeypatch):
+    """Reading every mode's values, as ``write_scan_csv`` does, cleans one
+    free cube and one per mask, however often they are read; each set then
+    holds its values and no value maker."""
+    cubes = []
+    cleaned = synth._cleaned
+
+    def counted(grid, values, ndim, copy=True):
+        if ndim == 3:
+            cubes.append(values.shape[0])
+        return cleaned(grid, values, ndim, copy)
+
+    monkeypatch.setattr(synth, "_cleaned", counted)
+    modes = build_patterns(load_bundled("s5_patch_landscape_intermediate"))
+    assert cubes == []
+    for _ in range(2):
+        for pset in modes.values():
+            assert pset.values.shape[0] == 3
+    assert cubes == [3, 3, 3]
+    for pset in modes.values():
+        assert not any(callable(v) for v in vars(pset).values())
+
+
+def _form(kind, tmp_path):
+    """A set of one form: built, parsed from a synth archive, synthesized or
+    masked, the last two with their values not yet read."""
+    grid = make_grid(30.0, 15.0, 165.0)
+    if kind == "built":
+        return PatternSet(grid, np.linspace(-80.0, 10.0, 144).reshape(
+            2, 6, 12), beam_ids=(4, 9))
+    if kind == "parsed":
+        modes = build_patterns(load_bundled("s1_patch_portrait_hard"))
+        write_scan_csv(tmp_path / "scan.csv", modes)
+        return parse_scan_csv(tmp_path / "scan.csv").modes["true_hand"]
+    free = synth_pattern_set(ArrayConfig(), [BeamSpec(-30.0), BeamSpec(20.0)],
+                             grid)
+    mask = BlockageMask((MaskRegion(150.0, 210.0, 45.0, 120.0, 12.0, 15.0),))
+    return free if kind == "synthesized" else apply_blockage_mask(free, mask)
+
+
+@pytest.mark.parametrize("kind", ["built", "parsed", "synthesized", "masked"])
+def test_every_form_pickles_as_its_values(kind, tmp_path):
+    """A set pickles as its built values, and reads back as an equal set
+    whose values and best field are read-only."""
+    pset = _form(kind, tmp_path)
+    best = pset.best()
+    back = pickle.loads(pickle.dumps(pset))
+    assert type(back) is PatternSet and back == pset
+    assert back.beam_ids == pset.beam_ids
+    assert _bits(back.values) == _bits(pset.values)
+    assert _bits(back.best()) == _bits(best)
+    assert not back.values.flags.writeable
+    assert not back.best().flags.writeable
 
 
 def test_every_mask_errs_when_applied():

@@ -350,3 +350,37 @@ def test_checker_sees_empty_region_texts():
               '    raise DataError(f"selection {w} contains no weighted '
               'valid points")\n')
     assert _empty_region_texts(source) == ["line 2", "line 5", "line 6"]
+
+
+# One owner of each object's private state: outside grid.py, whose
+# ``PatternSet`` builds its values on first read, code reads private
+# attributes only of ``self`` or ``cls``.
+def _private_reads(source: str) -> list[str]:
+    """Reads of an underscore attribute, dunders aside, through a lowercase
+    name other than ``self`` or ``cls``. A class's private constructor, read
+    through the class name (``PatternSet._adopt``), stays allowed."""
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and isinstance(node.value, ast.Name) and node.value.id.islower()
+            and node.value.id not in ("self", "cls")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_no_private_reads_of_other_objects(path):
+    assert _private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_private_reads():
+    source = ("def mask(free, cls_name):\n"
+              "    cube = free._make_values\n"
+              "    pset = PatternSet._adopt(free.grid, cube())\n"
+              "    object.__setattr__(pset, 'x', free.__dict__)\n"
+              "    return self._keep(x=cls._adopt, y=np._core,\n"
+              "                      z=pset._best)\n")
+    assert _private_reads(source) == [
+        "line 2: free._make_values", "line 5: np._core", "line 6: pset._best"]
