@@ -38,6 +38,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def _out_path(text: str) -> str:
+    """argparse type of every --out: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _parse_percentiles(text: str) -> tuple[float, ...]:
     try:
         items = tuple(float(x) for x in text.split(",") if x.strip())
@@ -178,6 +185,10 @@ def _add_input_args(p) -> None:
                    help="scenario JSON path or bundled scenario name")
 
 
+def _add_out(p, what: str, required: bool = False) -> None:
+    p.add_argument("--out", type=_out_path, required=required, help=what)
+
+
 _DELTA_HELP = {
     "delta1": "dB below the free-space peak (R1)",
     "delta2": "dB below the blocked peak (R2)",
@@ -208,18 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthesize a scenario to scan CSV + metadata")
     p.add_argument("--scenario", required=True,
                    help="scenario JSON path or bundled scenario name")
-    p.add_argument("--out", required=True, help="output directory")
+    _add_out(p, "output directory", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("overlay", help="best-beam overlay heatmap SVG")
     _add_input_args(p)
     p.add_argument("--mode", default="freespace", choices=MODES)
-    p.add_argument("--out", required=True, help="output SVG path")
+    _add_out(p, "output SVG path", required=True)
     p.set_defaults(func=_cmd_overlay)
 
     p = sub.add_parser("cdf", help="coverage CDF curves and percentiles")
     _add_input_args(p)
-    p.add_argument("--out", help="output SVG path")
+    _add_out(p, "output SVG path")
     p.add_argument("--threshold", type=finite_float,
                    help="print coverage above this EIRP (dBm)")
     p.add_argument("--percentiles",
@@ -231,28 +242,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roi-kind", default="r5", choices=[
         kind for kind in ROI_LAWS if kind != "r1_matched"])
     _add_deltas(p, DELTA_DEFAULTS)
-    p.add_argument("--out",
-                   help="output directory for mask CSV + coverage JSON "
-                        "(default: JSON to stdout)")
+    _add_out(p, "output directory for mask CSV + coverage JSON "
+                "(default: JSON to stdout)")
     p.set_defaults(func=_cmd_roi)
 
     p = sub.add_parser("stats", help="blockage-loss statistics and fit")
     _add_input_args(p)
     _add_deltas(p, ["delta5"])
-    p.add_argument("--out", help="output JSON path (default stdout)")
+    _add_out(p, "output JSON path (default stdout)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("compare", help="score blockage models vs measurement")
     _add_input_args(p)
     _add_deltas(p, ["delta5"])
     p.add_argument("--models", help="comma list of model presets")
-    p.add_argument("--out", help="output JSON path (default stdout)")
+    _add_out(p, "output JSON path (default stdout)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="write the full study report bundle")
     p.add_argument("--scenario", required=True,
                    help="scenario JSON path or bundled scenario name")
-    p.add_argument("--out", required=True, help="output directory")
+    _add_out(p, "output directory", required=True)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("scenarios", help="list bundled scenarios")

@@ -258,7 +258,7 @@ class PatternSet(_ArrayRecord):
     to NaN and -0.0 to 0.0.
 
     Every set holds its read-only best-beam field from the start. A set
-    from ``_deferred`` (synthesis and masking make them) builds ``values``
+    from ``_deferred`` (synthesis, masking and parsing) builds ``values``
     on their first read; ``len``, ``grid``, ``beam_ids`` and ``best`` never
     build them. Every set pickles as its built values."""
 
@@ -267,40 +267,7 @@ class PatternSet(_ArrayRecord):
     beam_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        self._set_values(_cleaned(self.grid, self.values, 3))
-
-    @classmethod
-    def _adopt(cls, grid: AngularGrid, values: np.ndarray,
-               beam_ids=None) -> "PatternSet":
-        """The set of ``values``, a fresh float array that its caller
-        holds no other use for: cleaned in place, not copied."""
-        pset = cls.__new__(cls)
-        pset._keep(grid=grid, beam_ids=beam_ids)
-        pset._set_values(_cleaned(grid, values, 3, copy=False))
-        return pset
-
-    @classmethod
-    def _deferred(cls, grid: AngularGrid, beam_ids: tuple[int, ...],
-                  best: np.ndarray, cube) -> "PatternSet":
-        """The set whose best-beam field is ``best`` and whose values are
-        ``cube()``, both cleaned and read-only; ``beam_ids`` must be valid.
-        The first read of ``values`` calls ``cube``, then drops it."""
-        pset = cls.__new__(cls)
-        pset._keep(grid=grid, beam_ids=beam_ids, _best=best, _cube=cube)
-        return pset
-
-    def __getattr__(self, name):
-        # reached only for what the instance lacks: unbuilt deferred values
-        if name != "values" or "_cube" not in self.__dict__:
-            raise AttributeError(name)
-        self._keep(values=self._cube())
-        del self.__dict__["_cube"]
-        return self.values
-
-    def __reduce__(self):
-        return type(self), (self.grid, self.values, self.beam_ids)
-
-    def _set_values(self, v: np.ndarray) -> None:
+        v = _cleaned(self.grid, self.values, 3)
         if not len(v):
             raise ConfigError("a pattern set needs at least one beam")
         ids = tuple(range(len(v)) if self.beam_ids is None else self.beam_ids)
@@ -311,6 +278,29 @@ class PatternSet(_ArrayRecord):
         best = v.max(axis=0)
         best.setflags(write=False)
         self._keep(values=v, beam_ids=tuple(map(int, ids)), _best=best)
+
+    @classmethod
+    def _deferred(cls, grid: AngularGrid, beam_ids: tuple[int, ...],
+                  best: np.ndarray, cube) -> "PatternSet":
+        """The set of best-beam field ``best`` and values ``cube()``, both
+        fresh writable arrays cleaned in place (pass ``free.best() - d``,
+        never ``free.best()``): ``best`` now, the cube on the first read of
+        ``values``, which then drops ``cube``. ``beam_ids`` must be valid."""
+        pset = cls.__new__(cls)
+        pset._keep(grid=grid, beam_ids=beam_ids,
+                   _best=_cleaned(grid, best, 2, copy=False), _cube=cube)
+        return pset
+
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: unbuilt deferred values
+        if name != "values" or "_cube" not in self.__dict__:
+            raise AttributeError(name)
+        self._keep(values=_cleaned(self.grid, self._cube(), 3, copy=False))
+        del self.__dict__["_cube"]
+        return self.values
+
+    def __reduce__(self):
+        return type(self), (self.grid, self.values, self.beam_ids)
 
     def best(self) -> np.ndarray:
         """The read-only pointwise maximum over the beams."""

@@ -207,11 +207,11 @@ def parse_scan_csv(path) -> ScanData:
     text. A batch that is refused is bisected, and the rows before its
     first refused line are checked first. An error cites the physical line
     of the first faulty row, blank lines counted, found by one more
-    streaming pass.
-    A UTF-8 byte-order mark before the header is skipped. Keys are computed
-    one block of rows at a time, whatever the row order. Each mode present
-    becomes one PatternSet, its beams in ascending id order; each axis holds,
-    per 9-decimal angle key, the angle the first row with that key wrote.
+    streaming pass. A UTF-8 byte-order mark before the header is skipped.
+    Keys are computed one block of rows at a time, whatever the row order;
+    each axis holds, per 9-decimal angle key, the angle the first row with
+    that key wrote. Each mode present becomes one PatternSet (beams in
+    ascending id order): best field at once, cleaned values on first read.
     """
     rows, n_lines = _read_rows(path)
     phi, theta, beam, mode, value = (rows[f] for f in _ROW.names)
@@ -299,9 +299,10 @@ def parse_scan_csv(path) -> ScanData:
     # series are mode-major: one slice of the cube per mode
     parts = np.flatnonzero(np.diff(series // len(beams))) + 1
     return ScanData(modes={
-        MODES[s[0] // len(beams)]: PatternSet._adopt(
-            grid, values, beams[s % len(beams)].tolist())
-        for s, values in zip(np.split(series, parts), np.split(cube, parts))})
+        MODES[s[0] // len(beams)]: PatternSet._deferred(
+            grid, tuple(beams[s % len(beams)].tolist()), v.max(axis=0),
+            lambda v=v: v)
+        for s, v in zip(np.split(series, parts), np.split(cube, parts))})
 
 
 def _bytes(texts, width: int = 0) -> np.ndarray:

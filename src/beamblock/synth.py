@@ -17,9 +17,9 @@ distinct u of the lattice and gathers it back onto the grid. Its phasor
 table is element-major, one row of distinct u per element, and the array
 factor sums those rows as whole arrays in the fixed pairwise order of
 ``_sum_rows``, so its bits depend on neither the table's layout nor
-numpy's reduction loop. Analysis reads only best-beam fields, so a pattern
-set takes its best-beam field from that table when it is made, and holds
-the table only until something reads its per-beam values.
+numpy's reduction loop. Analysis reads only best-beam fields: a set takes
+its raw best-beam field from that table when made, and holds the table
+until its per-beam values are read; the set, not synthesis, cleans both.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import AngularGrid, PatternSet, _cleaned
+from .grid import AngularGrid, PatternSet
 
 # Patch element power-rolloff exponent; q = 1 gives the ~90 deg element
 # half-power beamwidth the synthetic codebooks are calibrated around.
@@ -52,8 +52,8 @@ class ArrayConfig:
     boresight_phi: float = 180.0
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise ConfigError("n_elements must be >= 1")
+        if not 1 <= self.n_elements <= 1 << 16:
+            raise ConfigError("bad array: n_elements must lie in [1, 65536]")
         if not self.spacing > 0:
             raise ConfigError("spacing must be positive (wavelengths)")
         # steering phases reach 360 * spacing * (n_elements - 1) degrees
@@ -191,14 +191,14 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     af_db = np.array([_array_factor_db(steering_weights(config, beam), phasors)
                       for beam in beams])
     # Adding the base and the FLOOR_DB clamp are monotone, even rounded, so
-    # the best-beam field takes the maximum over beams first; it is made at
-    # once, so a non-finite value errs here.
-    best = _cleaned(grid, base + af_db.max(axis=0)[at], 2, copy=False)
+    # the best-beam field takes the maximum over beams first; the set cleans
+    # it at once, so a non-finite value errs here.
+    best = base + af_db.max(axis=0)[at]
 
     def cube():
         values = np.take(af_db, at, axis=1)
         values += base
-        return _cleaned(grid, values, 3, copy=False)
+        return values
 
     return PatternSet._deferred(grid, tuple(range(len(beams))), best, cube)
 
@@ -286,12 +286,10 @@ def apply_blockage_mask(free: PatternSet, mask: BlockageMask) -> PatternSet:
     """
     grid = free.grid
     with np.errstate(over="ignore"):  # +inf is refused, -inf floored
-        best = _cleaned(grid, free.best() - mask.delta_field(grid), 2,
-                        copy=False)
+        best = free.best() - mask.delta_field(grid)
 
     def cube():
         with np.errstate(over="ignore"):
-            return _cleaned(grid, free.values - mask.delta_field(grid), 3,
-                            copy=False)
+            return free.values - mask.delta_field(grid)
 
     return PatternSet._deferred(grid, free.beam_ids, best, cube)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamblock import synth
+from beamblock import grid as grid_mod
 from beamblock.errors import DataError
 from beamblock.grid import Pattern, PatternSet, make_grid, with_invalid_band
 from beamblock.lossstats import Study
@@ -208,27 +208,58 @@ def test_masking_waits_for_a_read(monkeypatch):
     assert made == [scenario.masks["true_hand"]] * 2
 
 
-def test_reading_values_cleans_each_cube_once(monkeypatch):
-    """Reading every mode's values, as ``write_scan_csv`` does, cleans one
-    free cube and one per mask, however often they are read; each set then
-    holds its values and no value maker."""
+def _count_cubes(monkeypatch) -> list:
+    """The beam count of each 3-D cube that ``grid._cleaned`` cleans from
+    now on."""
     cubes = []
-    cleaned = synth._cleaned
+    cleaned = grid_mod._cleaned
 
     def counted(grid, values, ndim, copy=True):
         if ndim == 3:
             cubes.append(values.shape[0])
         return cleaned(grid, values, ndim, copy)
 
-    monkeypatch.setattr(synth, "_cleaned", counted)
-    modes = build_patterns(load_bundled("s5_patch_landscape_intermediate"))
-    assert cubes == []
+    monkeypatch.setattr(grid_mod, "_cleaned", counted)
+    return cubes
+
+
+def _read_twice(modes) -> None:
     for _ in range(2):
         for pset in modes.values():
             assert pset.values.shape[0] == 3
-    assert cubes == [3, 3, 3]
     for pset in modes.values():
         assert not any(callable(v) for v in vars(pset).values())
+
+
+def test_reading_values_cleans_each_cube_once(monkeypatch):
+    """Reading every mode's values, as ``write_scan_csv`` does, cleans one
+    free cube and one per mask, however often they are read; each set then
+    holds its values and no value maker."""
+    cubes = _count_cubes(monkeypatch)
+    modes = build_patterns(load_bundled("s5_patch_landscape_intermediate"))
+    assert cubes == []
+    _read_twice(modes)
+    assert cubes == [3, 3, 3]
+
+
+def test_parsing_cleans_a_cube_only_when_read(monkeypatch, tmp_path):
+    """Parsing s5's synth archive and analysing it, as every ``--scan``
+    command does, cleans no cube; reading every mode's values twice then
+    cleans one per mode."""
+    assert run_captured(["synth", "--scenario",
+                         "s5_patch_landscape_intermediate", "--out",
+                         str(tmp_path)]) == (0, "", "")
+    cubes = _count_cubes(monkeypatch)
+    scan = ["--scan", str(tmp_path / "scan.csv")]
+    for argv in (["stats"], ["compare"], ["cdf", "--percentiles", "5,50"],
+                 *(["roi", "--roi-kind", f"r{k}"] for k in range(1, 6))):
+        assert run_captured(argv + scan)[0] == 0
+    modes = parse_scan_csv(tmp_path / "scan.csv").modes
+    study = Study(modes)
+    study.hand_stats(-35.0, study.weights)
+    assert cubes == []
+    _read_twice(modes)
+    assert cubes == [3, 3, 3]
 
 
 def _form(kind, tmp_path):

@@ -300,8 +300,8 @@ class TestPatternSet:
             assert not pattern.values.flags.writeable
 
     def test_caller_array_stays_writable_and_unchanged(self):
-        # C-ordered floats, which the producers' private _adopt cleans in
-        # place: the public constructor still copies them
+        # C-ordered floats, which the producers' private _deferred cleans
+        # in place: the public constructor still copies them
         grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)
         values = np.full((2, 2, 4), -300.0)
         values[1, 1, 2] = 7.0
@@ -310,8 +310,10 @@ class TestPatternSet:
         assert values.flags.writeable
         assert not np.shares_memory(values, pset.values)
         np.testing.assert_array_equal(values, before)
-        adopted = PatternSet._adopt(grid, values, (4, 1))
-        assert adopted == pset and np.shares_memory(values, adopted.values)
+        deferred = PatternSet._deferred(grid, (4, 1), values.max(axis=0),
+                                        lambda: values)
+        assert deferred == pset and np.shares_memory(values, deferred.values)
+        np.testing.assert_array_equal(values, pset.values)  # cleaned in place
 
     def test_equality_and_hash(self):
         grid = with_invalid_band(make_grid(90.0, 45.0, 135.0), 45.0, 45.0)

@@ -358,7 +358,7 @@ def test_checker_sees_empty_region_texts():
 def _private_reads(source: str) -> list[str]:
     """Reads of an underscore attribute, dunders aside, through a lowercase
     name other than ``self`` or ``cls``. A class's private constructor, read
-    through the class name (``PatternSet._adopt``), stays allowed."""
+    through the class name (``PatternSet._deferred``), stays allowed."""
     return [f"line {node.lineno}: {ast.unparse(node)}"
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute)
@@ -378,9 +378,39 @@ def test_no_private_reads_of_other_objects(path):
 def test_checker_sees_private_reads():
     source = ("def mask(free, cls_name):\n"
               "    cube = free._make_values\n"
-              "    pset = PatternSet._adopt(free.grid, cube())\n"
+              "    pset = PatternSet._deferred(free.grid, cube())\n"
               "    object.__setattr__(pset, 'x', free.__dict__)\n"
               "    return self._keep(x=cls._adopt, y=np._core,\n"
               "                      z=pset._best)\n")
     assert _private_reads(source) == [
         "line 2: free._make_values", "line 5: np._core", "line 6: pset._best"]
+
+
+# One cleaning rule: grid.py's ``_cleaned`` sets NaN at invalid points,
+# clamps to the floor and refuses a non-finite valid point, and only the
+# constructors there call it.
+def _cleaner_names(source: str) -> list[str]:
+    """Lines that name ``_cleaned``: as an import, a name or an attribute."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if "_cleaned" in (getattr(node, "id", None),
+                          getattr(node, "attr", None),
+                          getattr(node, "name", None)))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_only_grid_cleans_a_field(path):
+    assert _cleaner_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_cleaner_names():
+    source = ("from .grid import PatternSet, _cleaned\n"
+              "from . import grid\n\n"
+              "def make(g, v):\n"
+              "    best = _cleaned(g, v.max(axis=0), 2)\n"
+              "    clean = grid._cleaned\n"
+              "    return PatternSet._deferred(g, (0,), best, lambda: v)\n\n"
+              "def _cleaned_copy(v):\n"
+              "    return v.copy()  # _cleaned in a comment is fine\n")
+    assert _cleaner_names(source) == ["line 1", "line 5", "line 6"]

@@ -626,6 +626,8 @@ S1_MALFORMED = [
     (("array",), [1], "array"),
     (("array", "n_elements"), "four", "array"),
     (("array", "n_elements"), math.inf, "array"),
+    (("array", "n_elements"), 1e300, "array"),
+    (("array", "n_elements"), 65537, "array"),
     (("invalid_theta_band",), 5, "invalid_theta_band"),
     (("thresholds_dbm",), ["x"], "thresholds_dbm"),
     (("beams",), [0.0], "beams"),
@@ -910,6 +912,29 @@ def test_non_finite_flag_is_usage_error(tmp_path, command, flag, value):
     assert not out.exists()
 
 
+def _tree(root) -> dict:
+    """Every path under ``root``, with a file's bytes or None for a folder."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", ["synth", "overlay", "cdf", "roi",
+                                     "stats", "compare", "report"])
+def test_empty_out_is_usage_error(tmp_path, monkeypatch, command):
+    """An empty --out names no file: it is refused before any work, and the
+    working directory, which ``Path("")`` would name, is left as it was."""
+    for name in ("overlay_phantom.svg", "scan.csv", "summary.json"):
+        (tmp_path / name).write_text("a user's file\n")
+    (tmp_path / "roi").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    code, stdout, err = _run([command, "--scenario", "s1_patch_portrait_hard",
+                              "--out="])
+    assert code == 2 and stdout == ""
+    assert "error: argument --out: must not be empty" in err
+    assert _tree(tmp_path) == before
+
+
 # roi's region and baseline per --roi-kind, by direct law calls on the
 # free and blocked overlays and the deltas d (d1 to d5).
 ROI_BY_KIND = {
@@ -1125,6 +1150,70 @@ def test_fuzz_report_on_mutated_scenario(doc):
             assert not out.exists()
         for svg in out.glob("*.svg"):
             ET.parse(svg)
+
+
+# Every other command on the same mutated scenarios: its arguments, with
+# {out} for a path in the run's temporary directory.
+_FUZZ_COMMANDS = {
+    "cdf": ["cdf", "--threshold", "-40", "--percentiles", "50,20", "--out",
+            "{out}.svg"],
+    "overlay": ["overlay", "--mode", "true_hand", "--out", "{out}.svg"],
+    **{f"roi-r{k}": ["roi", "--roi-kind", f"r{k}", "--out", "{out}"]
+       for k in range(1, 6)},
+    "compare": ["compare"],
+    "compare-models": ["compare", "--models", "prior-hand-15.3,3gpp-flat-30"],
+    "synth": ["synth", "--out", "{out}"],
+}
+
+
+def _with_model_region(doc):
+    """``doc`` with the hand box as its model region, where its models
+    block is an object without one, so that '3gpp-flat-30' can apply."""
+    models = doc.get("models") if isinstance(doc, dict) else None
+    if isinstance(models, dict) and "region" not in models:
+        doc = _replaced(doc, ("models", "region"),
+                        {"phi": [150.0, 210.0], "theta": [60.0, 150.0]})
+    return doc
+
+
+def _check_fuzz_output(command, out, stdout, scenario):
+    """What a command that exited 0 wrote is well formed; only ``cdf`` and
+    ``compare`` print."""
+    if command == "compare":
+        strict_json(stdout)
+    elif command != "cdf":
+        assert stdout == ""
+    if command in ("cdf", "overlay"):
+        ET.parse(f"{out}.svg")
+    elif command == "roi":
+        strict_json((out / "roi.json").read_text())
+        with open(out / "roi_mask.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + load_scenario(scenario).grid.valid.size
+    elif command == "synth":
+        strict_json((out / "scan_meta.json").read_text())
+        parse_scan_csv(out / "scan.csv")
+
+
+@pytest.mark.parametrize("case", list(_FUZZ_COMMANDS))
+@settings(max_examples=200, derandomize=True, deadline=None)
+@_with_examples
+@given(_mutated_minimal())
+def test_fuzz_command_on_mutated_scenario(case, doc):
+    """Every other command keeps the contract on the scenarios the ``stats``
+    fuzzer draws: exit 0, 1 or 2, one ``error:`` line on failure, and a
+    well-formed output on success."""
+    if case == "compare-models":
+        doc = _with_model_region(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "fuzz.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        command, *flags = (arg.replace("{out}", str(out))
+                           for arg in _FUZZ_COMMANDS[case])
+        code, stdout, err = _run([command, "--scenario", str(path), *flags])
+        _check_exit(code, err)
+        if code == 0:
+            _check_fuzz_output(command, out, stdout, path)
 
 
 def _beamblock(*args):
