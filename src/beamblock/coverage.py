@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import Pattern, PatternSet, WeightField, _ArrayRecord
+from .grid import Pattern, PatternSet, WeightField, _ArrayRecord, _one_grid
 
 PERCENTILE_CONVENTION = ("top-p: percentile_value(cdf, p) is the largest "
                          "sample value v with weighted mass(value >= v) "
@@ -63,9 +63,7 @@ def region_sample(pattern: Pattern, weights: WeightField,
                   region=None) -> tuple[np.ndarray, np.ndarray]:
     """Values and weights of ``pattern`` at the valid points of ``region``, a
     RoIMask (the whole grid if None), in grid order."""
-    if pattern.grid != weights.grid or (region is not None
-                                        and region.grid != pattern.grid):
-        raise DataError("pattern, region and weights must share one grid")
+    _one_grid("pattern, region and weights", pattern, region, weights)
     sel = pattern.grid.valid if region is None else region.mask
     v = pattern.values[sel]
     w = weights.weights[sel]
@@ -96,8 +94,7 @@ def weighted_cdf(pattern: Pattern, weights: WeightField,
 def coverage_above(pattern: Pattern, weights: WeightField,
                    threshold: float) -> float:
     """Percent of the valid sphere with value >= threshold (non-strict)."""
-    if pattern.grid != weights.grid:
-        raise DataError("pattern and weights must share one grid")
+    _one_grid("pattern and weights", pattern, weights)
     # invalid points hold NaN, which compares False
     return 100.0 * float(weights.weights[pattern.values >= threshold].sum())
 

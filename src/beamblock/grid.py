@@ -199,13 +199,20 @@ def uniform_weights(grid: AngularGrid) -> WeightField:
     return WeightField(grid=grid, weights=w / w.sum())
 
 
-def _cleaned(grid: AngularGrid, values, ndim: int,
-             copy: bool = True) -> np.ndarray:
-    """A read-only float copy of ``values``, a field on ``grid`` (ndim 2)
-    or a stack of them (ndim 3), NaN at invalid points and clamped up to
-    ``FLOOR_DB``; DataError if a valid point is not finite. Without
-    ``copy``, a C-ordered float ``values`` is cleaned in place."""
-    v = (np.array if copy else np.asarray)(values, dtype=float, order="C")
+def _one_grid(what: str, first, *rest) -> AngularGrid:
+    """The grid of ``first``, which every record of ``rest`` but None must
+    share; DataError naming ``what`` if one does not."""
+    if any(r is not None and r.grid != first.grid for r in rest):
+        raise DataError(f"{what} must share one grid")
+    return first.grid
+
+
+def _cleaned(grid: AngularGrid, values, ndim: int) -> np.ndarray:
+    """``values``, a fresh C-ordered float field on ``grid`` (ndim 2) or a
+    stack of them (ndim 3), cleaned in place and made read-only: NaN at
+    invalid points and clamped up to ``FLOOR_DB``; DataError if a valid
+    point is not finite."""
+    v = np.asarray(values, dtype=float, order="C")
     if v.ndim != ndim or v.shape[-2:] != grid.shape:
         raise ConfigError("values shape must match the grid")
     v[..., ~grid.valid] = np.nan
@@ -237,12 +244,12 @@ class Pattern(_ArrayRecord):
     @classmethod
     def from_values(cls, grid: AngularGrid, values: np.ndarray) -> "Pattern":
         """Clamp to the floor, blank invalid points, and wrap a copy."""
-        return cls(grid=grid, values=_cleaned(grid, values, 2))
+        return cls._adopt(grid, np.array(values, float, order="C"))
 
     @classmethod
     def _adopt(cls, grid: AngularGrid, values: np.ndarray) -> "Pattern":
         """``from_values`` of a fresh float array, cleaned in place."""
-        return cls(grid=grid, values=_cleaned(grid, values, 2, copy=False))
+        return cls(grid=grid, values=_cleaned(grid, values, 2))
 
     def max_value(self) -> float:
         return float(np.nanmax(self.values[self.grid.valid]))
@@ -267,7 +274,7 @@ class PatternSet(_ArrayRecord):
     beam_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        v = _cleaned(self.grid, self.values, 3)
+        v = _cleaned(self.grid, np.array(self.values, float, order="C"), 3)
         if not len(v):
             raise ConfigError("a pattern set needs at least one beam")
         ids = tuple(range(len(v)) if self.beam_ids is None else self.beam_ids)
@@ -288,14 +295,14 @@ class PatternSet(_ArrayRecord):
         ``values``, which then drops ``cube``. ``beam_ids`` must be valid."""
         pset = cls.__new__(cls)
         pset._keep(grid=grid, beam_ids=beam_ids,
-                   _best=_cleaned(grid, best, 2, copy=False), _cube=cube)
+                   _best=_cleaned(grid, best, 2), _cube=cube)
         return pset
 
     def __getattr__(self, name):
         # reached only for what the instance lacks: unbuilt deferred values
         if name != "values" or "_cube" not in self.__dict__:
             raise AttributeError(name)
-        self._keep(values=_cleaned(self.grid, self._cube(), 3, copy=False))
+        self._keep(values=_cleaned(self.grid, self._cube(), 3))
         del self.__dict__["_cube"]
         return self.values
 

@@ -17,10 +17,9 @@ from .coverage import (WeightedCDF, coverage_above, lost_percentages,
                        overlay_best_beam, percentile_value, region_sample,
                        weighted_cdf)
 from .errors import DataError
-from .grid import Pattern, WeightField, solid_angle_weights
+from .grid import Pattern, WeightField, _one_grid, solid_angle_weights
 from .models import compare_models, comparison_dict
-from .roi import (DELTA_DEFAULTS, ROI_LAWS, RoIMask, _check_pair,
-                  roi_improvement)
+from .roi import DELTA_DEFAULTS, ROI_LAWS, RoIMask, roi_improvement
 from .scanio import MODES
 
 
@@ -46,7 +45,8 @@ class Study:
             raise DataError(f"input provides none of {', '.join(MODES)}")
         self.overlays = {mode: overlay_best_beam(pset)
                          for mode, pset in modes.items()}
-        self.weights = solid_angle_weights(next(iter(modes.values())).grid)
+        self.weights = solid_angle_weights(_one_grid("all modes",
+                                                     *modes.values()))
         self._made = {}
 
     def _once(self, key: tuple, make):
@@ -100,8 +100,8 @@ class Study:
 
 def loss_field(free: Pattern, blocked: Pattern) -> Pattern:
     """Pointwise free minus blocked, in dB."""
-    _check_pair(free, blocked)
-    return Pattern._adopt(free.grid, free.values - blocked.values)
+    grid = _one_grid("free and blocked patterns", free, blocked)
+    return Pattern._adopt(grid, free.values - blocked.values)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coverage import WeightedCDF, percentile_value, weighted_cdf
 from .errors import ConfigError, DataError
-from .grid import Pattern, WeightField
+from .grid import AngularGrid, Pattern, WeightField
 from .roi import RoIMask
 from .synth import BlockageMask, MaskRegion
 
@@ -71,16 +71,18 @@ def model_preset(name: str, region: MaskRegion | None = None) -> BlockageModel:
     return constant_loss(loss)
 
 
+def _on_grid(r: MaskRegion, grid: AngularGrid) -> bool:
+    """Whether a model region's theta span lies on ``grid``'s theta axis."""
+    return grid.theta[0] <= r.theta_lo and r.theta_hi <= grid.theta[-1]
+
+
 def apply_model(free: Pattern, model: BlockageModel) -> Pattern:
     """Predicted blocked pattern: ``free`` minus the model's dB delta."""
-    grid = free.grid
-    if model.region is None:
-        delta = model.loss_db
-    else:
-        r = model.region
-        if not (grid.theta[0] <= r.theta_lo and r.theta_hi <= grid.theta[-1]):
-            raise DataError("model region lies outside the grid")
-        delta = BlockageMask(regions=(r,)).delta_field(grid)
+    grid, r = free.grid, model.region
+    if r is not None and not _on_grid(r, grid):
+        raise DataError("model region lies outside the grid")
+    delta = (model.loss_db if r is None
+             else BlockageMask(regions=(r,)).delta_field(grid))
     return Pattern._adopt(grid, free.values - delta)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import (AngularGrid, Pattern, WeightField, _ArrayRecord,
-                   point_prefixes)
+                   _one_grid, point_prefixes)
 from .scanio import write_text
 
 
@@ -44,14 +44,8 @@ class RoIMask(_ArrayRecord):
 
     def coverage(self, weights: WeightField) -> float:
         """The region's share of the valid sphere, in percent."""
-        if weights.grid != self.grid:
-            raise DataError("region and weights must share one grid")
+        _one_grid("region and weights", self, weights)
         return 100.0 * float(weights.weights[self.mask].sum())
-
-
-def _check_pair(free: Pattern, blocked: Pattern) -> None:
-    if free.grid != blocked.grid:
-        raise DataError("free and blocked patterns must share one grid")
 
 
 def _check_delta(value: float, name: str) -> None:
@@ -71,7 +65,7 @@ def roi_r1(free: Pattern, delta1: float) -> RoIMask:
 def _r1_plus(kind: str, free: Pattern, blocked: Pattern, delta1: float,
              blocked_thr: float, params: dict) -> RoIMask:
     """R1, extended by blocked points at or above ``blocked_thr``."""
-    _check_pair(free, blocked)
+    _one_grid("free and blocked patterns", free, blocked)
     mask = roi_r1(free, delta1).mask | (blocked.values >= blocked_thr)
     return RoIMask(grid=free.grid, mask=mask, kind=kind,
                    params={"delta1": delta1, **params})
@@ -103,7 +97,7 @@ def roi_r4(free: Pattern, blocked: Pattern, delta1: float,
 
 def roi_r5(free: Pattern, blocked: Pattern, delta5: float) -> RoIMask:
     """Points where either overlay clears an absolute EIRP floor."""
-    _check_pair(free, blocked)
+    _one_grid("free and blocked patterns", free, blocked)
     mask = (free.values >= delta5) | (blocked.values >= delta5)
     return RoIMask(grid=free.grid, mask=mask, kind="R5",
                    params={"delta5": delta5})

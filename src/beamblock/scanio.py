@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import AngularGrid, PatternSet, point_prefixes
+from .grid import AngularGrid, PatternSet, _one_grid, point_prefixes
 
 MODES = ("freespace", "phantom", "true_hand")
 
@@ -356,9 +356,7 @@ def write_scan_csv(path, modes) -> None:
         raise DataError(f"unknown mode {min(set(modes) - set(MODES))!r}")
     if not modes:
         raise DataError("no mode to write")
-    grid = next(iter(modes.values())).grid
-    if any(pset.grid != grid for pset in modes.values()):
-        raise DataError("all modes must share one grid")
+    grid = _one_grid("all modes", *modes.values())
     # Every cube first: one built between the per-beam text buffers left
     # the heap about 1 MB higher on a 2-degree, 4-beam report.
     sets = [(mode, pset.beam_ids, pset.values)

@@ -17,7 +17,7 @@ from importlib import resources
 
 from .errors import ConfigError
 from .grid import AngularGrid, make_grid, with_invalid_band
-from .models import model_preset
+from .models import _on_grid, model_preset
 from .synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
                     apply_blockage_mask, synth_pattern_set)
 
@@ -93,10 +93,11 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _region_from_dict(d: dict, delta_required: bool) -> MaskRegion:
-    _object(d, ("phi", "theta", "delta_db", "edge_taper_deg"))
+def _region_from_dict(d: dict, mask: bool) -> MaskRegion:
+    """A mask region, or a model region, whose preset sets its delta_db."""
+    _object(d, ("phi", "theta", "edge_taper_deg") + ("delta_db",) * mask)
     phi, theta = _list(d["phi"], 2), _list(d["theta"], 2)
-    delta = d["delta_db"] if delta_required else d.get("delta_db", 0.0)
+    delta = d["delta_db"] if mask else 0.0
     return MaskRegion(phi_lo=_number(phi[0]), phi_hi=_number(phi[1]),
                       theta_lo=_number(theta[0]), theta_hi=_number(theta[1]),
                       delta_db=_number(delta),
@@ -172,13 +173,15 @@ def scenario_from_dict(d: dict) -> Scenario:
             if mode not in ("true_hand", "phantom"):
                 raise ValueError(f"unknown mask mode {mode!r}")
             masks[mode] = BlockageMask(regions=tuple(
-                _region_from_dict(r, delta_required=True)
+                _region_from_dict(r, mask=True)
                 for r in _list(regions)))
 
         block = "models"
         m = _object(d["models"], ("names", "region"))
-        region = (_region_from_dict(m["region"], delta_required=False)
+        region = (_region_from_dict(m["region"], mask=False)
                   if m.get("region") is not None else None)
+        if region is not None and not _on_grid(region, grid):
+            raise ValueError("region lies outside the grid")
         models = {}
         for name in map(str, _list(m["names"])):
             if name in models:

@@ -246,8 +246,6 @@ def _region_membership(region: MaskRegion, grid: AngularGrid) -> np.ndarray:
     # phi interval may wrap: measure distance from the interval center.
     lo, hi = region.phi_lo, region.phi_hi
     width = (hi - lo) % 360.0 if hi <= lo else hi - lo
-    if hi == 360.0 and lo == 0.0:
-        width = 360.0
     center = (lo + width / 2.0) % 360.0
     dist = np.abs((grid.phi - center + 180.0) % 360.0 - 180.0)
     m_phi = _axis_membership(width / 2.0 - dist, region.edge_taper_deg)

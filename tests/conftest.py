@@ -1,9 +1,21 @@
 """Shared fixtures for the test suite."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import beamblock
 from beamblock.grid import PatternSet, make_grid
 from beamblock.synth import ArrayConfig, BeamSpec, synth_pattern_set
+
+# Hypothesis draws some values from the constants of the local modules in
+# sys.modules, so a derandomized test would draw other examples after other
+# tests had imported more of them. Every beamblock module is imported here,
+# and the perfbench modules that tests load leave sys.modules once loaded,
+# so every run draws from the same pool.
+for _module in pkgutil.iter_modules(beamblock.__path__):
+    importlib.import_module(f"beamblock.{_module.name}")
 
 
 @pytest.fixture(scope="session")

@@ -27,11 +27,16 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _load(name):
+    """A fresh copy of perfbench's module ``name``, registered in
+    sys.modules only while it runs (see conftest.py)."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                   PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 

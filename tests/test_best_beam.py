@@ -214,10 +214,10 @@ def _count_cubes(monkeypatch) -> list:
     cubes = []
     cleaned = grid_mod._cleaned
 
-    def counted(grid, values, ndim, copy=True):
+    def counted(grid, values, ndim):
         if ndim == 3:
             cubes.append(values.shape[0])
-        return cleaned(grid, values, ndim, copy)
+        return cleaned(grid, values, ndim)
 
     monkeypatch.setattr(grid_mod, "_cleaned", counted)
     return cubes

@@ -414,3 +414,40 @@ def test_checker_sees_cleaner_names():
               "def _cleaned_copy(v):\n"
               "    return v.copy()  # _cleaned in a comment is fine\n")
     assert _cleaner_names(source) == ["line 1", "line 5", "line 6"]
+
+
+# One grid-agreement check: grid.py's ``_one_grid`` compares the grids of a
+# result's fields and spells the one error for a mismatch.
+_GRID_MISMATCH = "must share one grid"
+
+
+def _grid_checks(source: str) -> list[str]:
+    """Lines that compare a ``.grid`` attribute with ``==`` or ``!=``, and
+    lines of string constants, f-string parts too, that hold the mismatch
+    error text."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(isinstance(x, ast.Attribute) and x.attr == "grid"
+                    for x in [node.left, *node.comparators]))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _GRID_MISMATCH in node.value))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_only_grid_checks_grid_agreement(path):
+    assert _grid_checks(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_grid_checks():
+    source = ("def pair(free, blocked, w):\n"
+              "    if free.grid != blocked.grid:\n"
+              "        raise DataError('free and blocked patterns must "
+              "share one grid')\n"
+              "    same = w.grid == free.grid\n"
+              "    grid = _one_grid(f'{w} must share one grid', free, w)\n"
+              "    shape = free.grid.shape == grid.shape\n"
+              "    return free.grid is w.grid or grid in (1, 2)\n")
+    assert _grid_checks(source) == ["line 2", "line 3", "line 4", "line 5"]

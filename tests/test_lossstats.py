@@ -23,6 +23,7 @@ from beamblock.lossstats import (GaussianFit, Study, gaussian_fit,
 from beamblock import lossstats, roi
 from beamblock.report import write_report
 from beamblock.roi import roi_r1
+from beamblock.scanio import write_scan_csv
 from beamblock.scenario import build_patterns, load_bundled
 
 GENERATOR_TOL_DB = 0.5
@@ -90,6 +91,30 @@ class TestLossField:
         b = _pattern(full_grid, np.zeros(full_grid.valid.shape))
         with pytest.raises(DataError):
             loss_field(a, b)
+
+
+@pytest.mark.parametrize("call,what", [
+    (lambda a, b: loss_field(a, b), "free and blocked patterns"),
+    (lambda a, b: roi.roi_r5(a, b, -35.0), "free and blocked patterns"),
+    (lambda a, b: loss_stats(a, _full_roi(b), solid_angle_weights(a.grid)),
+     "pattern, region and weights"),
+    (lambda a, b: coverage_above(a, solid_angle_weights(b.grid), 0.0),
+     "pattern and weights"),
+    (lambda a, b: _full_roi(a).coverage(solid_angle_weights(b.grid)),
+     "region and weights"),
+    (lambda a, b: write_scan_csv(os.devnull, {
+        "freespace": PatternSet(a.grid, a.values[None]),
+        "true_hand": PatternSet(b.grid, b.values[None])}), "all modes"),
+], ids=["loss_field", "roi_r5", "region_sample", "coverage_above",
+        "RoIMask.coverage", "write_scan_csv"])
+def test_fields_on_two_grids_name_what_must_agree(tiny_grid, call, what):
+    """Each result refuses fields that sample two spheres, naming them;
+    grid B is grid A with its theta = 45 row invalid."""
+    a = _pattern(tiny_grid, np.zeros(tiny_grid.shape))
+    b = _pattern(with_invalid_band(tiny_grid, 45.0, 45.0), a.values)
+    with pytest.raises(DataError) as err:
+        call(a, b)
+    assert str(err.value) == f"{what} must share one grid"
 
 
 class TestLossStats:
@@ -301,6 +326,17 @@ class TestStudy:
         with pytest.raises(DataError, match="input provides none of "
                            "freespace, phantom, true_hand"):
             Study({})
+
+    def test_modes_on_two_grids_refused_when_made(self, tiny_grid):
+        """The study's weights sample one sphere, so every mode must sample
+        it too: a mode whose grid differs only in validity is refused."""
+        other = with_invalid_band(tiny_grid, 45.0, 45.0)
+        cube = np.zeros((1, *tiny_grid.shape))
+        modes = {"freespace": PatternSet(tiny_grid, cube),
+                 "true_hand": PatternSet(other, cube)}
+        with pytest.raises(DataError) as err:
+            Study(modes)
+        assert str(err.value) == "all modes must share one grid"
 
     def test_missing_mode_is_data_error(self, patch_set):
         study = Study({"freespace": patch_set})

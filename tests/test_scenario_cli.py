@@ -935,6 +935,31 @@ def test_empty_out_is_usage_error(tmp_path, monkeypatch, command):
     assert _tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("names", [["3gpp-flat-30"], ["prior-hand-15.3"]],
+                         ids=["flat", "constant"])
+@pytest.mark.parametrize("region,reason", [
+    ({"phi": [150.0, 210.0], "theta": [1.0, 2.0]},
+     "region lies outside the grid"),
+    ({"phi": [150.0, 210.0], "theta": [60.0, 150.0], "delta_db": 99},
+     "unknown keys ['delta_db']"),
+], ids=["outside-grid", "delta_db"])
+@pytest.mark.parametrize("command", ["synth", "overlay", "cdf", "roi",
+                                     "stats", "compare", "report"])
+def test_bad_model_region_refused_at_load(tmp_path, monkeypatch, command,
+                                          region, reason, names):
+    """A model region off the grid's theta span, or with a delta_db, which
+    its preset would ignore, is a usage error at load, before any work,
+    whichever presets the scenario names."""
+    doc = _bundled_json("s1_patch_portrait_hard")
+    doc["models"] = {"names": names, "region": region}
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert _run([command, "--scenario", "bad.json", "--out", "out"]) == (
+        2, "", f"error: bad models: {reason}\n")
+    assert _tree(tmp_path) == before
+
+
 # roi's region and baseline per --roi-kind, by direct law calls on the
 # free and blocked overlays and the deltas d (d1 to d5).
 ROI_BY_KIND = {
@@ -1062,14 +1087,27 @@ def _json_paths(node, path=()):
             yield from _json_paths(value, path + (i,))
 
 
-_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3),
+_NUMBERS = st.one_of(
+    st.integers(-3, 3),
     st.sampled_from([-1, 0, 0.5, 7.5, math.nan, math.inf, -math.inf,
-                     1e18, -1e18, 1e300, -1e300, 1e308]),
-    st.text(max_size=3))
+                     1e18, -1e18, 1e300, -1e300, 1e308]))
+_TEXTS = st.text(max_size=3)
+_LEAVES = st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXTS)
 _VALUES = st.one_of(_LEAVES, st.lists(_LEAVES, max_size=2),
-                    st.dictionaries(st.text(max_size=3), _LEAVES,
-                                    max_size=2))
+                    st.dictionaries(_TEXTS, _LEAVES, max_size=2))
+
+
+def _same_typed(node):
+    """Values of ``node``'s JSON type: a string for a string, a number (one
+    of ``_NUMBERS``, or half, twice, one less or one more than ``node``) for
+    a number, and a list of as many such values for a list; any value for
+    an object."""
+    if isinstance(node, list):
+        return st.tuples(*map(_same_typed, node)).map(list)
+    if isinstance(node, (int, float)):
+        return st.one_of(_NUMBERS, st.sampled_from(
+            [node / 2, node * 2, node - 1, node + 1]))
+    return _TEXTS if isinstance(node, str) else _VALUES
 
 
 def _finer_than_minimal(step) -> bool:
@@ -1082,11 +1120,16 @@ def _finer_than_minimal(step) -> bool:
 
 @st.composite
 def _mutated_minimal(draw):
-    """MINIMAL with one value replaced. No draw refines the lattice: only
-    phi_step sets its size, and any value that reads as a number below 15
-    (text such as '.01' included) is skipped."""
+    """MINIMAL with one value replaced, by one of its JSON type half the
+    time, so that many drawn scenarios load and reach the output checks.
+    No draw refines the lattice: only phi_step sets its size, and any value
+    that reads as a number below 15 (text such as '.01' included) is
+    skipped."""
     path = draw(st.sampled_from(list(_json_paths(MINIMAL))))
-    value = draw(_VALUES)
+    node = MINIMAL
+    for key in path:
+        node = node[key]
+    value = draw(_same_typed(node) if draw(st.booleans()) else _VALUES)
     assume(not (path == ("grid", "phi_step") and _finer_than_minimal(value)))
     return _replaced(MINIMAL, path, value)
 
@@ -1214,6 +1257,46 @@ def test_fuzz_command_on_mutated_scenario(case, doc):
         _check_exit(code, err)
         if code == 0:
             _check_fuzz_output(command, out, stdout, path)
+
+
+# The documents the mutated-scenario strategy draws first, derandomized, in
+# a fresh process: alone, or after importing every test module and loading
+# perfbench's modules as the tests do (``before``).
+_FIRST_DRAWS = """
+import json, sys
+sys.path[:0] = {paths!r}
+import conftest, test_scenario_cli
+{before}
+from hypothesis import given, settings
+docs = []
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(test_scenario_cli._mutated_minimal())
+def draw(doc):
+    docs.append(doc)
+draw()
+print(json.dumps(docs))
+"""
+_IMPORT_EVERY_TEST = """
+import importlib, pathlib
+for path in sorted(pathlib.Path({tests!r}).glob("test_*.py")):
+    importlib.import_module(path.stem)
+for name in ("tracer", "workloads", "worker"):
+    importlib.import_module("test_benchmark_names")._load(name)
+"""
+
+
+def test_fuzzers_draw_the_same_whatever_ran_before():
+    """Hypothesis draws some values from the constants of the local modules
+    in sys.modules; conftest.py keeps that pool the same in every run."""
+    tests = str(Path(__file__).resolve().parent)
+    paths = [tests, str(Path(cli.__file__).resolve().parents[1])]
+    draws = [subprocess.run(
+        [sys.executable, "-c", _FIRST_DRAWS.format(paths=paths,
+                                                   before=before)],
+        capture_output=True, text=True, timeout=120, check=True).stdout
+        for before in ("", _IMPORT_EVERY_TEST.format(tests=tests))]
+    assert len(json.loads(draws[0])) == 150
+    assert draws[0] == draws[1]
 
 
 def _beamblock(*args):
