@@ -26,7 +26,8 @@ from .svgplot import cdf_svg, heatmap_svg
 
 
 def _resolve_scenario(ref: str):
-    if Path(ref).is_file():
+    """The file ``ref`` names or spells as a path, else a bundled scenario."""
+    if Path(ref).is_file() or Path(ref).name != ref or ref.endswith(".json"):
         return load_scenario(ref)
     return load_bundled(ref)
 
@@ -77,24 +78,22 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     scenario = _resolve_scenario(args.scenario)
     modes = build_patterns(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scan_csv(out / "scan.csv", modes)
     _emit(scenario_metadata(scenario), out / "scan_meta.json")
-    return 0
 
 
-def _cmd_overlay(args) -> int:
+def _cmd_overlay(args) -> None:
     overlay = _load_study(args)[0].overlay(args.mode)
     write_text(args.out,
                heatmap_svg(overlay, f"{args.mode} best-beam EIRP (dBm)"))
-    return 0
 
 
-def _cmd_cdf(args) -> int:
+def _cmd_cdf(args) -> None:
     percentiles = (_parse_percentiles(args.percentiles)
                    if args.percentiles is not None else ())
     study, _ = _load_study(args)
@@ -112,10 +111,9 @@ def _cmd_cdf(args) -> int:
         for p in percentiles:
             print(f"{mode}: p{p:g} = "
                   f"{percentile_value(study.cdf(mode), p):.2f} dBm")
-    return 0
 
 
-def _cmd_roi(args) -> int:
+def _cmd_roi(args) -> None:
     study, _ = _load_study(args)
     deltas = {name: getattr(args, name) for name in DELTA_DEFAULTS}
     region = study.region(args.roi_kind, **deltas)
@@ -132,20 +130,18 @@ def _cmd_roi(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_roi_csv(region, out / "roi_mask.csv")
     _emit(payload, out and out / "roi.json")
-    return 0
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     study, _ = _load_study(args)
     stats = study.hand_stats(args.delta5, study.weights)
     out = {label: s and asdict(s) for label, s in stats.items()}
     out["gaussian_fit"] = asdict(gaussian_fit(stats["r5"]))
     out["delta5_dbm"] = args.delta5
     _emit(out, args.out)
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     names = None
     if args.models is not None:
         names = [name.strip() for name in args.models.split(",")]
@@ -162,20 +158,17 @@ def _cmd_compare(args) -> int:
                       in names or ["prior-hand-15.3", "prior-body-8.5"]}
     _emit(dict(study.score_models(args.delta5, candidates),
                delta5_dbm=args.delta5), args.out)
-    return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     scenario = _resolve_scenario(args.scenario)
     write_report(scenario, args.out)
     print(f"report written to {args.out}")
-    return 0
 
 
-def _cmd_scenarios(args) -> int:
+def _cmd_scenarios(args) -> None:
     for name in list_bundled():
         print(name)
-    return 0
 
 
 def _add_input_args(p) -> None:
@@ -277,13 +270,14 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

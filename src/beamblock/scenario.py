@@ -94,8 +94,8 @@ def _integer(value) -> int:
 
 
 def _region_from_dict(d: dict, mask: bool) -> MaskRegion:
-    """A mask region, or a model region, whose preset sets its delta_db."""
-    _object(d, ("phi", "theta", "edge_taper_deg") + ("delta_db",) * mask)
+    """A mask region, or a sharp model region whose preset sets delta_db."""
+    _object(d, ("phi", "theta") + ("delta_db", "edge_taper_deg") * mask)
     phi, theta = _list(d["phi"], 2), _list(d["theta"], 2)
     delta = d["delta_db"] if mask else 0.0
     return MaskRegion(phi_lo=_number(phi[0]), phi_hi=_number(phi[1]),
@@ -210,9 +210,9 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load a scenario JSON file, UTF-8 encoded."""
+    """Load a scenario JSON file, UTF-8 encoded, with or without a BOM."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc

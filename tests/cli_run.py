@@ -32,3 +32,13 @@ def strict_json(text):
     def refuse(token):
         raise ValueError(f"non-finite JSON token {token}")
     return json.loads(text, parse_constant=refuse)
+
+
+def check_exit(code, err):
+    """The CLI's failure contract: exit 0 with nothing on stderr, or exit 1
+    or 2 with one ``error:`` line."""
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        assert err == ""

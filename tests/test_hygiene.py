@@ -451,3 +451,33 @@ def test_checker_sees_grid_checks():
               "    shape = free.grid.shape == grid.shape\n"
               "    return free.grid is w.grid or grid in (1, 2)\n")
     assert _grid_checks(source) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+# One success code: ``run_cli`` returns 0 once its command has run, beside
+# the failure codes, so no command in cli.py returns a value.
+def _command_returns(source: str) -> list[str]:
+    """Lines of a ``return`` with a value inside a ``_cmd_*`` function."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Return) and node.value is not None)]
+
+
+def test_commands_return_nothing():
+    cli = Path(beamblock.__file__).parent / "cli.py"
+    assert _command_returns(cli.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_command_returns():
+    source = ("def _cmd_a(args) -> int:\n"
+              "    if args.quiet:\n"
+              "        return 1\n"
+              "    return 0\n\n"
+              "def _cmd_b(args) -> None:\n"
+              "    if args.quiet:\n"
+              "        return\n"
+              "    print(args)\n\n"
+              "def run_cli(argv) -> int:\n"
+              "    return 0\n")
+    assert _command_returns(source) == ["line 3", "line 4"]

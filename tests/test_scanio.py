@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from beamblock.grid import PatternSet, make_grid, with_invalid_band
 from beamblock.scanio import (CSV_HEADER, MODES, ScanData, parse_scan_csv,
                               write_scan_csv)
 from beamblock.scenario import build_patterns, scenario_from_dict
-from cli_run import run_captured, strict_json
+from cli_run import check_exit, run_captured, strict_json
 
 SMALL_CSV = """phi,theta,beam_id,mode,value_dbm
 0.0,45.0,0,freespace,-50.000000
@@ -802,16 +804,64 @@ def test_stats_on_fuzz_base_succeeds():
     strict_json(out)
 
 
+# a huge finite free-space value once overflowed the loss moments
+HUGE_FREE_SCAN = "\n".join([",".join(CSV_HEADER), "0.0,45.0,0,freespace,1e300"]
+                           + FUZZ_ROWS[1:]) + "\n"
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_corrupted_scan())
-# a huge finite free-space value once overflowed the loss moments
-@example("\n".join([",".join(CSV_HEADER), "0.0,45.0,0,freespace,1e300"]
-                   + FUZZ_ROWS[1:]) + "\n")
+@example(HUGE_FREE_SCAN)
 def test_fuzz_stats_on_corrupted_scan(text):
     code, out, err = _stats_on(text)
-    assert code in (0, 1, 2)
-    if code:
-        assert err.startswith("error:") and err.count("\n") == 1, err
-    else:
-        assert err == ""
+    check_exit(code, err)
+    if code == 0:
         strict_json(out)
+
+
+# Every other command that takes --scan, on the same corrupted archives: its
+# arguments, with {out} for a path in the run's temporary directory. The R5
+# floor sits below the fuzz base's values, as in the stats fuzzer.
+_SCAN_FUZZ_COMMANDS = {
+    "cdf": ["cdf", "--threshold", "-45", "--percentiles", "50,20"],
+    "overlay": ["overlay", "--mode", "true_hand", "--out", "{out}.svg"],
+    "roi-r1": ["roi", "--roi-kind", "r1"],
+    "roi-r5": ["roi", "--roi-kind", "r5", "--delta5", "-60", "--out",
+               "{out}"],
+    "compare": ["compare", "--delta5", "-60"],
+    "compare-models": ["compare", "--delta5", "-60", "--models",
+                       "prior-hand-15.3,prior-body-8.5"],
+}
+
+
+@pytest.mark.parametrize("case", list(_SCAN_FUZZ_COMMANDS))
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_corrupted_scan())
+@example(HUGE_FREE_SCAN)
+def test_fuzz_command_on_corrupted_scan(case, text):
+    """Every other --scan command keeps the contract on the archives the
+    ``stats`` fuzzer draws: exit 0, 1 or 2, one ``error:`` line on failure,
+    and on success strict JSON or a parseable SVG, or for ``cdf`` finite
+    values in its line format."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scan.csv", Path(tmp) / "out"
+        path.write_text(text, encoding="utf-8")
+        command, *flags = (arg.replace("{out}", str(out))
+                           for arg in _SCAN_FUZZ_COMMANDS[case])
+        code, stdout, err = run_captured([command, "--scan", str(path),
+                                          *flags])
+        check_exit(code, err)
+        if code:
+            return
+        if command == "overlay":
+            assert stdout == ""
+            ET.parse(f"{out}.svg")
+        elif command == "cdf":
+            assert re.fullmatch(r"(\w+: (\d+\.\d\d% of sphere >= -45|"
+                                r"p(50|20) = -?\d+\.\d\d) dBm\n)+", stdout)
+        elif case == "roi-r5":
+            assert stdout == ""
+            strict_json((out / "roi.json").read_text())
+            assert (out / "roi_mask.csv").is_file()
+        else:
+            strict_json(stdout)

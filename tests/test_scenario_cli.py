@@ -36,7 +36,7 @@ from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
                                 scenario_metadata)
 from beamblock.svgplot import cdf_svg
 from beamblock.synth import BeamSpec
-from cli_run import run_captured as _run, strict_json
+from cli_run import check_exit, run_captured as _run, strict_json
 
 BUNDLED = ("s1_patch_portrait_hard", "s2_patch_portrait_loose",
            "s3_dipole_portrait_hard", "s4_dipole_portrait_loose",
@@ -177,6 +177,16 @@ class TestBundled:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_scenario(path)
+
+    def test_scenario_file_may_start_with_a_bom(self, tmp_path):
+        """RFC 8259 lets a parser ignore a byte order mark, as the scan
+        reader does: the file reads as it would without one."""
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(json.dumps(MINIMAL), encoding="utf-8")
+        bom.write_text("\ufeff" + json.dumps(MINIMAL), encoding="utf-8")
+        argv = ["cdf", "--threshold", "-40", "--scenario"]
+        got = _run(argv + [str(bom)])
+        assert got[0] == 0 and got == _run(argv + [str(plain)])
 
     def test_load_scenario_undecodable(self, tmp_path):
         path = tmp_path / "bytes.json"
@@ -381,6 +391,26 @@ class TestCli:
                         "--out", "/tmp/x"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref", ["./nope/my_study.json",
+                                     "my_study.json", "nope/my_study"])
+    def test_scenario_path_that_names_no_file(self, tmp_path, monkeypatch,
+                                              ref):
+        """A reference with a directory part or a .json suffix is a path,
+        so a missing file is named as one, not as a missing bundle."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(["stats", "--scenario", ref])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read scenario: [Errno 2] ")
+        assert err.count("\n") == 1
+
+    def test_unknown_bare_name_is_a_missing_bundle(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(["stats", "--scenario", "s9_missing"])
+        assert (code, out) == (2, "")
+        assert err == ("error: no bundled scenario named 's9_missing'; "
+                       f"available: {', '.join(BUNDLED)}\n")
 
     def test_exit_code_bad_scan_data(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -942,14 +972,17 @@ def test_empty_out_is_usage_error(tmp_path, monkeypatch, command):
      "region lies outside the grid"),
     ({"phi": [150.0, 210.0], "theta": [60.0, 150.0], "delta_db": 99},
      "unknown keys ['delta_db']"),
-], ids=["outside-grid", "delta_db"])
+    ({"phi": [150.0, 210.0], "theta": [60.0, 150.0], "edge_taper_deg": 10},
+     "unknown keys ['edge_taper_deg']"),
+], ids=["outside-grid", "delta_db", "edge_taper_deg"])
 @pytest.mark.parametrize("command", ["synth", "overlay", "cdf", "roi",
                                      "stats", "compare", "report"])
 def test_bad_model_region_refused_at_load(tmp_path, monkeypatch, command,
                                           region, reason, names):
-    """A model region off the grid's theta span, or with a delta_db, which
-    its preset would ignore, is a usage error at load, before any work,
-    whichever presets the scenario names."""
+    """A model region off the grid's theta span, or with a delta_db or an
+    edge_taper_deg, which a constant preset would ignore and a flat one
+    refuse only after synthesis, is a usage error at load, before any
+    work, whichever presets the scenario names."""
     doc = _bundled_json("s1_patch_portrait_hard")
     doc["models"] = {"names": names, "region": region}
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -1100,38 +1133,41 @@ _VALUES = st.one_of(_LEAVES, st.lists(_LEAVES, max_size=2),
 def _same_typed(node):
     """Values of ``node``'s JSON type: a string for a string, a number (one
     of ``_NUMBERS``, or half, twice, one less or one more than ``node``) for
-    a number, and a list of as many such values for a list; any value for
-    an object."""
-    if isinstance(node, list):
-        return st.tuples(*map(_same_typed, node)).map(list)
+    a number, and for an object or a list, a copy with one entry replaced
+    by a value of that entry's type, so that its keys or length stay."""
+    if isinstance(node, (dict, list)) and node:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        return st.sampled_from(keys).flatmap(lambda key: _same_typed(
+            node[key]).map(lambda value: _replaced(node, (key,), value)))
     if isinstance(node, (int, float)):
         return st.one_of(_NUMBERS, st.sampled_from(
             [node / 2, node * 2, node - 1, node + 1]))
     return _TEXTS if isinstance(node, str) else _VALUES
 
 
-def _finer_than_minimal(step) -> bool:
-    """Whether make_grid would read ``step`` as a phi_step below 15."""
+def _finer_than_minimal(doc) -> bool:
+    """Whether make_grid would read ``doc``'s phi_step as a step below 15."""
     try:
-        return float(step) < 15
-    except (TypeError, ValueError):
+        return float(doc["grid"]["phi_step"]) < 15
+    except (KeyError, TypeError, ValueError):
         return False
 
 
 @st.composite
 def _mutated_minimal(draw):
     """MINIMAL with one value replaced, by one of its JSON type half the
-    time, so that many drawn scenarios load and reach the output checks.
-    No draw refines the lattice: only phi_step sets its size, and any value
-    that reads as a number below 15 (text such as '.01' included) is
-    skipped."""
+    time (an object or a list then keeps its shape), so that many drawn
+    scenarios load and reach the output checks. No draw refines the
+    lattice: only phi_step sets its size, and any value that reads as a
+    number below 15 (text such as '.01' included) is skipped."""
     path = draw(st.sampled_from(list(_json_paths(MINIMAL))))
     node = MINIMAL
     for key in path:
         node = node[key]
     value = draw(_same_typed(node) if draw(st.booleans()) else _VALUES)
-    assume(not (path == ("grid", "phi_step") and _finer_than_minimal(value)))
-    return _replaced(MINIMAL, path, value)
+    doc = _replaced(MINIMAL, path, value)
+    assume(not _finer_than_minimal(doc))
+    return doc
 
 
 # Non-finite thresholds and delta5_dbm, huge finite values where they once
@@ -1155,14 +1191,6 @@ def _with_examples(test):
     return test
 
 
-def _check_exit(code, err):
-    assert code in (0, 1, 2)
-    if code:
-        assert err.startswith("error:") and err.count("\n") == 1, err
-    else:
-        assert err == ""
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
 @_with_examples
 @given(_mutated_minimal())
@@ -1171,7 +1199,7 @@ def test_fuzz_stats_on_mutated_scenario(doc):
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(doc))
         code, out, err = _run(["stats", "--scenario", str(path)])
-    _check_exit(code, err)
+    check_exit(code, err)
     if code == 0:
         strict_json(out)
 
@@ -1186,7 +1214,7 @@ def test_fuzz_report_on_mutated_scenario(doc):
         out = Path(tmp) / "report"
         code, _, err = _run(["report", "--scenario", str(path),
                              "--out", str(out)])
-        _check_exit(code, err)
+        check_exit(code, err)
         if code == 0:
             strict_json((out / "summary.json").read_text())
         else:
@@ -1254,7 +1282,7 @@ def test_fuzz_command_on_mutated_scenario(case, doc):
         command, *flags = (arg.replace("{out}", str(out))
                            for arg in _FUZZ_COMMANDS[case])
         code, stdout, err = _run([command, "--scenario", str(path), *flags])
-        _check_exit(code, err)
+        check_exit(code, err)
         if code == 0:
             _check_fuzz_output(command, out, stdout, path)
 
