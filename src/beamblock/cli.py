@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -171,6 +172,18 @@ def _cmd_scenarios(args) -> None:
         print(name)
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of ``beamblock`` and of each command. It reads an argument
+    that starts like a negative number ("-3", "-.5") as a value, so
+    ``--delta5 -3.5e1`` reads as ``--delta5=-3.5e1``; older argparse
+    releases read only the "-35" and "-3.5" forms so, and take "-3.5e1"
+    for an unknown flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_input_args(p) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--scan", help="scan archive CSV")
@@ -203,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``beamblock`` argument parser, built on first use and shared by
     every later ``run_cli`` call in the process. Parsing leaves it as it
     was, and it reads ``sys.stderr`` and ``COLUMNS`` only when it prints."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beamblock",
         description="Spherical beam-pattern blockage analysis")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,7 +13,9 @@ one-parameter idealizations: a patch with cos^q power rolloff (front
 hemisphere only) and a dipole with cos^2 amplitude rolloff toward the
 array axis. EIRP(dir) = tx_power + element_gain(dir) + array_factor(dir).
 The array factor depends on u alone, so synthesis evaluates it once per
-distinct u of the lattice and gathers it back onto the grid. Its phasor
+distinct u of the lattice and gathers it back onto the grid. That lattice
+depends on the grid axes and the boresight alone, so the process keeps
+the last one (``_u_lattice``) for the next synthesis on them. Its phasor
 table is element-major, one row of distinct u per element, and the array
 factor sums those rows as whole arrays in the fixed pairwise order of
 ``_sum_rows``, so its bits depend on neither the table's layout nor
@@ -24,6 +26,7 @@ until its per-beam values are read; the set, not synthesis, cleans both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,11 +160,28 @@ def _array_factor_db(weights: np.ndarray, phasors: np.ndarray) -> np.ndarray:
         return 20.0 * np.log10(total)
 
 
-def _direction_cosines(config: ArrayConfig, phi_deg, theta_deg):
+def _direction_cosines(boresight_phi: float, phi_deg, theta_deg):
     dphi_r = np.deg2rad((np.asarray(phi_deg, dtype=float)
-                         - config.boresight_phi + 180.0) % 360.0 - 180.0)
+                         - boresight_phi + 180.0) % 360.0 - 180.0)
     sin_t = np.sin(np.deg2rad(np.asarray(theta_deg, dtype=float)))
     return sin_t * np.cos(dphi_r), sin_t * np.sin(dphi_r)
+
+
+@functools.lru_cache(maxsize=1)
+def _u_lattice(phi_bytes: bytes, theta_bytes: bytes, boresight_phi: float):
+    """The distinct u, ascending, of the grid with float64 axes
+    ``phi_bytes`` and ``theta_bytes`` seen from ``boresight_phi``, and each
+    point's index into them; both read-only. Keyed on the axes, not on the
+    grid, whose validity mask the lattice does not read, so studies on one
+    grid share it whatever their invalid bands."""
+    _, u = _direction_cosines(boresight_phi, np.frombuffer(phi_bytes),
+                              np.frombuffer(theta_bytes)[:, None])
+    # Ravel first: the inverse is then 1-D on every numpy version.
+    u_set, at = np.unique(u.ravel(), return_inverse=True)
+    at = at.reshape(u.shape)
+    u_set.setflags(write=False)
+    at.setflags(write=False)
+    return u_set, at
 
 
 def _element_gain_db(config: ArrayConfig, cos_psi, u) -> np.ndarray:
@@ -181,12 +201,12 @@ def synth_pattern_set(config: ArrayConfig, beams: list[BeamSpec],
     """EIRP pattern per codebook beam on ``grid``, floor-clamped."""
     if not beams:
         raise ConfigError("at least one beam is required")
-    cos_psi, u = _direction_cosines(config, grid.phi, grid.theta[:, None])
+    u_set, at = _u_lattice(grid.phi.tobytes(), grid.theta.tobytes(),
+                           config.boresight_phi)
+    cos_psi, u = _direction_cosines(config.boresight_phi, grid.phi,
+                                    grid.theta[:, None])
     with np.errstate(over="ignore"):  # +inf is refused, -inf floored
         base = config.tx_power_dbm + _element_gain_db(config, cos_psi, u)
-    # Ravel first: the inverse is then 1-D on every numpy version.
-    u_set, at = np.unique(u.ravel(), return_inverse=True)
-    at = at.reshape(u.shape)
     phasors = _steering_phasors(config, u_set)
     af_db = np.array([_array_factor_db(steering_weights(config, beam), phasors)
                       for beam in beams])

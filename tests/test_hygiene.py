@@ -481,3 +481,59 @@ def test_checker_sees_command_returns():
               "def run_cli(argv) -> int:\n"
               "    return 0\n")
     assert _command_returns(source) == ["line 3", "line 4"]
+
+
+# What a process keeps between calls: cli's parser and synthesis's last u
+# lattice, each memoized once, the lattice with a bound.
+_MEMOS = ("cache", "lru_cache")
+
+
+def _memos(source: str) -> list[str]:
+    """Uses of functools' ``cache`` and ``lru_cache``: a function decorated
+    with one as "name: decorator", any other use as "line N: code"."""
+    def is_memo(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr in _MEMOS
+                and ast.unparse(node.value) == "functools") or (
+            isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name in _MEMOS for alias in node.names))
+    tree = ast.parse(source)
+    found, decorating = [], set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in fn.decorator_list:
+                uses = [n for n in ast.walk(d) if is_memo(n)]
+                if uses:
+                    found.append(f"{fn.name}: {ast.unparse(d)}")
+                    decorating.update(map(id, uses))
+    return found + [f"line {n.lineno}: {ast.unparse(n)}"
+                    for n in ast.walk(tree)
+                    if is_memo(n) and id(n) not in decorating]
+
+
+def test_only_the_parser_and_the_u_lattice_are_memoized():
+    found = {p.name: _memos(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: memos for name, memos in found.items() if memos} == {
+        "cli.py": ["build_parser: functools.cache"],
+        "synth.py": ["_u_lattice: functools.lru_cache(maxsize=1)"]}
+
+
+def test_checker_sees_memos():
+    source = ("import functools\n"
+              "from functools import lru_cache, partial\n\n"
+              "@functools.cache\n"
+              "def parser():\n    pass\n\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def lattice(key):\n    pass\n\n"
+              "@lru_cache\n"
+              "def bare(key):\n    pass\n\n"
+              "class Grid:\n"
+              "    @functools.lru_cache()\n"
+              "    def weights(self):\n        pass\n\n"
+              "table = functools.cache(lambda key: key)\n"
+              "cache = {}\n")
+    assert _memos(source) == [
+        "parser: functools.cache",
+        "lattice: functools.lru_cache(maxsize=None)",
+        "weights: functools.lru_cache()",
+        "line 2: from functools import lru_cache, partial",
+        "line 21: functools.cache"]

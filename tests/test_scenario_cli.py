@@ -530,7 +530,8 @@ class TestCli:
 
     def test_beam_independent_terms_once_per_synthesis(self, monkeypatch):
         """Synthesis evaluates the direction cosines and the element gain
-        once per call, whatever the number of beams."""
+        once per call, whatever the number of beams, and the direction
+        cosines once more only for a u lattice it does not hold yet."""
         calls = []
 
         def counted(name, fn):
@@ -543,12 +544,15 @@ class TestCli:
             monkeypatch.setattr(synth, name,
                                 counted(name, getattr(synth, name)))
         sc = load_bundled("s1_patch_portrait_hard")
+        synth._u_lattice.cache_clear()
         for n_beams in (1, 3, 16):
             beams = [BeamSpec(scan_deg=s)
                      for s in np.linspace(-60.0, 60.0, n_beams)]
             calls.clear()
             synth.synth_pattern_set(sc.config, beams, sc.grid)
-            assert sorted(calls) == ["_direction_cosines", "_element_gain_db"]
+            lattice = ["_direction_cosines"] if n_beams == 1 else []
+            assert sorted(calls) == (["_direction_cosines"] + lattice
+                                     + ["_element_gain_db"])
 
     def test_steering_phasors_once_per_distinct_u(self, monkeypatch):
         """Synthesis builds the steering phasors once per call, on the
@@ -561,7 +565,7 @@ class TestCli:
             return phasors(config, u)
 
         sc = load_bundled("s1_patch_portrait_hard")
-        _, u = synth._direction_cosines(sc.config, sc.grid.phi,
+        _, u = synth._direction_cosines(sc.config.boresight_phi, sc.grid.phi,
                                         sc.grid.theta[:, None])
         n_distinct = np.unique(u).size
         assert n_distinct < u.size
@@ -1468,16 +1472,25 @@ def test_summary_csv_writes_n_a_for_an_undefined_range(tmp_path):
         b"s1_patch_portrait_hard,4x1 patch,portrait,hard,3.8 to 8.9,n/a,n/a")
 
 
-def test_negative_exponent_flag_needs_equals():
-    """argparse reads '-1e2' after a space as an option, not a value, so a
-    negative dB value in exponent form is written with '='."""
-    argv = ["stats", "--scenario", "s1_patch_portrait_hard"]
-    code, out, err = _run(argv + ["--delta5=-1e2"])
-    assert (code, err) == (0, "")
-    assert strict_json(out)["delta5_dbm"] == -100.0
-    code, out, err = _run(argv + ["--delta5", "-1e2"])
-    assert (code, out) == (2, "")
-    assert "argument --delta5: expected one argument" in err
+@pytest.mark.parametrize("value", ["-3.5e1", "-.35E+2"])
+@pytest.mark.parametrize("command,flag", DB_FLAGS)
+def test_negative_flag_value_reads_after_a_space(command, flag, value):
+    """A negative dB value in any float form reads the same after a space
+    as after '=': a value, never a flag, on every command that takes it."""
+    argv = [command, "--scenario", "s1_patch_portrait_hard"]
+    if command == "roi":  # the law that reads the flag
+        argv += ["--roi-kind", f"r{flag[-1]}"]
+    joined = _run(argv + [f"{flag}={value}"])
+    assert _run(argv + [flag, value]) == joined
+    # --delta1 to --delta3 are dB below a peak, and must be >= 0
+    assert joined[0] == (2 if flag in ("--delta1", "--delta2", "--delta3")
+                         else 0)
+    if command == "cdf":
+        assert "% of sphere >= -35 dBm\n" in joined[1]
+    elif command == "roi" and joined[0] == 0:
+        assert strict_json(joined[1])["params"][flag[2:]] == -35.0
+    elif command in ("stats", "compare"):
+        assert strict_json(joined[1])["delta5_dbm"] == -35.0
 
 
 def test_non_ascii_title_under_c_locale(tmp_path):

@@ -1,15 +1,20 @@
 """Synthetic array patterns: steering, quantization, element models, masks."""
 
+import dataclasses
+import json
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from beamblock.errors import ConfigError
 from beamblock.grid import FLOOR_DB, Pattern, make_grid, with_invalid_band
+from beamblock.scenario import (build_patterns, list_bundled, load_bundled,
+                                scenario_from_dict)
 from beamblock.synth import (ArrayConfig, BeamSpec, BlockageMask, MaskRegion,
-                             _sum_rows, apply_blockage_mask,
+                             _sum_rows, _u_lattice, apply_blockage_mask,
                              quantize_phases_deg, steering_weights,
                              synth_pattern_set)
 from synth_oracle import array_factor_db, eirp_at, element_gain_db
@@ -306,6 +311,76 @@ def test_row_sum_matches_numpy_reduction_bit_for_bit():
         if got.tobytes() != want.tobytes():
             moved.append(n)
     assert moved == []
+
+
+def _bundled_at(name, step):
+    """The bundled scenario ``name`` on a ``step``-degree grid from ``step``
+    to 180 - ``step`` degrees theta; its invalid band kept."""
+    doc = json.loads((resources.files("beamblock") / "scenarios"
+                      / f"{name}.json").read_text(encoding="utf-8"))
+    doc["grid"] = {"phi_step": step, "theta_min": step,
+                   "theta_max": 180.0 - step}
+    return scenario_from_dict(doc)
+
+
+def _field_bytes(modes):
+    return {mode: (pset.best().tobytes(), pset.values.tobytes())
+            for mode, pset in modes.items()}
+
+
+class TestULattice:
+    """The process keeps the last u lattice of synthesis, keyed on the grid
+    axes and the boresight; a kept lattice changes no byte."""
+
+    @pytest.mark.parametrize("step", [5.0, 1.0])
+    @pytest.mark.parametrize("name", list_bundled())
+    def test_kept_lattice_gives_the_fresh_bytes(self, name, step):
+        names = list_bundled()
+        other = _bundled_at(names[names.index(name) - 1], step)
+        scenario = _bundled_at(name, step)
+        _u_lattice.cache_clear()
+        fresh = _field_bytes(build_patterns(scenario))
+        build_patterns(other)  # the kept lattice is now another study's
+        kept = _field_bytes(build_patterns(scenario))
+        assert _u_lattice.cache_info()[:2] == (2, 1)  # hits, misses
+        assert kept == fresh
+
+    def test_same_axes_hit_and_a_changed_axis_or_boresight_misses(
+            self, patch_config, patch_beams):
+        grid = make_grid(5.0, 5.0, 175.0)
+        _u_lattice.cache_clear()
+        synth_pattern_set(patch_config, patch_beams, grid)
+        synth_pattern_set(patch_config, patch_beams[:1],
+                          make_grid(5.0, 5.0, 175.0))
+        assert _u_lattice.cache_info()[:2] == (1, 1)
+        turned = dataclasses.replace(patch_config, boresight_phi=90.0)
+        for config, changed in [
+                (patch_config, make_grid(5.0, 10.0, 170.0)),  # theta axis
+                (patch_config, make_grid(10.0, 5.0, 175.0, 5.0)),  # phi axis
+                (turned, grid)]:
+            synth_pattern_set(patch_config, patch_beams, grid)
+            misses = _u_lattice.cache_info().misses
+            synth_pattern_set(config, patch_beams, changed)
+            assert _u_lattice.cache_info().misses == misses + 1
+        info = _u_lattice.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+
+    def test_invalid_band_shares_the_entry(self):
+        free, banded = (load_bundled(name) for name in (
+            "s1_patch_portrait_hard", "s3_dipole_portrait_hard"))
+        assert not banded.grid.valid.all() and free.grid.valid.all()
+        _u_lattice.cache_clear()
+        for scenario in (free, banded):
+            synth_pattern_set(scenario.config, list(scenario.beams),
+                              scenario.grid)
+        assert _u_lattice.cache_info()[:2] == (1, 1)
+
+    def test_lattice_is_read_only(self, full_grid):
+        u_set, at = _u_lattice(full_grid.phi.tobytes(),
+                               full_grid.theta.tobytes(), 180.0)
+        for kept in (u_set, at):
+            with pytest.raises(ValueError):
+                kept[0] = 0
 
 
 class TestValidation:
