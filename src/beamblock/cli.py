@@ -58,6 +58,15 @@ def _parse_percentiles(text: str) -> tuple[float, ...]:
     return items
 
 
+@functools.lru_cache(maxsize=1)
+def _kept_patterns(scenario: Scenario) -> tuple:
+    """``build_patterns(scenario)`` as (mode, set) pairs, a tuple no caller
+    can change, kept for the next analysis call on an equal scenario.
+    Analyses read only each set's best-beam field, so no kept set builds
+    its per-beam values."""
+    return tuple(build_patterns(scenario).items())
+
+
 def _load_study(args) -> tuple[Study, Scenario | None]:
     """Pattern sets from --scan or --scenario, and that scenario or None;
     an unset --delta5 becomes its delta5_dbm, or the R5 default with --scan."""
@@ -65,7 +74,7 @@ def _load_study(args) -> tuple[Study, Scenario | None]:
         study, scenario = Study(parse_scan_csv(args.scan).modes), None
     else:
         scenario = _resolve_scenario(args.scenario)
-        study = Study(build_patterns(scenario))
+        study = Study(dict(_kept_patterns(scenario)))
     if getattr(args, "delta5", 0.0) is None:  # stats, compare and roi
         args.delta5 = getattr(scenario, "delta5_dbm", DELTA_DEFAULTS["delta5"])
     return study, scenario

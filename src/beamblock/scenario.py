@@ -36,7 +36,8 @@ _UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f"
 class Scenario:
     """One study's full configuration; ``models`` maps each comparison
     preset name, in file order, to its BlockageModel, and ``model_region``
-    is the region those presets were built with (None if there is none)."""
+    is the region those presets were built with (None if there is none).
+    Scenarios compare by every field and hash by what synthesis reads."""
 
     name: str
     title: str
@@ -52,6 +53,10 @@ class Scenario:
     delta5_dbm: float
     models: dict
     model_region: MaskRegion | None
+
+    def __hash__(self):  # of what synthesis reads; masks in any key order
+        return hash((self.grid, self.config, self.beams,
+                     tuple(sorted(self.masks.items()))))
 
 
 def _list(value, n=None):

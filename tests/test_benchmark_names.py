@@ -82,9 +82,11 @@ _QUERIES = (["cdf", "--threshold", "-40", "--percentiles", "50,95"],
 
 
 def test_traced_queries_record_every_expected_call():
+    """Each query on a cold kept entry reaches synthesis."""
     tracer = _load("tracer").Tracer()
     recorded = set()
     for unit, argv in enumerate(_QUERIES):
+        cli._kept_patterns.cache_clear()
         tracer.unit = unit
         tracer.install()
         try:
@@ -102,3 +104,28 @@ def test_traced_queries_record_every_expected_call():
     expected = _load("worker").expected_calls("queries")
     assert set(_SYNTHESIS_SPANS) <= set(expected)
     assert {f"{s}.calls" for s in expected} <= recorded
+
+
+def test_traced_two_study_unit_records_every_expected_call(tmp_path):
+    """A unit of two studies in the queries workload's call order, where
+    each study's later calls take the kept sets, records a call in every
+    span worker.expected_calls names, and synthesizes once per study."""
+    workload = _load("workloads").Queries(PERFBENCH.parent, tmp_path, 0)
+    calls = workload.calls(0)
+    per_study = len(calls) // len(workload.studies)
+    tracer = _load("tracer").Tracer()
+    cli._kept_patterns.cache_clear()
+    tracer.unit = 0
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.run_cli(call.argv) for call in calls[:2 * per_study]]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * (2 * per_study)
+    metrics = tracer.unit_metrics(0)
+    assert all(metrics[f"{s}.calls"] > 0
+               for s in _load("worker").expected_calls("queries"))
+    assert metrics["scenario.build_patterns.calls"] == 2
+    # s1 and s2 have two modes each, and every call overlays both
+    assert metrics["coverage.overlay_best_beam.calls"] == 2 * len(codes)

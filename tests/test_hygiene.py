@@ -483,8 +483,9 @@ def test_checker_sees_command_returns():
     assert _command_returns(source) == ["line 3", "line 4"]
 
 
-# What a process keeps between calls: cli's parser and synthesis's last u
-# lattice, each memoized once, the lattice with a bound.
+# What a process keeps between calls: cli's parser, cli's last analysis
+# pattern sets and synthesis's last u lattice, each memoized once, all but
+# the parser with a bound of one entry.
 _MEMOS = ("cache", "lru_cache")
 
 
@@ -510,11 +511,25 @@ def _memos(source: str) -> list[str]:
                     if is_memo(n) and id(n) not in decorating]
 
 
-def test_only_the_parser_and_the_u_lattice_are_memoized():
+def test_only_the_parser_the_kept_patterns_and_the_u_lattice_are_memoized():
     found = {p.name: _memos(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: memos for name, memos in found.items() if memos} == {
-        "cli.py": ["build_parser: functools.cache"],
+        "cli.py": ["_kept_patterns: functools.lru_cache(maxsize=1)",
+                   "build_parser: functools.cache"],
         "synth.py": ["_u_lattice: functools.lru_cache(maxsize=1)"]}
+
+
+def test_checker_sees_an_unbounded_or_misplaced_pattern_memo():
+    """A kept-patterns memo without its bound, or one on build_patterns,
+    which report and synth also call, reads differently from the rule."""
+    source = ("import functools\n\n"
+              "@functools.lru_cache(maxsize=None)\n"
+              "def _kept_patterns(scenario):\n    pass\n\n"
+              "@functools.lru_cache(maxsize=1)\n"
+              "def build_patterns(scenario):\n    pass\n")
+    assert _memos(source) == [
+        "_kept_patterns: functools.lru_cache(maxsize=None)",
+        "build_patterns: functools.lru_cache(maxsize=1)"]
 
 
 def test_checker_sees_memos():

@@ -654,6 +654,165 @@ class TestParserReuse:
         assert len(texts) == 2
 
 
+# The analysis commands, each with every output it can make: the argv after
+# --scenario, "{out}" standing for a fresh output directory.
+_ANALYSES = [["overlay", "--mode", "true_hand", "--out", "{out}/overlay.svg"],
+             ["cdf", "--threshold", "-40", "--percentiles", "50,10",
+              "--out", "{out}/cdf.svg"],
+             *(["roi", "--roi-kind", f"r{k}", "--out", "{out}"]
+               for k in range(1, 6)),
+             ["stats"], ["compare"],
+             ["compare", "--models", "prior-hand-15.3,prior-body-8.5"]]
+
+
+class TestKeptPatterns:
+    """The analysis commands take their pattern sets from
+    ``cli._kept_patterns``, which keeps the last scenario's: a warm entry
+    gives the bytes of a cold one."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        cli._kept_patterns.cache_clear()
+        yield
+        cli._kept_patterns.cache_clear()
+
+    @staticmethod
+    def _outputs(tmp_path, ref, command):
+        """(code, stdout, stderr, {file name: bytes}) of one command."""
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        argv = [a.replace("{out}", str(out)) for a in command]
+        code, stdout, err = _run([argv[0], "--scenario", ref, *argv[1:]])
+        return code, stdout, err, {p.name: p.read_bytes()
+                                   for p in sorted(out.iterdir())}
+
+    @staticmethod
+    def _kept(ref):
+        """The kept sets of the scenario ``ref`` names, which must be held."""
+        misses = cli._kept_patterns.cache_info().misses
+        kept = cli._kept_patterns(cli._resolve_scenario(ref))
+        assert cli._kept_patterns.cache_info().misses == misses
+        return kept
+
+    @pytest.mark.parametrize("step", [5.0, 1.0])
+    def test_warm_entry_gives_the_cold_bytes(self, tmp_path, step):
+        refs = list(BUNDLED)
+        if step != 5.0:
+            for i, name in enumerate(BUNDLED):
+                doc = _bundled_json(name)
+                doc["grid"] = {"phi_step": step, "theta_min": step,
+                               "theta_max": 180.0 - step}
+                refs[i] = str(tmp_path / f"{name}.json")
+                Path(refs[i]).write_text(json.dumps(doc))
+        cold = {}
+        for ref in refs:
+            for i, command in enumerate(_ANALYSES):
+                cli._kept_patterns.cache_clear()
+                cold[ref, i] = self._outputs(tmp_path, ref, command)
+                assert cold[ref, i][0] == 0 and cold[ref, i][2] == ""
+        info = cli._kept_patterns.cache_info()
+        for ref in refs:  # each after a call on the same study, but the first
+            for i, command in enumerate(_ANALYSES):
+                assert self._outputs(tmp_path, ref, command) == cold[ref, i]
+                assert not any("values" in vars(p)
+                               for _, p in self._kept(ref))
+        for i, command in enumerate(_ANALYSES):  # each after another study
+            for ref in refs:
+                assert self._outputs(tmp_path, ref, command) == cold[ref, i]
+        after, n_calls = cli._kept_patterns.cache_info(), len(cold)
+        assert after.misses - info.misses == len(refs) + n_calls
+        # the same-study calls but each study's first hit, as each _kept does
+        assert after.hits - info.hits == 2 * n_calls - len(refs)
+
+    @pytest.mark.parametrize("colliding", [False, True])
+    def test_an_edited_scenario_file_is_read_again(self, tmp_path,
+                                                   monkeypatch, colliding):
+        """Also when every scenario hashes alike: a hit needs equality."""
+        if colliding:
+            monkeypatch.setattr(scenario_mod.Scenario, "__hash__",
+                                lambda self: 0)
+        path = tmp_path / "s1.json"
+        doc = _bundled_json("s1_patch_portrait_hard")
+        path.write_text(json.dumps(doc))
+        argv = ["stats", "--scenario", str(path)]
+        first = _run(argv)
+        doc["masks"]["true_hand"][0]["delta_db"] = 12.0
+        path.write_text(json.dumps(doc))
+        edited = _run(argv)
+        assert first[0] == edited[0] == 0 and edited != first
+        cli._kept_patterns.cache_clear()
+        assert _run(argv) == edited
+
+    def test_negative_zero_reads_as_zero(self, tmp_path):
+        """Scenarios that differ only by -0.0 against 0.0 are equal, so one
+        may take the other's kept sets: both give one set of bytes."""
+        paths = []  # not a dict: its keys 0.0 and -0.0 would be one
+        for z in (0.0, -0.0):
+            doc = _bundled_json("s1_patch_portrait_hard")
+            doc["beams"][0]["scan_deg"] = z
+            doc["array"]["tx_power_dbm"] = z
+            doc["masks"]["true_hand"].append(
+                {"phi": [0.0, 30.0], "theta": [60.0, 90.0], "delta_db": z})
+            paths.append(tmp_path / f"{z!r}.json")
+            paths[-1].write_text(json.dumps(doc))
+        assert "-0.0" in paths[1].read_text()
+        a, b = map(load_scenario, paths)
+        assert a == b and hash(a) == hash(b)
+        for command in _ANALYSES:
+            cold = []
+            for path in paths:
+                cli._kept_patterns.cache_clear()
+                cold.append(self._outputs(tmp_path, str(path), command))
+            assert cold[0][0] == 0 and cold[0] == cold[1]
+            for first, second in (paths, paths[::-1]):
+                cli._kept_patterns.cache_clear()
+                self._outputs(tmp_path, str(first), command)
+                assert self._outputs(tmp_path, str(second), command) == cold[0]
+                assert cli._kept_patterns.cache_info().hits == 1
+
+    def test_mask_order_changes_neither_equality_nor_hash(self):
+        doc = _bundled_json("s5_patch_landscape_intermediate")
+        flipped = dict(doc, masks=dict(reversed(doc["masks"].items())))
+        a, b = scenario_from_dict(doc), scenario_from_dict(flipped)
+        assert list(a.masks) != list(b.masks)
+        assert a == b and hash(a) == hash(b)
+
+    def test_a_miss_that_raises_keeps_nothing(self, tmp_path, monkeypatch):
+        doc = _bundled_json("s1_patch_portrait_hard")
+        doc["array"].update(tx_power_dbm=1.79e308, element_peak_gain_dbi=1e307)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for _ in range(2):
+            assert _run(["stats", "--scenario", str(path)]) == (
+                1, "", "error: non-finite value at a valid grid point\n")
+            assert cli._kept_patterns.cache_info().currsize == 0
+        tried = []
+
+        def unallocatable(scenario):
+            tried.append(scenario)
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(cli, "build_patterns", unallocatable)
+        for _ in range(2):
+            assert _run(["stats", "--scenario", "s1_patch_portrait_hard"]) == (
+                1, "", "error: out of memory: no room\n")
+            assert cli._kept_patterns.cache_info().currsize == 0
+        assert len(tried) == 2
+
+    def test_report_and_synth_leave_the_entry(self, tmp_path):
+        name = "s1_patch_portrait_hard"
+        assert _run(["stats", "--scenario", name])[0] == 0
+        kept = self._kept(name)
+        info = cli._kept_patterns.cache_info()
+        for command in ("report", "synth"):
+            for other in (name, "s5_patch_landscape_intermediate"):
+                out = tmp_path / command / other
+                assert run_cli([command, "--scenario", other,
+                                "--out", str(out)]) == 0
+        assert cli._kept_patterns.cache_info() == info
+        assert self._kept(name) is kept
+        assert not any("values" in vars(p) for _, p in kept)
+
+
 # Each malformed value, applied to s1, is a one-line exit-2 error naming its
 # scenario block, raised at load (before any synthesis or output).
 S1_MALFORMED = [
@@ -881,6 +1040,7 @@ def test_out_of_memory_is_one_line_error(tmp_path, monkeypatch, command):
     def unallocatable(scenario):
         raise MemoryError(reason)
 
+    cli._kept_patterns.cache_clear()  # a held entry would skip the patch
     monkeypatch.setattr(cli, "build_patterns", unallocatable)
     monkeypatch.setattr(report_mod, "build_patterns", unallocatable)
     out_dir = tmp_path / "out"
