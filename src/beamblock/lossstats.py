@@ -129,27 +129,20 @@ def _weighted_moments(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     return (pivot + mean_x) * unit, math.sqrt(var) * unit
 
 
-def _weighted_median(v: np.ndarray, w: np.ndarray) -> float:
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    idx = int(np.searchsorted(cum, 0.5 - 1e-12, side="left"))
-    return float(v[order][min(idx, v.size - 1)])
-
-
 def loss_stats(loss: Pattern, roi: RoIMask,
                weights: WeightField) -> LossStats:
     """Mean, median, population std of the loss over ``roi``.
 
-    The median is the smallest sample value whose cumulative region weight
-    reaches one half. ``sphere_pct`` is the region's share of the valid
-    sphere (not renormalized).
+    The median is the top-p p50 of the region's ``weighted_cdf``, the
+    largest sample value with at least half the region's weight at or
+    above it. ``sphere_pct`` is the region's share of the valid sphere (not
+    renormalized).
     """
     v, w = region_sample(loss, weights, roi)
-    w = w / w.sum()
-    mean, std = _weighted_moments(v, w)
-    return LossStats(mean_db=mean, median_db=_weighted_median(v, w),
-                     std_db=std, sphere_pct=roi.coverage(weights),
-                     n_points=int(v.size))
+    mean, std = _weighted_moments(v, w / w.sum())
+    median = percentile_value(weighted_cdf(loss, weights, mask=roi), 50.0)
+    return LossStats(mean_db=mean, median_db=median, std_db=std,
+                     sphere_pct=roi.coverage(weights), n_points=int(v.size))
 
 
 _erfc = np.vectorize(math.erfc, otypes=[float])

@@ -25,7 +25,8 @@ def full_grid():
 
 @pytest.fixture(scope="session")
 def tiny_grid():
-    # 3 rows x 4 columns, coarse but valid everywhere
+    # 2 theta rows (45, 135) x 4 columns, valid everywhere; all 8 weights
+    # are equal
     return make_grid(90.0, 45.0, 135.0)
 
 

@@ -483,6 +483,42 @@ def test_checker_sees_command_returns():
     assert _command_returns(source) == ["line 3", "line 4"]
 
 
+# One quantile rule: coverage.py's ``weighted_cdf`` sorts and sums a
+# region's weights and ``percentile_value`` reads the top-p value from it,
+# so every statistic takes its quantiles there. scanio.py sorts row keys
+# and svgplot.py thins curves; no other module sorts, sums or bisects.
+_QUANTILE_STEPS = ("argsort", "cumsum", "searchsorted")
+_QUANTILE_HOMES = ("coverage.py", "scanio.py", "svgplot.py")
+
+
+def _quantile_steps(source: str) -> list[str]:
+    """Lines that name ``argsort``, ``cumsum`` or ``searchsorted``: as an
+    import, a name or an attribute."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if {getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None)} & set(_QUANTILE_STEPS))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in _QUANTILE_HOMES],
+                         ids=lambda p: p.name)
+def test_one_quantile_rule(path):
+    assert _quantile_steps(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_quantile_steps():
+    source = ("import numpy as np\n"
+              "from numpy import cumsum\n\n"
+              "def median(v, w):\n"
+              "    order = np.argsort(v, kind='stable')\n"
+              "    cum = cumsum(w[order])\n"
+              "    i = cum.searchsorted(0.5)  # np.argsort in a comment\n"
+              "    return np.sort(v)[i], 'cumsum'\n")
+    assert _quantile_steps(source) == ["line 2", "line 5", "line 6",
+                                       "line 7"]
+
+
 # What a process keeps between calls: cli's parser, cli's last analysis
 # pattern sets and synthesis's last u lattice, each memoized once, all but
 # the parser with a bound of one entry.

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtr
 
 from beamblock.cli import run_cli
-from beamblock.coverage import coverage_above
+from beamblock.coverage import coverage_above, percentile_value, weighted_cdf
 from beamblock.errors import DataError
 from beamblock.grid import (FLOOR_DB, AngularGrid, Pattern, PatternSet,
                             make_grid, solid_angle_weights, uniform_weights,
@@ -134,21 +134,31 @@ class TestLossStats:
         loss = _pattern(grid, [[10.0, 20.0]])
         stats = loss_stats(loss, _full_roi(loss), solid_angle_weights(grid))
         assert stats.mean_db == pytest.approx(15.0, abs=1e-12)
-        assert stats.median_db == 10.0
+        # exactly half the weight lies at or above 20: top-p p50 is 20
+        assert stats.median_db == 20.0
         assert stats.std_db == pytest.approx(5.0, abs=1e-12)
 
     def test_median_rule_on_random_fields(self, tiny_grid):
+        """The median is the top-p p50: at least half the weight at or
+        above it, less than half strictly above. Every tiny_grid draw is an
+        exact-half tie (its 8 weights are equal); the 3-row grid's unequal
+        weights give draws without one."""
         rng = np.random.default_rng(53)
-        weights = solid_angle_weights(tiny_grid)
-        for _ in range(50):
-            loss = _pattern(tiny_grid,
-                            rng.uniform(0.0, 40.0, size=(2, 4)))
-            m = loss_stats(loss, _full_roi(loss), weights).median_db
-            v = loss.values.ravel()
-            w = weights.weights.ravel()
-            below = w[v < m].sum()
-            at_or_below = w[v <= m].sum()
-            assert below < 0.5 <= at_or_below + 1e-12
+        untied = 0
+        for grid in (tiny_grid, make_grid(90.0, 30.0, 120.0, 45.0)):
+            weights = solid_angle_weights(grid)
+            for _ in range(50):
+                loss = _pattern(grid, rng.uniform(0.0, 40.0,
+                                                  size=grid.valid.shape))
+                m = loss_stats(loss, _full_roi(loss), weights).median_db
+                assert m == percentile_value(weighted_cdf(loss, weights),
+                                             50.0)
+                v = loss.values.ravel()
+                w = weights.weights.ravel()
+                at_or_above = w[v >= m].sum()
+                assert at_or_above >= 0.5 - 1e-12 and w[v > m].sum() < 0.5
+                untied += abs(at_or_above - 0.5) > 1e-9
+        assert untied > 0
 
     def test_stabilized_variance_matches_naive(self, tiny_grid):
         rng = np.random.default_rng(59)
